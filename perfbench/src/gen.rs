@@ -246,9 +246,22 @@ impl Inputs {
                 let style = Style::user(seed.wrapping_mul(7919).wrapping_add(w as u64));
                 let anchor = ANCHORS[w % ROOM];
                 match workload {
-                    Workload::Live | Workload::Bulk => {
-                        word_script(&mut rng, &words, style, anchor, scale.air_s)
-                    }
+                    Workload::Live => word_script(
+                        &mut rng,
+                        &words,
+                        style,
+                        anchor,
+                        scale.air_s,
+                        &Visits::live(scale.air_s),
+                    ),
+                    Workload::Bulk => word_script(
+                        &mut rng,
+                        &words,
+                        style,
+                        anchor,
+                        scale.air_s,
+                        &Visits::bulk(),
+                    ),
                     Workload::Taps => tap_script(&mut rng, style, anchor, scale.air_s),
                 }
             })
@@ -321,24 +334,55 @@ impl Inputs {
     }
 }
 
-/// Visits of two to four words at the writer's anchor: a still lead-in,
-/// then each word, a move back to the anchor and a short pause. Between
-/// visits the tag leaves the field for 1.2–1.6 s (longer than the
-/// tracker's 1 s stale gap), so each visit acquires afresh. The first
-/// visit starts at a random moment in the first 1.5 s, so rooms do not
-/// start in step.
+/// How a writer's visits are shaped.
+#[derive(Debug, Clone)]
+struct Visits {
+    /// Words per visit.
+    words: std::ops::Range<usize>,
+    /// The first visit starts at a random moment before this (s).
+    first_by: f64,
+}
+
+impl Visits {
+    /// `live`: one or two words (about 7–15 s) per visit, the first visit
+    /// starting anywhere in the first 6 s (at most half the air time), so
+    /// acquisitions come at a steady rate rather than all at once when the
+    /// server has just started.
+    fn live(air_s: f64) -> Self {
+        Self {
+            words: 1..3,
+            first_by: (air_s / 2.0).min(6.0),
+        }
+    }
+
+    /// `bulk`: two to four words per visit, every writer starting in the
+    /// first 1.5 s, so a short pool replays mostly tracking ticks.
+    fn bulk() -> Self {
+        Self {
+            words: 2..5,
+            first_by: 1.5,
+        }
+    }
+}
+
+/// Visits of words at the writer's anchor: a still lead-in, then each
+/// word, a move back to the anchor and a short pause. Between visits the
+/// tag leaves the field for 1.2–1.6 s (longer than the tracker's 1 s
+/// stale gap), so each visit acquires afresh. Writers start at random
+/// moments, so rooms do not start in step.
 fn word_script(
     rng: &mut StdRng,
     words: &[&str],
     style: Style,
     anchor: Point2,
     air_s: f64,
+    visits: &Visits,
 ) -> Script {
     let mut s = Script::default();
-    let mut t = rng.gen_range(0.0..1.5);
+    let mut t = rng.gen_range(0.0..visits.first_by);
     while t < air_s {
         s.hold(t, anchor, 0.5);
-        for _ in 0..rng.gen_range(2..5usize) {
+        for _ in 0..rng.gen_range(visits.words.clone()) {
             let word = words[rng.gen_range(0..words.len())];
             s.write(word, 0.10, anchor, style, s.end());
             s.move_to(anchor);
@@ -354,9 +398,11 @@ fn word_script(
 /// Single small glyphs near the anchor, each preceded by a short still
 /// lead-in; between strokes the tag leaves the field for 1.15–1.45 s,
 /// longer than the tracker's 1 s stale gap, so every stroke re-acquires.
+/// The first stroke starts anywhere in one stroke period (about 2 s, at
+/// most half the air time), so writers do not acquire in step.
 fn tap_script(rng: &mut StdRng, style: Style, anchor: Point2, air_s: f64) -> Script {
     let mut s = Script::default();
-    let mut t = rng.gen_range(0.0..1.5);
+    let mut t = rng.gen_range(0.0..(air_s / 2.0).min(2.0));
     while t < air_s {
         let c = (b'a' + rng.gen_range(0..26u8)) as char;
         let at = anchor + Point2::new(rng.gen_range(-0.15..0.15), rng.gen_range(-0.10..0.10));

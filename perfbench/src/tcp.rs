@@ -7,6 +7,14 @@
 //! one receiver thread waits on both connections with the repository's
 //! own poller, timestamping every `IngestAck` on the gateway and every
 //! `PositionUpdate` on the *subscriber* connection.
+//!
+//! In open-loop runs both threads wait by spinning, yielding the CPU at
+//! every turn, instead of sleeping. The server then leaves a CPU idle
+//! only to a yielding client thread, never to a halted virtual CPU: on a
+//! 2-vCPU virtual machine, runs with sleeping clients had a p50 update
+//! latency of 0.7 ms in some runs and 2.7 ms in others at the same or
+//! lower CPU cost per update, as the host's cost of waking an idle vCPU
+//! varied.
 
 use crate::gen::{epc_index, epc_of, slot_of, Inputs};
 use crate::oracle::Oracle;
@@ -409,6 +417,7 @@ fn receive(
     streams: [TcpStream; 2],
     shared: &Shared,
     mut completion: Option<Completion>,
+    spin: bool,
 ) -> io::Result<RecvLog> {
     shared.receiver_tid.store(thread_id(), Ordering::SeqCst);
     let mut streams = streams;
@@ -421,7 +430,11 @@ fn receive(
     let mut events = Vec::new();
     let mut log = RecvLog::default();
     while !shared.stop.load(Ordering::SeqCst) {
-        poller.wait(&mut events, 20)?;
+        poller.wait(&mut events, if spin { 0 } else { 20 })?;
+        if spin && events.is_empty() {
+            std::thread::yield_now();
+            continue;
+        }
         let mut acked = 0u64;
         let mut completed = 0u64;
         let mut updates = 0u64;
@@ -570,6 +583,7 @@ pub fn run(
         Pacing::OpenLoop => None,
         Pacing::ClosedLoop { .. } => Some(Completion::new(oracle, schedule)),
     };
+    let spin = pacing == Pacing::OpenLoop;
     let shared = Arc::new(Shared {
         acked: AtomicU64::new(0),
         completed: AtomicU64::new(0),
@@ -594,7 +608,7 @@ pub fn run(
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("perfbench-recv".to_string())
-            .spawn(move || receive(streams, &shared, completion))?
+            .spawn(move || receive(streams, &shared, completion, spin))?
     };
     while shared.receiver_tid.load(Ordering::SeqCst) == 0 {
         std::thread::yield_now();
@@ -625,7 +639,7 @@ pub fn run(
                 let now = Instant::now();
                 let at = start + Duration::from_secs_f64(schedule.frames[i].due_s);
                 if now < at {
-                    std::thread::sleep(at - now);
+                    std::thread::yield_now();
                     continue;
                 }
                 let mut j = i;

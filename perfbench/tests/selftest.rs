@@ -30,6 +30,7 @@ fn tiny(workload: Workload) -> Options {
     let mut o = Options::new(workload, 7, 2.0, true);
     o.scale = TINY;
     o.reps = 1;
+    o.warmup_s = 0.0;
     o.setups = 2;
     o.spans_dir = None;
     o
