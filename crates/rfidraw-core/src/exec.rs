@@ -17,6 +17,7 @@
 //! and makes the disjointness obvious.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// How many threads the vote-map engine and tracer may use.
 ///
@@ -28,7 +29,8 @@ pub enum Parallelism {
     Serial,
     /// A fixed number of worker threads (values below 1 behave as 1).
     Threads(usize),
-    /// Use [`std::thread::available_parallelism`] threads (the default).
+    /// Use [`std::thread::available_parallelism`] threads (the default),
+    /// resolved once per process.
     Auto,
 }
 
@@ -40,13 +42,21 @@ impl Default for Parallelism {
 
 impl Parallelism {
     /// The number of worker threads this policy resolves to on this machine.
+    ///
+    /// `Auto` asks [`std::thread::available_parallelism`] once and caches
+    /// the answer for the life of the process: on Linux the query re-reads
+    /// the cgroup CPU quota files on every call, tens of microseconds that
+    /// every `Auto` sweep would otherwise pay.
     pub fn thread_count(self) -> usize {
+        static AUTO: OnceLock<usize> = OnceLock::new();
         match self {
             Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            Parallelism::Auto => *AUTO.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            }),
         }
     }
 

@@ -105,13 +105,45 @@ impl Grid2 {
     }
 
     /// The lattice point nearest to an arbitrary plane point (clamped to the
-    /// grid).
+    /// grid). The column depends only on `p.x` and the row only on `p.z`.
     pub fn nearest(&self, p: Point2) -> (usize, usize) {
-        let fx = ((p.x - self.rect.min.x) / self.res).round();
-        let fz = ((p.z - self.rect.min.z) / self.res).round();
-        let ix = fx.clamp(0.0, (self.nx - 1) as f64) as usize;
-        let iz = fz.clamp(0.0, (self.nz - 1) as f64) as usize;
-        (ix, iz)
+        (self.nearest_column(p.x), self.nearest_row(p.z))
+    }
+
+    /// The column of [`Grid2::nearest`] for any point with this `x`.
+    fn nearest_column(&self, x: f64) -> usize {
+        let fx = ((x - self.rect.min.x) / self.res).round();
+        fx.clamp(0.0, (self.nx - 1) as f64) as usize
+    }
+
+    /// The row of [`Grid2::nearest`] for any point with this `z`.
+    fn nearest_row(&self, z: f64) -> usize {
+        let fz = ((z - self.rect.min.z) / self.res).round();
+        fz.clamp(0.0, (self.nz - 1) as f64) as usize
+    }
+
+    /// Resamples `mask`, given over the cells of `from`, onto this grid:
+    /// each cell takes the value of `from`'s cell nearest to it — the
+    /// coarse-to-fine lift of the stage-1 spatial filter.
+    ///
+    /// Identical to looking up `from.nearest(p)` for every cell `p`, but
+    /// since the nearest column depends only on a cell's `x` and the
+    /// nearest row only on its `z`, both are resolved once per column and
+    /// once per row instead of once per cell.
+    ///
+    /// # Panics
+    /// Panics if the mask length does not match `from`.
+    pub fn lift_mask(&self, from: &Grid2, mask: &[bool]) -> Vec<bool> {
+        assert_eq!(mask.len(), from.len(), "mask length must match the source grid");
+        let columns: Vec<usize> = (0..self.nx)
+            .map(|ix| from.nearest_column(self.point(ix, 0).x))
+            .collect();
+        let mut out = Vec::with_capacity(self.len());
+        for iz in 0..self.nz {
+            let row = &mask[from.flat(0, from.nearest_row(self.point(0, iz).z))..][..from.nx];
+            out.extend(columns.iter().map(|&c| row[c]));
+        }
+        out
     }
 }
 
@@ -329,13 +361,19 @@ impl VoteMap {
             fraction > 0.0 && fraction <= 1.0,
             "fraction must be in (0, 1], got {fraction}"
         );
-        let mut sorted: Vec<f64> = self.values.iter().copied().filter(|v| v.is_finite()).collect();
-        sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite votes"));
-        let keep = ((sorted.len() as f64 * fraction).ceil() as usize).max(1);
-        let threshold = sorted
-            .get(keep - 1)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
+        // The threshold is the `keep`-th best finite vote. Selecting it
+        // leaves the rest unordered; values tied with it (including ±0,
+        // which compare equal) give the same `>=` mask whichever of them
+        // lands in the slot, so the mask equals a full sort's.
+        let mut finite: Vec<f64> = self.values.iter().copied().filter(|v| v.is_finite()).collect();
+        let keep = ((finite.len() as f64 * fraction).ceil() as usize).max(1);
+        let threshold = if keep <= finite.len() {
+            *finite
+                .select_nth_unstable_by(keep - 1, |a, b| b.partial_cmp(a).expect("finite votes"))
+                .1
+        } else {
+            f64::NEG_INFINITY
+        };
         self.values.iter().map(|&v| v >= threshold).collect()
     }
 

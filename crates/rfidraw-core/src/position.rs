@@ -343,14 +343,10 @@ impl MultiResPositioner {
         let coarse_mask = coarse_map.mask_top_fraction(self.config.coarse_keep_fraction);
 
         // Lift the mask onto the fine grid.
-        let fine_grid = self.fine_engine.grid();
-        let fine_mask: Vec<bool> = fine_grid
-            .iter()
-            .map(|(_, p)| {
-                let (ix, iz) = coarse_map.grid().nearest(p);
-                coarse_mask[coarse_map.grid().flat(ix, iz)]
-            })
-            .collect();
+        let fine_mask = self
+            .fine_engine
+            .grid()
+            .lift_mask(coarse_map.grid(), &coarse_mask);
         #[cfg(feature = "trace")]
         obs::emit(
             self.sink.as_ref(),

@@ -26,6 +26,11 @@ use crate::vote::PairMeasurement;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 
+/// Vicinity points per block of the tick kernel ([`TrajectoryTracer`]'s
+/// step). Pure tuning: blocking never changes a point's operations or the
+/// scan order, so no result depends on it.
+const STEP_BLOCK: usize = 16;
+
 /// Tuning parameters for [`TrajectoryTracer`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceConfig {
@@ -96,13 +101,17 @@ pub struct TrajectoryTracer {
     dep: Deployment,
     plane: Plane,
     config: TraceConfig,
-    /// Precomputed local-search offsets within the vicinity disc.
-    offsets: Vec<Point2>,
-    /// Pre-resolved wide-pair geometry: `(pair, pos_i, pos_j)` — avoids
-    /// antenna lookups in the per-tick hot loop.
-    wide_geom: Vec<(AntennaPair, crate::geom::Point3, crate::geom::Point3)>,
-    /// Pre-resolved coarse-pair geometry, same layout.
-    coarse_geom: Vec<(AntennaPair, crate::geom::Point3, crate::geom::Point3)>,
+    /// Precomputed local-search offsets within the vicinity disc, stored
+    /// as separate x and z columns so the tick kernel loads contiguous
+    /// lanes.
+    offsets_x: Vec<f64>,
+    offsets_z: Vec<f64>,
+    /// Pre-resolved wide pairs: `(pair, i, j)` with `i`, `j` indices into
+    /// `dep.antennas()` — the tick kernel computes each antenna's distance
+    /// once per vicinity point and the pairs index into those.
+    wide_idx: Vec<(AntennaPair, usize, usize)>,
+    /// Pre-resolved coarse pairs, same layout.
+    coarse_idx: Vec<(AntennaPair, usize, usize)>,
     /// `path_factor / λ`, the distance-difference-to-turns factor.
     turns_factor: f64,
     #[cfg(feature = "trace")]
@@ -123,36 +132,39 @@ impl TrajectoryTracer {
         let r = config.vicinity_radius;
         let s = config.step_resolution;
         let n = (r / s).floor() as i64;
-        let mut offsets = Vec::new();
+        let mut offsets_x = Vec::new();
+        let mut offsets_z = Vec::new();
         for iz in -n..=n {
             for ix in -n..=n {
                 let o = Point2::new(ix as f64 * s, iz as f64 * s);
                 if o.norm() <= r + 1e-12 {
-                    offsets.push(o);
+                    offsets_x.push(o.x);
+                    offsets_z.push(o.z);
                 }
             }
         }
-        let resolve = |pairs: &[AntennaPair]| {
-            pairs
+        let index = |id| {
+            dep.antennas()
                 .iter()
-                .map(|&pair| {
-                    let pi = dep.antenna(pair.i).expect("validated pair").pos;
-                    let pj = dep.antenna(pair.j).expect("validated pair").pos;
-                    (pair, pi, pj)
-                })
+                .position(|a| a.id == id)
+                .expect("validated pair")
+        };
+        let resolve = |pairs: &mut dyn Iterator<Item = &AntennaPair>| {
+            pairs
+                .map(|&pair| (pair, index(pair.i), index(pair.j)))
                 .collect::<Vec<_>>()
         };
-        let wide_geom = resolve(dep.wide_pairs());
-        let coarse_pairs: Vec<AntennaPair> = dep.coarse_pairs().copied().collect();
-        let coarse_geom = resolve(&coarse_pairs);
+        let wide_idx = resolve(&mut dep.wide_pairs().iter());
+        let coarse_idx = resolve(&mut dep.coarse_pairs());
         let turns_factor = dep.path_factor() / dep.wavelength().meters();
         Self {
             dep,
             plane,
             config,
-            offsets,
-            wide_geom,
-            coarse_geom,
+            offsets_x,
+            offsets_z,
+            wide_idx,
+            coarse_idx,
             turns_factor,
             #[cfg(feature = "trace")]
             sink: None,
@@ -237,21 +249,15 @@ impl TrajectoryTracer {
         snap: &PairSnapshot,
         locked: &[(AntennaPair, i64)],
     ) -> (Point2, f64) {
-        let mut wide_targets = Vec::with_capacity(self.wide_geom.len());
-        for (idx, (pair, pi, pj)) in self.wide_geom.iter().enumerate() {
+        let mut wide_targets = Vec::with_capacity(self.wide_idx.len());
+        for (idx, &(pair, i, j)) in self.wide_idx.iter().enumerate() {
             let turns = snap
-                .turns_of(*pair)
+                .turns_of(pair)
                 .unwrap_or_else(|| panic!("snapshot lacks wide pair {pair:?}"));
-            wide_targets.push((*pi, *pj, turns + locked[idx].1 as f64));
+            wide_targets.push((i, j, turns + locked[idx].1 as f64));
         }
         let mut coarse_targets = Vec::new();
-        if self.config.include_coarse {
-            for (pair, pi, pj) in &self.coarse_geom {
-                if let Some(m) = snap.wrapped.iter().find(|m| m.pair == *pair) {
-                    coarse_targets.push((*pi, *pj, m.turns()));
-                }
-            }
-        }
+        self.coarse_targets(snap, &mut coarse_targets);
         self.step(prev, &wide_targets, &coarse_targets)
     }
 
@@ -271,23 +277,17 @@ impl TrajectoryTracer {
         snap: &PairSnapshot,
         locked: &[(AntennaPair, i64)],
     ) -> Option<(Point2, f64)> {
-        let mut wide_targets = Vec::with_capacity(self.wide_geom.len());
-        for (pair, pi, pj) in &self.wide_geom {
-            let Some(turns) = snap.turns_of(*pair) else { continue };
-            let Some(&(_, k)) = locked.iter().find(|(p, _)| p == pair) else { continue };
-            wide_targets.push((*pi, *pj, turns + k as f64));
+        let mut wide_targets = Vec::with_capacity(self.wide_idx.len());
+        for &(pair, i, j) in &self.wide_idx {
+            let Some(turns) = snap.turns_of(pair) else { continue };
+            let Some(&(_, k)) = locked.iter().find(|(p, _)| *p == pair) else { continue };
+            wide_targets.push((i, j, turns + k as f64));
         }
         if wide_targets.is_empty() {
             return None;
         }
         let mut coarse_targets = Vec::new();
-        if self.config.include_coarse {
-            for (pair, pi, pj) in &self.coarse_geom {
-                if let Some(m) = snap.wrapped.iter().find(|m| m.pair == *pair) {
-                    coarse_targets.push((*pi, *pj, m.turns()));
-                }
-            }
-        }
+        self.coarse_targets(snap, &mut coarse_targets);
         Some(self.step(prev, &wide_targets, &coarse_targets))
     }
 
@@ -306,25 +306,19 @@ impl TrajectoryTracer {
         let mut votes = Vec::with_capacity(snapshots.len());
         let mut prev = initial.position;
         // Per-snapshot vote targets, in turns, against precomputed geometry.
-        let mut wide_targets = Vec::with_capacity(self.wide_geom.len());
-        let mut coarse_targets = Vec::with_capacity(self.coarse_geom.len());
+        let mut wide_targets = Vec::with_capacity(self.wide_idx.len());
+        let mut coarse_targets = Vec::with_capacity(self.coarse_idx.len());
         for snap in snapshots {
             wide_targets.clear();
-            for (idx, (pair, pi, pj)) in self.wide_geom.iter().enumerate() {
+            for (idx, &(pair, i, j)) in self.wide_idx.iter().enumerate() {
                 let turns = snap
-                    .turns_of(*pair)
+                    .turns_of(pair)
                     .unwrap_or_else(|| panic!("snapshot lacks wide pair {pair:?}"));
                 let k = locked[idx].1;
-                wide_targets.push((*pi, *pj, turns + k as f64));
+                wide_targets.push((i, j, turns + k as f64));
             }
             coarse_targets.clear();
-            if self.config.include_coarse {
-                for (pair, pi, pj) in &self.coarse_geom {
-                    if let Some(m) = snap.wrapped.iter().find(|m| m.pair == *pair) {
-                        coarse_targets.push((*pi, *pj, m.turns()));
-                    }
-                }
-            }
+            self.coarse_targets(snap, &mut coarse_targets);
             let (best, vote) = self.step(prev, &wide_targets, &coarse_targets);
             points.push(best);
             votes.push(vote);
@@ -391,38 +385,99 @@ impl TrajectoryTracer {
         (winner, traces)
     }
 
+    /// Appends the coarse pairs' `(i, j, measured_turns)` targets the
+    /// snapshot carries, in deployment order (none unless
+    /// `include_coarse`).
+    fn coarse_targets(&self, snap: &PairSnapshot, out: &mut Vec<(usize, usize, f64)>) {
+        if !self.config.include_coarse {
+            return;
+        }
+        for &(pair, i, j) in &self.coarse_idx {
+            if let Some(m) = snap.wrapped.iter().find(|m| m.pair == pair) {
+                out.push((i, j, m.turns()));
+            }
+        }
+    }
+
     /// One tracing step: the vicinity point with the best total vote.
     ///
-    /// `wide_targets` are `(pos_i, pos_j, target_turns)` with the locked
-    /// lobe folded into the target (fixed-lobe quadratic penalty);
-    /// `coarse_targets` are `(pos_i, pos_j, measured_turns)` scored against
-    /// the nearest lobe.
+    /// `wide_targets` are `(i, j, target_turns)` — antenna indices into
+    /// `dep.antennas()` — with the locked lobe folded into the target
+    /// (fixed-lobe quadratic penalty); `coarse_targets` are
+    /// `(i, j, measured_turns)` scored against the nearest lobe.
+    ///
+    /// The offsets are walked in blocks of [`STEP_BLOCK`] points: each
+    /// referenced antenna's distance is computed once per point (not once
+    /// per pair it belongs to), then every pair's term is applied to the
+    /// whole block. Per point that is exactly the per-pair sequence —
+    /// the same [`crate::geom::Point3::dist`] expression, wide then coarse
+    /// terms in order, `v -= r·r` — and the scan keeps the first strict
+    /// maximum, so the chosen point and its vote are bit-identical to
+    /// scoring one point at a time (DESIGN.md §16). The fixed-width lane
+    /// loops are what the compiler vectorizes.
     fn step(
         &self,
         prev: Point2,
-        wide_targets: &[(crate::geom::Point3, crate::geom::Point3, f64)],
-        coarse_targets: &[(crate::geom::Point3, crate::geom::Point3, f64)],
+        wide_targets: &[(usize, usize, f64)],
+        coarse_targets: &[(usize, usize, f64)],
     ) -> (Point2, f64) {
+        const B: usize = STEP_BLOCK;
+        let antennas = self.dep.antennas();
+        let mut used = vec![false; antennas.len()];
+        for &(i, j, _) in wide_targets.iter().chain(coarse_targets) {
+            used[i] = true;
+            used[j] = true;
+        }
+        let tf = self.turns_factor;
+        // Row 0 accumulates the block's votes; row `1 + a` holds antenna
+        // `a`'s distances to the block's points.
+        let mut rows = vec![[0.0; B]; 1 + antennas.len()];
+        let (v, dist) = rows.split_first_mut().expect("vote row");
         let mut best = prev;
         let mut best_vote = f64::NEG_INFINITY;
-        for off in &self.offsets {
-            let p2 = prev + *off;
-            let p3 = self.plane.lift(p2);
-            let mut v = 0.0;
-            for &(pi, pj, target) in wide_targets {
-                let turns = self.turns_factor * (p3.dist(pi) - p3.dist(pj));
-                let r = turns - target;
-                v -= r * r;
+        let mut score = |ox: &[f64; B], oz: &[f64; B], len: usize| {
+            let point = |b: usize| Point2::new(prev.x + ox[b], prev.z + oz[b]);
+            for ((d, ant), _) in dist.iter_mut().zip(antennas).zip(&used).filter(|(_, &u)| u) {
+                for (b, db) in d.iter_mut().enumerate() {
+                    *db = self.plane.lift(point(b)).dist(ant.pos);
+                }
             }
-            for &(pi, pj, measured) in coarse_targets {
-                let turns = self.turns_factor * (p3.dist(pi) - p3.dist(pj));
-                let f = crate::phase::frac_dist_to_integer(turns - measured);
-                v -= f * f;
+            v.fill(0.0);
+            for &(i, j, target) in wide_targets {
+                let (di, dj) = (&dist[i], &dist[j]);
+                for b in 0..B {
+                    let r = tf * (di[b] - dj[b]) - target;
+                    v[b] -= r * r;
+                }
             }
-            if v > best_vote {
-                best_vote = v;
-                best = p2;
+            for &(i, j, measured) in coarse_targets {
+                let (di, dj) = (&dist[i], &dist[j]);
+                for b in 0..B {
+                    let f = crate::phase::frac_dist_to_integer(tf * (di[b] - dj[b]) - measured);
+                    v[b] -= f * f;
+                }
             }
+            for (b, &vb) in v[..len].iter().enumerate() {
+                if vb > best_vote {
+                    best_vote = vb;
+                    best = point(b);
+                }
+            }
+        };
+        let xs = self.offsets_x.chunks_exact(B);
+        let zs = self.offsets_z.chunks_exact(B);
+        let (tail_x, tail_z) = (xs.remainder(), zs.remainder());
+        for (ox, oz) in xs.zip(zs) {
+            score(ox.try_into().expect("full block"), oz.try_into().expect("full block"), B);
+        }
+        if !tail_x.is_empty() {
+            // The short last block is padded with zero offsets: those lanes
+            // are scored but never scanned.
+            let mut ox = [0.0; B];
+            let mut oz = [0.0; B];
+            ox[..tail_x.len()].copy_from_slice(tail_x);
+            oz[..tail_z.len()].copy_from_slice(tail_z);
+            score(&ox, &oz, tail_x.len());
         }
         (best, best_vote)
     }

@@ -2,15 +2,23 @@
 //! [`VoteMap`] path bit-for-bit: random grids, measurement subsets, masks,
 //! windows, and thread counts. These are the determinism contract of the
 //! engine's layout change — any divergence, even in the last mantissa bit,
-//! fails here.
+//! fails here. The same contract covers the tracer's tick kernel (pinned
+//! to a one-point-at-a-time, per-pair reference step) and the libm-free
+//! nearest-integer fold both kernels share.
 
 use proptest::prelude::*;
-use rfidraw_core::array::Deployment;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use rfidraw_core::array::{AntennaPair, Deployment};
 use rfidraw_core::exec::Parallelism;
-use rfidraw_core::geom::{Plane, Point2, Rect};
+use rfidraw_core::geom::{Plane, Point2, Point3, Rect};
 use rfidraw_core::grid::{Grid2, GridWindow, VoteMap};
+use rfidraw_core::phase::frac_dist_to_integer;
+use rfidraw_core::position::Candidate;
+use rfidraw_core::stream::PairSnapshot;
+use rfidraw_core::trace::{ideal_snapshots, moving_average, TraceConfig, TrajectoryTracer};
 use rfidraw_core::vote::{ideal_measurements, PairMeasurement};
 use rfidraw_core::{SimdMode, TablePrecision, VoteEngine};
+use std::hint::black_box;
 
 /// The two fixed-point precisions, indexable from a proptest strategy.
 const QUANTIZED: [TablePrecision; 2] = [TablePrecision::I16, TablePrecision::I8];
@@ -451,3 +459,346 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The nearest-integer fold: `frac_dist_to_integer` vs `|x − x.round()|`.
+// ---------------------------------------------------------------------
+
+/// The definition the branch-free fold must reproduce bit for bit.
+fn frac_round_form(x: f64) -> f64 {
+    (x - x.round()).abs()
+}
+
+fn assert_fold_matches(x: f64) {
+    let x = black_box(x);
+    let got = frac_dist_to_integer(x);
+    let want = frac_round_form(x);
+    assert_eq!(
+        got.to_bits(),
+        want.to_bits(),
+        "x = {x:e} ({:#018x}): fold {got:e} ({:#018x}) vs round form {want:e} ({:#018x})",
+        x.to_bits(),
+        got.to_bits(),
+        want.to_bits()
+    );
+}
+
+/// Every edge of the fold's case split: signed zeros, half-integer ties
+/// (where the fold rounds to even and `round` away from zero), the
+/// neighbours of ±2⁵¹, ±2⁵² and ±2⁵³ (where the f64 spacing becomes ½, 1
+/// and 2), subnormals, the extremes, infinities and NaNs with assorted
+/// payloads.
+#[test]
+fn frac_dist_to_integer_matches_round_form_on_edges() {
+    let mut xs: Vec<f64> = vec![
+        0.0,
+        f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        f64::MIN_POSITIVE,
+        f64::EPSILON,
+        0.25,
+        0.49999999999999994,
+        0.5,
+        0.5000000000000001,
+        0.75,
+        1.0,
+        1.5,
+        2.5,
+        3.5,
+        1234.5,
+        1e15 + 0.5,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0x7ff8_dead_beef_0001),
+    ];
+    for e in [51, 52, 53] {
+        let p = 2f64.powi(e);
+        for d in -4i64..=4 {
+            xs.push(f64::from_bits((p.to_bits() as i64 + d) as u64));
+        }
+        xs.extend([p - 0.5, p - 1.5, p + 0.5, p + 1.0, p + 2.0, p + 3.0]);
+    }
+    for k in 0..200 {
+        xs.push(k as f64 + 0.5);
+        xs.push(k as f64 * 0.37);
+    }
+    for x in xs.clone() {
+        xs.push(-x);
+    }
+    for x in xs {
+        assert_fold_matches(x);
+    }
+}
+
+proptest! {
+    /// Raw bit patterns (every sign, exponent, NaN payload) and values
+    /// whose exponent is drawn from around the fold's 2⁵² switch and the
+    /// sub-one range, where the rounding cases live.
+    #[test]
+    fn frac_dist_to_integer_matches_round_form_on_raw_bits(
+        raw in proptest::collection::vec(any::<u64>(), 256..512),
+        exponents in proptest::collection::vec(960u64..1090, 256..512),
+    ) {
+        let mut xs = Vec::with_capacity(2 * raw.len());
+        for (&bits, &exp) in raw.iter().zip(exponents.iter().cycle()) {
+            xs.push(f64::from_bits(bits));
+            // Same sign and mantissa, steered exponent.
+            xs.push(f64::from_bits((bits & 0x800f_ffff_ffff_ffff) | (exp << 52)));
+        }
+        for &x in &xs {
+            assert_fold_matches(x);
+        }
+        // The same inputs through a slice map, the loop shape the sweeps
+        // vectorize.
+        let folded: Vec<f64> = black_box(&xs).iter().map(|&x| frac_dist_to_integer(x)).collect();
+        for (&x, &f) in xs.iter().zip(&folded) {
+            prop_assert_eq!(f.to_bits(), frac_round_form(x).to_bits(), "x = {:e}", x);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tracer's tick kernel vs a one-point-at-a-time, per-pair reference.
+// ---------------------------------------------------------------------
+
+/// The per-tick step as first written: every vicinity point scored on its
+/// own, two antenna distances per pair, the fold through `round`. The
+/// tracer's blocked per-antenna kernel must reproduce its chosen point and
+/// vote bit for bit.
+struct ReferenceStep {
+    dep: Deployment,
+    plane: Plane,
+    config: TraceConfig,
+    offsets: Vec<Point2>,
+}
+
+impl ReferenceStep {
+    fn new(dep: Deployment, plane: Plane, config: TraceConfig) -> Self {
+        let r = config.vicinity_radius;
+        let s = config.step_resolution;
+        let n = (r / s).floor() as i64;
+        let mut offsets = Vec::new();
+        for iz in -n..=n {
+            for ix in -n..=n {
+                let o = Point2::new(ix as f64 * s, iz as f64 * s);
+                if o.norm() <= r + 1e-12 {
+                    offsets.push(o);
+                }
+            }
+        }
+        Self { dep, plane, config, offsets }
+    }
+
+    fn pos(&self, pair: AntennaPair) -> (Point3, Point3) {
+        let a = |id| self.dep.antenna(id).expect("deployment pair").pos;
+        (a(pair.i), a(pair.j))
+    }
+
+    /// `TrajectoryTracer::advance_avail`'s contract: wide pairs present in
+    /// both the snapshot and `locked` vote in deployment order, then the
+    /// coarse pairs the snapshot carries (if enabled); `None` without a
+    /// wide pair.
+    fn advance_avail(
+        &self,
+        prev: Point2,
+        snap: &PairSnapshot,
+        locked: &[(AntennaPair, i64)],
+    ) -> Option<(Point2, f64)> {
+        let mut wide = Vec::new();
+        for &pair in self.dep.wide_pairs() {
+            let Some(turns) = snap.turns_of(pair) else { continue };
+            let Some(&(_, k)) = locked.iter().find(|(p, _)| *p == pair) else { continue };
+            let (pi, pj) = self.pos(pair);
+            wide.push((pi, pj, turns + k as f64));
+        }
+        if wide.is_empty() {
+            return None;
+        }
+        let mut coarse = Vec::new();
+        if self.config.include_coarse {
+            for &pair in self.dep.coarse_pairs() {
+                if let Some(m) = snap.wrapped.iter().find(|m| m.pair == pair) {
+                    let (pi, pj) = self.pos(pair);
+                    coarse.push((pi, pj, m.turns()));
+                }
+            }
+        }
+        let tf = self.dep.path_factor() / self.dep.wavelength().meters();
+        let mut best = prev;
+        let mut best_vote = f64::NEG_INFINITY;
+        for off in &self.offsets {
+            let p2 = prev + *off;
+            let p3 = self.plane.lift(p2);
+            let mut v = 0.0;
+            for &(pi, pj, target) in &wide {
+                let turns = tf * (p3.dist(pi) - p3.dist(pj));
+                let r = turns - target;
+                v -= r * r;
+            }
+            for &(pi, pj, measured) in &coarse {
+                let turns = tf * (p3.dist(pi) - p3.dist(pj));
+                let f = frac_round_form(turns - measured);
+                v -= f * f;
+            }
+            if v > best_vote {
+                best_vote = v;
+                best = p2;
+            }
+        }
+        Some((best, best_vote))
+    }
+}
+
+/// A noisy snapshot of a tag near `at`: ideal phases plus up to ±0.3
+/// turns of noise per pair, so votes are far from zero and lobe locks
+/// can be off by one.
+fn noisy_snapshot(dep: &Deployment, plane: Plane, at: Point2, rng: &mut StdRng) -> PairSnapshot {
+    let mut snap = ideal_snapshots(dep, plane, &[at], 0.04).remove(0);
+    for (m, (_, turns)) in snap.wrapped.iter_mut().zip(snap.unwrapped_turns.iter_mut()) {
+        let noise = rng.gen_range(-0.3..0.3);
+        *turns += noise;
+        m.delta_phi = rfidraw_core::phase::wrap_pi(m.delta_phi + std::f64::consts::TAU * noise);
+    }
+    snap
+}
+
+fn same_step(got: Option<(Point2, f64)>, want: Option<(Point2, f64)>) -> Result<(), String> {
+    let bits =
+        |s: Option<(Point2, f64)>| s.map(|(p, v)| (p.x.to_bits(), p.z.to_bits(), v.to_bits()));
+    if bits(got) == bits(want) {
+        Ok(())
+    } else {
+        Err(format!("kernel {got:?} vs reference {want:?}"))
+    }
+}
+
+/// Vicinity settings whose offset counts are not multiples of any power
+/// of two above 1: 5 offsets (fewer than one block), 1257 (the default
+/// 10 cm / 5 mm disc), and 317.
+const ODD_VICINITIES: [(f64, f64); 3] = [(0.01, 0.01), (0.10, 0.005), (0.05, 0.005)];
+
+proptest! {
+    /// Random previous points, lobe locks (some off by one), noisy
+    /// snapshots, degraded pair subsets, `include_coarse` on and off, and
+    /// vicinity settings: `advance_avail`, `advance` and `trace_from` pick
+    /// the same point with the same vote bits as the per-pair reference.
+    #[test]
+    fn trace_step_matches_per_pair_reference(
+        seed in any::<u64>(),
+        depth in 1.0f64..3.5,
+        radius in 0.004f64..0.12,
+        step_frac in 0.04f64..1.0,
+        odd_idx in 0usize..6,
+        include_coarse in any::<bool>(),
+        drop_chance in 0.0f64..0.5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (vicinity_radius, step_resolution) = match ODD_VICINITIES.get(odd_idx) {
+            Some(&fixed) => fixed,
+            None => (radius, (radius * step_frac).max(radius / 30.0)),
+        };
+        let config = TraceConfig {
+            vicinity_radius,
+            step_resolution,
+            include_coarse,
+            parallelism: Parallelism::Serial,
+            ..TraceConfig::default()
+        };
+        let dep = Deployment::paper_default();
+        let plane = Plane::at_depth(depth);
+        let tracer = TrajectoryTracer::new(dep.clone(), plane, config.clone());
+        let reference = ReferenceStep::new(dep.clone(), plane, config);
+
+        let mut prev = Point2::new(rng.gen_range(0.3..2.3), rng.gen_range(0.3..2.3));
+        let start = prev;
+        let mut snaps = Vec::new();
+        for _ in 0..4 {
+            let at = prev + Point2::new(rng.gen_range(-0.05..0.05), rng.gen_range(-0.05..0.05));
+            let snap = noisy_snapshot(&dep, plane, at, &mut rng);
+            let mut locked = tracer.lock_lobes(&snap, prev);
+            for (_, k) in &mut locked {
+                *k += rng.gen_range(-1i64..2);
+            }
+
+            // Full snapshot, full locks: both entry points.
+            let want = reference.advance_avail(prev, &snap, &locked);
+            same_step(Some(tracer.advance(prev, &snap, &locked)), want)
+                .map_err(TestCaseError::fail)?;
+            same_step(tracer.advance_avail(prev, &snap, &locked), want)
+                .map_err(TestCaseError::fail)?;
+
+            // A degraded pair subset and a partial lock set.
+            let mut degraded = snap.clone();
+            let gone: Vec<AntennaPair> = dep
+                .all_pairs()
+                .copied()
+                .filter(|_| rng.gen_range(0.0..1.0) < drop_chance)
+                .collect();
+            degraded.wrapped.retain(|m| !gone.contains(&m.pair));
+            degraded.unwrapped_turns.retain(|(p, _)| !gone.contains(p));
+            let partial: Vec<(AntennaPair, i64)> = locked
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_range(0.0..1.0) >= drop_chance)
+                .collect();
+            same_step(
+                tracer.advance_avail(prev, &degraded, &partial),
+                reference.advance_avail(prev, &degraded, &partial),
+            )
+            .map_err(TestCaseError::fail)?;
+
+            prev = want.expect("full lock set").0;
+            snaps.push(snap);
+        }
+
+        // A whole trace: locks from the first snapshot, one reference step
+        // per snapshot, the same smoothing.
+        let traced = tracer.trace_from(Candidate { position: start, vote: 0.0 }, &snaps);
+        let mut at = start;
+        let mut points = Vec::new();
+        for (snap, &vote) in snaps.iter().zip(&traced.per_step_votes) {
+            let (next, want) = reference
+                .advance_avail(at, snap, &traced.locked_lobes)
+                .expect("full lock set");
+            prop_assert_eq!(vote.to_bits(), want.to_bits());
+            points.push(next);
+            at = next;
+        }
+        let smoothed = moving_average(&points, tracer.config().smooth_window);
+        for (got, want) in traced.points.iter().zip(&smoothed) {
+            prop_assert_eq!(got.x.to_bits(), want.x.to_bits());
+            prop_assert_eq!(got.z.to_bits(), want.z.to_bits());
+        }
+    }
+}
+
+/// Unwrapped turns of 10²⁰ swamp every wide term (`r` rounds to exactly
+/// −10²⁰ at every vicinity point, and the coarse terms vanish below its
+/// square's ulp), so the whole disc ties: the kernel must keep the first
+/// point of the scan, as the reference does, not the last.
+#[test]
+fn trace_step_keeps_first_of_exactly_tied_points() {
+    let dep = Deployment::paper_default();
+    let plane = Plane::at_depth(2.0);
+    for (vicinity_radius, step_resolution) in ODD_VICINITIES {
+        let config = TraceConfig {
+            vicinity_radius,
+            step_resolution,
+            ..TraceConfig::default()
+        };
+        let tracer = TrajectoryTracer::new(dep.clone(), plane, config.clone());
+        let reference = ReferenceStep::new(dep.clone(), plane, config);
+        let prev = Point2::new(1.2, 0.9);
+        let mut snap = ideal_snapshots(&dep, plane, &[prev], 0.04).remove(0);
+        for (_, turns) in &mut snap.unwrapped_turns {
+            *turns = 1e20;
+        }
+        let locked = tracer.lock_lobes(&snap, prev);
+        let want = reference.advance_avail(prev, &snap, &locked);
+        assert_eq!(want.expect("wide pairs").0, prev + reference.offsets[0]);
+        same_step(Some(tracer.advance(prev, &snap, &locked)), want).unwrap();
+    }
+}
+

@@ -8,6 +8,7 @@
 //! behind.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use rfidraw_core::geom::{Point2, Rect};
 use rfidraw_core::grid::{Grid2, VoteMap};
 
@@ -176,6 +177,64 @@ proptest! {
             prop_assert!(v.is_finite());
             let (ix, iz) = grid.nearest(p);
             prop_assert!(grid.flat(ix, iz) % drop_every != 0, "masked cell picked");
+        }
+    }
+
+    /// The acquisition's two mask steps against their first forms: the
+    /// top-fraction threshold picked by a full descending sort, and the
+    /// coarse-to-fine lift looking up `nearest` for every fine cell.
+    /// Votes are drawn from a small palette (ties, `-0.0` next to `0.0`,
+    /// `-inf` cells) mixed with continuous values; the fine grid is also
+    /// laid over a shifted rectangle so the lift clamps at the edges.
+    #[test]
+    fn acquisition_masks_match_per_cell_and_sorted_forms(
+        seed in any::<u64>(),
+        x0 in -1.0f64..1.0,
+        z0 in -1.0f64..1.0,
+        w in 0.2f64..2.0,
+        h in 0.2f64..2.0,
+        coarse_res in 0.03f64..0.2,
+        ratio in 0.1f64..1.0,
+        ratio_idx in 0usize..6,
+        shift in -0.3f64..0.3,
+        fraction in 0.001f64..1.0,
+        keep_all in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Half and quarter cells put fine points on the coarse grid's
+        // rounding boundaries; a fraction of 1 selects the last slot.
+        let fine_ratio = [0.5, 0.25, 1.0].get(ratio_idx).copied().unwrap_or(ratio);
+        let fraction = if keep_all { 1.0 } else { fraction };
+        let rect = Rect::new(Point2::new(x0, z0), Point2::new(x0 + w, z0 + h));
+        let coarse = Grid2::new(rect, coarse_res);
+        let palette = [-3.0, -2.5, -1.0, -0.0, 0.0, f64::NEG_INFINITY];
+        let values: Vec<f64> = (0..coarse.len())
+            .map(|_| match rng.gen_range(0usize..palette.len() + 2) {
+                i if i < palette.len() => palette[i],
+                _ => rng.gen_range(-4.0..0.0),
+            })
+            .collect();
+        let map = VoteMap::from_values(coarse.clone(), values);
+
+        let mut sorted: Vec<f64> = map.values().iter().copied().filter(|v| v.is_finite()).collect();
+        sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite votes"));
+        let keep = ((sorted.len() as f64 * fraction).ceil() as usize).max(1);
+        let threshold = sorted.get(keep - 1).copied().unwrap_or(f64::NEG_INFINITY);
+        let want: Vec<bool> = map.values().iter().map(|&v| v >= threshold).collect();
+        let mask = map.mask_top_fraction(fraction);
+        prop_assert_eq!(&mask, &want);
+
+        let moved = Point2::new(shift, -shift);
+        for fine_rect in [rect, Rect::new(rect.min + moved, rect.max + moved)] {
+            let fine = Grid2::new(fine_rect, coarse_res * fine_ratio);
+            let per_cell: Vec<bool> = fine
+                .iter()
+                .map(|(_, p)| {
+                    let (ix, iz) = coarse.nearest(p);
+                    mask[coarse.flat(ix, iz)]
+                })
+                .collect();
+            prop_assert_eq!(fine.lift_mask(&coarse, &mask), per_cell);
         }
     }
 }

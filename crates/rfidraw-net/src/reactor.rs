@@ -916,18 +916,22 @@ impl<H: Handler> Reactor<H> {
     }
 
     /// Tears one connection down: deregister, drop (closes the fd),
-    /// notify the handler.
+    /// notify the handler, then release its park.
     fn remove_conn(&mut self, token: u64, midframe: bool, queue: &mut VecDeque<Op>) {
         let Some(conn) = self.conns.remove(&token) else { return };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        if conn.parked {
-            self.stats.parked.fetch_sub(1, Ordering::Relaxed);
-        }
+        let was_parked = conn.parked;
         drop(conn);
         self.stats.closed.fetch_add(1, Ordering::Relaxed);
         self.stats.open.fetch_sub(1, Ordering::Relaxed);
         let mut out = Outbox::default();
         self.handler.on_close(ConnId(token), midframe, &mut out);
+        // The handler settles a parked connection's books (its abandoned
+        // stash) first, so an observer that sees the park gauge fall with
+        // an Acquire load also sees them settled.
+        if was_parked {
+            self.stats.parked.fetch_sub(1, Ordering::Release);
+        }
         queue.extend(out.ops);
     }
 

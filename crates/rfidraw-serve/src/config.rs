@@ -69,14 +69,25 @@ impl TrackerTemplate {
     /// The paper-default deployment and plane over `region`, with a stale
     /// gap of 1 s so sessions self-reset after silence instead of trusting
     /// a broken phase unwrap.
+    ///
+    /// Acquisition and tracing run `Serial`: the service's worker pool is
+    /// the parallelism. Sessions already run concurrently on the workers,
+    /// so a session that also spawned scoped threads per vote map or per
+    /// table column would only oversubscribe the cores the pool fills.
+    /// Results are bit-identical for every setting (see
+    /// [`rfidraw_core::exec`]).
     pub fn paper_default(region: Rect) -> Self {
         let mut position = MultiResConfig::for_region(region);
         position.fine_resolution = 0.02;
+        position.parallelism = Parallelism::Serial;
         Self {
             deployment: Deployment::paper_default(),
             plane: Plane::at_depth(2.0),
             position,
-            trace: TraceConfig::default(),
+            trace: TraceConfig {
+                parallelism: Parallelism::Serial,
+                ..TraceConfig::default()
+            },
             online: OnlineConfig {
                 max_read_gap: Some(1.0),
                 ..OnlineConfig::default()

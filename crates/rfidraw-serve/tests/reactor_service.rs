@@ -130,6 +130,12 @@ fn run_frontend(
             let mut sub =
                 WireClient::connect_with(addr, sub_protocol(i)).expect("connect subscriber");
             sub.subscribe(epc).expect("subscribe");
+            // A round trip on the same connection: the server handles one
+            // connection's frames in order, so the reply proves the subscription
+            // is registered before any producer below ingests. Without it, a
+            // subscriber whose connection thread is scheduled late misses the
+            // first positions of its tag.
+            sub.telemetry().expect("subscription barrier");
             std::thread::spawn(move || {
                 let mut positions = Vec::new();
                 loop {

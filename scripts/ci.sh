@@ -16,6 +16,19 @@ cargo build --release --offline
 echo "== tests =="
 cargo test --offline -q
 
+echo "== core suite in release (vectorized kernels) =="
+# The tracer's blocked tick kernel and the libm-free nearest-integer fold
+# vectorize only at opt-level 3, while the suite above builds at
+# opt-level 1, so the core suite runs again in release. By name: the fold
+# must equal |x - x.round()| bit for bit (edge list + raw-bit proptest),
+# and the tick kernel must pick the same point with the same vote bits as
+# the one-point-at-a-time per-pair reference step.
+cargo test --release --offline -q -p rfidraw-core
+cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
+    frac_dist_to_integer_matches_round_form
+cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
+    trace_step_
+
 echo "== paper-metric regression gate (fig11/fig12, f64 vs f32 vs i16) =="
 # Re-runs the fig. 11 trajectory CDF and fig. 12 initial-position CDF at
 # reduced scale under the f64, f32, and quantized-i16 table precisions.
