@@ -47,11 +47,13 @@
 //!
 //! # Wakeup
 //!
-//! Every reactor owns a [`Wakeup`] self-pipe registered with its poller.
+//! The loop has no timer (the poller waits without a timeout), so work
+//! from other threads reaches it only through its [`Wakeup`] self-pipe.
 //! [`Handler::on_start`] hands the handler a [`WakeupHandle`] it may clone
-//! to other threads (the serve layer parks it in session drain waiters);
-//! when notified, the reactor drains the pipe, adopts any injected
-//! connections (multi-reactor mode), and calls [`Handler::on_wakeup`].
+//! to other threads (the serve layer gives it to session subscriptions
+//! and drain waiters); when notified, the reactor drains the pipe, adopts
+//! any injected connections (multi-reactor mode), and calls
+//! [`Handler::on_wakeup`].
 //!
 //! # Multi-reactor accept
 //!
@@ -100,9 +102,6 @@ pub struct ReactorConfig {
     pub read_buffer: usize,
     /// Per-frame payload/line cap handed to each connection's decoder.
     pub max_frame_payload: usize,
-    /// Poll timeout per loop iteration; also the cadence of
-    /// [`Handler::on_tick`] when the sockets are quiet.
-    pub tick: Duration,
     /// Connections beyond this are accepted and immediately closed
     /// (counted in [`ReactorStats::rejected`]). In multi-reactor mode the
     /// cap applies per reactor.
@@ -118,7 +117,6 @@ impl Default for ReactorConfig {
             poller: PollerKind::Auto,
             read_buffer: 64 * 1024,
             max_frame_payload: crate::frame::DEFAULT_MAX_PAYLOAD,
-            tick: Duration::from_millis(1),
             max_connections: usize::MAX,
             shutdown_flush: Duration::from_millis(500),
         }
@@ -184,13 +182,11 @@ pub trait Handler: Send + 'static {
     /// The connection is gone (peer close, error, or server close).
     /// `midframe` reports an EOF with a partial frame pending.
     fn on_close(&mut self, conn: ConnId, midframe: bool, out: &mut Outbox);
-    /// Called once per loop iteration (at most every `tick` when idle) so
-    /// the handler can pump non-socket event sources such as session
-    /// subscriptions.
-    fn on_tick(&mut self, out: &mut Outbox);
     /// The wakeup pipe fired: whoever holds this reactor's
-    /// [`WakeupHandle`] asked for attention (for the serve layer, a
-    /// session queue drained and parked connections may retry).
+    /// [`WakeupHandle`] asked for attention (for the serve layer, session
+    /// events are waiting to be forwarded, or a session queue drained and
+    /// parked connections may retry). Notifications collapse, so one call
+    /// may stand for several.
     fn on_wakeup(&mut self, _out: &mut Outbox) {}
     /// Shutdown has begun: in-flight frames are already delivered, fds
     /// are still open, queued sends will be flushed before close.
@@ -554,7 +550,6 @@ struct Reactor<H: Handler> {
 
 impl<H: Handler> Reactor<H> {
     fn run(&mut self) -> io::Result<()> {
-        let tick_ms = self.config.tick.as_millis().min(i32::MAX as u128) as i32;
         let mut scratch = vec![0u8; self.config.read_buffer.max(1)];
         {
             let mut out = Outbox::default();
@@ -563,8 +558,10 @@ impl<H: Handler> Reactor<H> {
             self.apply(out);
         }
         while !self.shutdown.load(Ordering::SeqCst) {
+            // Everything queued goes out before the loop sleeps.
+            self.flush_dirty();
             let mut events = std::mem::take(&mut self.events);
-            self.poller.wait(&mut events, tick_ms)?;
+            self.poller.wait(&mut events, -1)?;
             for ev in &events {
                 if ev.token == LISTENER_TOKEN {
                     self.accept_ready();
@@ -599,10 +596,6 @@ impl<H: Handler> Reactor<H> {
                 }
             }
             self.events = events;
-            let mut out = Outbox::default();
-            self.handler.on_tick(&mut out);
-            self.apply(out);
-            self.flush_dirty();
         }
         self.run_shutdown(&mut scratch);
         Ok(())
@@ -653,6 +646,9 @@ impl<H: Handler> Reactor<H> {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
+        // Replies are small writes that must not wait for the peer's
+        // delayed ACK. Best effort: without it the connection still works.
+        let _ = stream.set_nodelay(true);
         let token = self.next_token;
         self.next_token += 1;
         if self.poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {

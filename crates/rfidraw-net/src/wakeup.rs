@@ -1,9 +1,10 @@
 //! The reactor's cross-thread wakeup: a nonblocking self-pipe.
 //!
 //! The reactor thread sleeps in `poll`/`epoll_wait`; anything outside it
-//! (a session worker draining a queue, the multi-reactor accept thread
-//! handing over a connection, a shutdown request) needs a way to end that
-//! sleep *through the poller*, not around it. [`Wakeup`] owns the read
+//! (a session worker with updates to deliver or queue room to report, the
+//! multi-reactor accept thread handing over a connection, a shutdown
+//! request) needs a way to end that sleep *through the poller*, not
+//! around it. [`Wakeup`] owns the read
 //! end of a pipe registered with the poller under a reserved token;
 //! [`WakeupHandle`] is the cheap, cloneable write end. `notify` writes
 //! one byte — a full pipe means a wakeup is already pending, so the write
@@ -77,11 +78,12 @@ impl Wakeup {
         self.read_fd
     }
 
-    /// Swallows every pending notification byte. Level-triggered pollers
-    /// would otherwise report the pipe readable forever.
+    /// Swallows every pending notification byte (a short read emptied
+    /// the pipe). Level-triggered pollers would otherwise report the pipe
+    /// readable forever.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
-        while matches!(sys::sys_read(self.read_fd, &mut buf), Ok(n) if n > 0) {}
+        while matches!(sys::sys_read(self.read_fd, &mut buf), Ok(n) if n == buf.len()) {}
     }
 }
 

@@ -50,8 +50,6 @@ impl Handler for Echo {
         }
     }
 
-    fn on_tick(&mut self, _out: &mut Outbox) {}
-
     fn on_shutdown(&mut self, out: &mut Outbox) {
         for &conn in &self.open {
             out.send(conn, b"{\"bye\":true}\n".to_vec());

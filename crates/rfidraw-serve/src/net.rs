@@ -33,7 +33,7 @@ use crate::wire::{
 use crate::wire3;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_metrics::TraceDump;
-use rfidraw_net::{FrameDecoder, RawFrame, ReactorStats, WireMode};
+use rfidraw_net::{FrameDecoder, RawFrame, ReactorStats, WakeupHandle, WireMode};
 use rfidraw_protocol::Epc;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -70,8 +70,13 @@ pub(crate) fn validate_ingest(client: &LocalClient, batch: &IngestBatch) -> Opti
     }))
 }
 
-/// Handles one decoded client→server message against the service.
-pub(crate) fn dispatch_request(client: &LocalClient, msg: Message) -> Dispatch {
+/// Handles one decoded client→server message against the service. A
+/// subscription pokes `wakeup` (the reactor's own) after each batch.
+pub(crate) fn dispatch_request(
+    client: &LocalClient,
+    msg: Message,
+    wakeup: Option<&WakeupHandle>,
+) -> Dispatch {
     match msg {
         Message::Ingest(batch) => {
             let reply = match validate_ingest(client, &batch) {
@@ -83,8 +88,8 @@ pub(crate) fn dispatch_request(client: &LocalClient, msg: Message) -> Dispatch {
             };
             Dispatch::Reply(reply)
         }
-        Message::Subscribe(sub) => match client.subscribe(sub.epc) {
-            Ok(events) => Dispatch::Subscribed(events),
+        Message::Subscribe(sub) => match client.session(sub.epc) {
+            Ok(session) => Dispatch::Subscribed(session.subscribe(wakeup.cloned())),
             Err(e) => Dispatch::Reply(Message::Error(serve_error(&e))),
         },
         Message::TelemetryRequest => Dispatch::Reply(Message::Telemetry(client.telemetry())),
@@ -266,7 +271,7 @@ fn serve_connection(
         stats.frames_in_json.fetch_add(1, Ordering::Relaxed);
         let reply_sent = match wire::decode(&line) {
             Err(e) => send_msg(tx, stats, &decode_error_reply(&e)),
-            Ok(msg) => match dispatch_request(client, msg) {
+            Ok(msg) => match dispatch_request(client, msg, None) {
                 Dispatch::Reply(reply) => send_msg(tx, stats, &reply),
                 Dispatch::Subscribed(events) => {
                     let tx = tx.clone();

@@ -4,12 +4,15 @@
 //! One reactor thread owns every connection (accept, framed reads,
 //! buffered writes); this module supplies the [`rfidraw_net::Handler`]
 //! that turns complete frames into [`crate::net::dispatch_request`] calls
-//! against the shared [`LocalClient`] and pumps session subscriptions
-//! back out on the reactor tick. Request handling is byte-for-byte the
-//! same code path the thread-per-connection front end uses, so the two
-//! front ends cannot diverge semantically — the integration tests assert
-//! bit-identical trajectories across both and against standalone
+//! against the shared [`LocalClient`]. Request handling is byte-for-byte
+//! the same code path the thread-per-connection front end uses, so the
+//! two front ends cannot diverge semantically — the integration tests
+//! assert bit-identical trajectories across both and against standalone
 //! trackers.
+//!
+//! **Pushed updates.** A subscription opened here carries the reactor's
+//! [`WakeupHandle`]: a worker sends each drain's events, then pokes the
+//! pipe once, and [`rfidraw_net::Handler::on_wakeup`] forwards them.
 //!
 //! Each connection speaks either newline-JSON (wire v2) or length-
 //! prefixed binary (wire v3); the reactor's decoder negotiates from the
@@ -158,7 +161,7 @@ fn advance_pending(
         g.parked_rejected.add(p.receipt.rejected - rejected_before);
     }
     if p.receipt.accepted > accepted_before {
-        client.notify_work();
+        client.schedule(&p.session);
     }
     done
 }
@@ -167,8 +170,8 @@ fn advance_pending(
 struct ServeHandler {
     client: LocalClient,
     conns: HashMap<u64, ConnState>,
-    /// This reactor's wakeup pipe (from `on_start`); drain waiters clone
-    /// it to signal re-admission room for parked connections.
+    /// This reactor's wakeup pipe (from `on_start`); subscriptions and
+    /// drain waiters clone it to signal events or re-admission room.
     wakeup: Option<WakeupHandle>,
 }
 
@@ -185,7 +188,7 @@ impl ServeHandler {
             out.send(conn, encode_for(mode, &refusal));
             return;
         }
-        let session = match self.client.session_for_ingest(batch.epc) {
+        let session = match self.client.session(batch.epc) {
             Ok(s) => s,
             Err(e) => {
                 out.send(conn, encode_for(mode, &Message::Error(serve_error(&e))));
@@ -217,51 +220,42 @@ impl ServeHandler {
             None => pending.session.note_parked_discarded(stashed, self.client.metrics()),
         }
     }
-    /// Drains ready subscription events for one connection. Returns the
-    /// frames to send; a `Closed` event retires its subscription.
-    fn pump_conn(state: &mut ConnState) -> Vec<Vec<u8>> {
+
+    /// Forwards one connection's pending subscription events; a `Closed`
+    /// event retires its subscription.
+    fn forward_events(conn: ConnId, state: &mut ConnState, out: &mut Outbox) {
         let mode = state.mode;
-        let mut frames = Vec::new();
         state.subs.retain_mut(|sub| loop {
-            match sub.rx.try_recv() {
+            let (msg, live) = match sub.rx.try_recv() {
                 Ok(SessionEvent::Position { epc, t, pos }) => {
-                    frames.push(encode_for(
-                        mode,
-                        &Message::PositionUpdate(PositionUpdate { epc, t, x: pos.x, z: pos.z }),
-                    ));
+                    (Message::PositionUpdate(PositionUpdate { epc, t, x: pos.x, z: pos.z }), true)
                 }
                 Ok(SessionEvent::Closed { epc, reason }) => {
-                    frames.push(encode_for(
-                        mode,
-                        &Message::SessionClosed(SessionClosed {
-                            epc,
-                            reason: reason.as_str().to_string(),
-                        }),
-                    ));
-                    return false;
+                    (session_closed(epc, reason.as_str()), false)
                 }
                 // In-process-only detail, not part of the wire protocol.
                 Ok(SessionEvent::Acquired { .. })
                 | Ok(SessionEvent::Stale { .. })
                 | Ok(SessionEvent::Degraded { .. })
-                | Ok(SessionEvent::Cursor { .. }) => {}
+                | Ok(SessionEvent::Cursor { .. }) => continue,
                 Err(mpsc::TryRecvError::Empty) => return true,
                 // Channel gone without a Closed event (service dropped):
                 // nothing more will arrive, report the end-of-stream.
                 Err(mpsc::TryRecvError::Disconnected) => {
-                    frames.push(encode_for(
-                        mode,
-                        &Message::SessionClosed(SessionClosed {
-                            epc: sub.epc,
-                            reason: "shutdown".to_string(),
-                        }),
-                    ));
-                    return false;
+                    (session_closed(sub.epc, "shutdown"), false)
                 }
+            };
+            out.send(conn, encode_for(mode, &msg));
+            if !live {
+                return false;
             }
         });
-        frames
     }
+}
+
+/// The wire end-of-stream frame for one subscription.
+fn session_closed(epc: Epc, reason: &str) -> Message {
+    Message::SessionClosed(SessionClosed { epc, reason: reason.to_string() })
 }
 
 impl rfidraw_net::Handler for ServeHandler {
@@ -301,7 +295,7 @@ impl rfidraw_net::Handler for ServeHandler {
             Message::Subscribe(s) => Some(s.epc),
             _ => None,
         };
-        match dispatch_request(&self.client, msg) {
+        match dispatch_request(&self.client, msg, self.wakeup.as_ref()) {
             Dispatch::Reply(reply) => out.send(conn, encode_for(mode, &reply)),
             Dispatch::Subscribed(rx) => {
                 let epc = sub_epc.expect("Subscribed dispatch only from Subscribe");
@@ -345,26 +339,19 @@ impl rfidraw_net::Handler for ServeHandler {
     }
 
     fn on_wakeup(&mut self, out: &mut Outbox) {
-        // A drain waiter (or any other wakeup) fired: retry every parked
-        // stash. Wakeups are collapsed by the pipe, so one firing may
-        // stand for several drains — retrying all stashes is the cheap,
-        // correct response; those still blocked re-arm and stay parked.
+        // A subscription has events or a drain waiter fired; one firing
+        // may stand for several, so forward every subscription and retry
+        // every parked stash (those still blocked re-arm and stay parked).
         for (&token, state) in self.conns.iter_mut() {
+            let conn = ConnId(token);
+            Self::forward_events(conn, state, out);
             let Some(mut p) = state.pending.take() else { continue };
             if advance_pending(&self.client, self.wakeup.as_ref(), &mut p, false) {
                 let ack = IngestAck::from_receipt(p.epc, p.receipt);
-                out.send(ConnId(token), encode_for(state.mode, &Message::IngestAck(ack)));
-                out.unpark(ConnId(token));
+                out.send(conn, encode_for(state.mode, &Message::IngestAck(ack)));
+                out.unpark(conn);
             } else {
                 state.pending = Some(p);
-            }
-        }
-    }
-
-    fn on_tick(&mut self, out: &mut Outbox) {
-        for (&token, state) in self.conns.iter_mut() {
-            for frame in Self::pump_conn(state) {
-                out.send(ConnId(token), frame);
             }
         }
     }
@@ -376,19 +363,11 @@ impl rfidraw_net::Handler for ServeHandler {
         // announce the shutdown on each still-open subscription so no
         // client is left waiting on a stream that will never end.
         for (&token, state) in self.conns.iter_mut() {
-            for frame in Self::pump_conn(state) {
-                out.send(ConnId(token), frame);
-            }
+            Self::forward_events(ConnId(token), state, out);
             for sub in state.subs.drain(..) {
                 out.send(
                     ConnId(token),
-                    encode_for(
-                        state.mode,
-                        &Message::SessionClosed(SessionClosed {
-                            epc: sub.epc,
-                            reason: "shutdown".to_string(),
-                        }),
-                    ),
+                    encode_for(state.mode, &session_closed(sub.epc, "shutdown")),
                 );
             }
         }

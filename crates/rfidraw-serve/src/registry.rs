@@ -2,20 +2,20 @@
 //!
 //! Sessions are placed by an FNV-1a hash of the EPC bytes
 //! ([`rfidraw_net::shard_index`]), so a tag's session lives on exactly one
-//! shard for its whole life — sessions never migrate, and a drain pass
-//! touches one shard's lock at a time instead of a single global registry
-//! lock. The global `max_sessions` cap is enforced with one atomic
-//! (`fetch_update` under the owning shard's lock), so the cap stays exact
-//! without any cross-shard locking.
+//! shard for its whole life — sessions never migrate, and ingest routing
+//! and the idle sweep touch one shard's lock at a time instead of a single
+//! global registry lock. The global `max_sessions` cap is enforced with
+//! one atomic (`fetch_update` under the owning shard's lock), so the cap
+//! stays exact without any cross-shard locking.
 //!
-//! Sharding changes *scheduling*, never *results*: each session still has
-//! its own FIFO queue and single-drainer claim flag, so per-tag read order
-//! (and therefore every trajectory) is bit-identical to the unsharded
-//! registry and to a standalone tracker — the crate's integration tests
-//! assert this across front ends.
+//! The registry only finds sessions; workers take runnable ones from the
+//! service's ready queue. Each session keeps its own FIFO queue and
+//! `scheduled` flag, so per-tag read order (and therefore every
+//! trajectory) is bit-identical to a standalone tracker — the crate's
+//! integration tests assert this across front ends.
 
 use crate::session::SessionShared;
-use crate::telemetry::{GlobalMetrics, ShardTelemetry};
+use crate::telemetry::ShardTelemetry;
 use rfidraw_metrics::runtime::Counter;
 use rfidraw_protocol::Epc;
 use std::collections::BTreeMap;
@@ -26,13 +26,10 @@ use std::sync::{Arc, Mutex};
 /// own drain bookkeeping.
 pub(crate) struct Shard {
     sessions: Mutex<BTreeMap<Epc, Arc<SessionShared>>>,
-    /// Per-shard round-robin offset so successive drain visits start at
-    /// different sessions.
-    rr: AtomicUsize,
     /// Reads drained from this shard's sessions (sums to the service's
     /// `reads_processed` — a conservation check in the fault tests).
     pub drained: Counter,
-    /// Drain passes over this shard.
+    /// Dequeues of this shard's sessions from the ready queue.
     pub visits: Counter,
 }
 
@@ -40,7 +37,6 @@ impl Shard {
     fn new() -> Self {
         Self {
             sessions: Mutex::new(BTreeMap::new()),
-            rr: AtomicUsize::new(0),
             drained: Counter::new(),
             visits: Counter::new(),
         }
@@ -61,10 +57,6 @@ impl ShardedRegistry {
     pub fn new(shards: usize) -> Self {
         let shards = shards.max(1);
         Self { shards: (0..shards).map(|_| Shard::new()).collect(), live: AtomicUsize::new(0) }
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Which shard owns `epc` (stable for the registry's lifetime).
@@ -144,51 +136,15 @@ impl ShardedRegistry {
         all
     }
 
-    /// One work-conserving drain pass: visits every shard starting at
-    /// `start_shard`, draining each shard's sessions round-robin with the
-    /// per-session claim CAS. Only the shard being visited is locked, and
-    /// only to snapshot its session list. Returns reads processed.
-    pub fn drain_round(
-        &self,
-        start_shard: usize,
-        drain_batch: usize,
-        global: &GlobalMetrics,
-    ) -> usize {
-        let n = self.shards.len();
-        let mut processed = 0;
-        for i in 0..n {
-            let shard = &self.shards[(start_shard + i) % n];
-            let sessions: Vec<Arc<SessionShared>> = {
-                let map = shard.sessions.lock().expect("shard lock");
-                if map.is_empty() {
-                    continue;
-                }
-                map.values().cloned().collect()
-            };
-            shard.visits.inc();
-            let start = shard.rr.fetch_add(1, Ordering::Relaxed) % sessions.len();
-            let mut shard_processed = 0;
-            for k in 0..sessions.len() {
-                let s = &sessions[(start + k) % sessions.len()];
-                if s
-                    .claimed
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    shard_processed += s.drain(drain_batch, global);
-                    s.claimed.store(false, Ordering::Release);
-                }
-            }
-            if shard_processed > 0 {
-                shard.drained.add(shard_processed as u64);
-            }
-            processed += shard_processed;
-        }
-        processed
+    /// Books one dequeue of `epc`'s session, which drained `reads` reads.
+    pub fn note_drain(&self, epc: Epc, reads: usize) {
+        let shard = &self.shards[self.shard_of(epc)];
+        shard.visits.inc();
+        shard.drained.add(reads as u64);
     }
 
-    /// Sessions idle past `timeout` with empty, unclaimed queues — removed
-    /// and returned for closing.
+    /// Sessions idle past `timeout` with empty queues and no drain pending
+    /// — removed and returned for closing.
     pub fn take_idle(&self, timeout: std::time::Duration) -> Vec<Arc<SessionShared>> {
         let mut evicted = Vec::new();
         for shard in &self.shards {
@@ -198,7 +154,7 @@ impl ShardedRegistry {
                 .filter(|(_, s)| {
                     s.idle_for() > timeout
                         && s.queue_depth() == 0
-                        && !s.claimed.load(Ordering::Acquire)
+                        && !s.scheduled.load(Ordering::Acquire)
                 })
                 .map(|(epc, _)| *epc)
                 .collect();
@@ -210,17 +166,6 @@ impl ShardedRegistry {
             }
         }
         evicted
-    }
-
-    pub fn has_pending(&self) -> bool {
-        self.shards.iter().any(|shard| {
-            shard
-                .sessions
-                .lock()
-                .expect("shard lock")
-                .values()
-                .any(|s| s.queue_depth() > 0)
-        })
     }
 
     /// Per-shard telemetry rows (always `shard_count` rows, zeros

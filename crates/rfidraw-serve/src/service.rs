@@ -8,13 +8,16 @@
 //! tracker from the configured template — and die by idle timeout,
 //! explicit close, or shutdown.
 //!
-//! **Fairness & determinism.** Workers drain sessions round-robin, at most
-//! `drain_batch` reads per visit, so a hot tag cannot starve the rest. A
-//! per-session claim flag makes take-batch + process atomic with respect
-//! to other workers, which keeps each session's read order exactly the
-//! ingest order — multiplexing many tags through the service changes
-//! *scheduling*, never *results* (enforced bit-for-bit by the crate's
-//! integration tests).
+//! **Scheduling & determinism.** The enqueue that makes a session's
+//! queue non-empty wins its `scheduled` flag, pushes it onto one
+//! service-wide FIFO ready queue and wakes one idle worker. A worker
+//! drains at most `drain_batch` reads and re-queues the session at the
+//! back if reads remain, so a hot tag cannot starve the rest; no worker
+//! scans the sessions. The flag keeps a session queued at most once, so
+//! one worker at a time drains it and its read order is exactly the
+//! ingest order — multiplexing changes *scheduling*, never *results*
+//! (enforced bit-for-bit by the crate's integration tests). Idle
+//! eviction runs on a deadline, at most once every `idle_timeout / 4`.
 
 use crate::config::ServeConfig;
 use crate::registry::ShardedRegistry;
@@ -25,10 +28,11 @@ use rfidraw_core::obs::Stage;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_metrics::{TraceDump, TraceRecorder};
 use rfidraw_protocol::Epc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Errors the service surfaces to clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,23 +76,30 @@ pub struct SessionView {
     pub degraded: bool,
 }
 
+/// The ready queue's lock-protected state.
+#[derive(Default)]
+struct Ready {
+    /// Runnable sessions, oldest first.
+    sessions: VecDeque<Arc<SessionShared>>,
+    /// Workers waiting on `ServiceInner::work`; a push signals only when
+    /// one is, so busy (or absent) workers cost producers no futex call.
+    idle: usize,
+}
+
 struct ServiceInner {
     cfg: ServeConfig,
     /// EPC-sharded session registry (see [`crate::registry`]): sessions
-    /// are placed by EPC hash and never migrate; drain passes lock one
-    /// shard at a time instead of a global map.
+    /// are placed by EPC hash and never migrate.
     registry: ShardedRegistry,
-    /// Workers park here when every queue is empty.
+    /// The FIFO of runnable sessions (see the module docs).
+    ready: Mutex<Ready>,
+    /// Idle workers wait here for a runnable session or the next sweep.
     work: Condvar,
-    /// Parking spot for the worker condvar (the registry has no single
-    /// lock anymore, so the condvar gets its own).
-    park: Mutex<()>,
+    /// When the next idle sweep is due, and the time between sweeps.
+    next_sweep: Mutex<Instant>,
+    sweep_period: Duration,
     global: GlobalMetrics,
     shutdown: AtomicBool,
-    /// Round-robin *shard* start offset, advanced per drain round so
-    /// successive rounds (and concurrent workers) begin at different
-    /// shards.
-    rr: AtomicUsize,
     /// Network front-end counter blocks registered by `Frontend::bind`,
     /// folded into every telemetry snapshot.
     net_sources: Mutex<Vec<Arc<rfidraw_net::ReactorStats>>>,
@@ -126,19 +137,52 @@ impl ServiceInner {
         }
     }
 
-    /// One work-conserving pass over every shard (rotating the starting
-    /// shard per round); returns reads processed.
-    fn drain_round(&self) -> usize {
-        let start = self.rr.fetch_add(1, Ordering::Relaxed) % self.registry.shard_count();
-        self.registry.drain_round(start, self.cfg.drain_batch, &self.global)
+    /// Appends a session whose `scheduled` flag the caller holds, waking
+    /// one idle worker if there is one.
+    fn push_ready(&self, session: Arc<SessionShared>) {
+        let mut ready = self.ready.lock().expect("ready lock");
+        ready.sessions.push_back(session);
+        let wake = ready.idle > 0;
+        drop(ready);
+        if wake {
+            self.work.notify_one();
+        }
     }
 
-    /// Evicts sessions whose last ingest is older than the idle timeout.
-    fn sweep_idle(&self) {
+    /// Drains one dequeued session by at most `drain_batch` reads and puts
+    /// it back at the end of the queue if reads remain. Returns reads
+    /// processed.
+    fn run(&self, session: Arc<SessionShared>) -> usize {
+        let (processed, runnable) = session.drain(self.cfg.drain_batch, &self.global);
+        self.registry.note_drain(session.epc, processed);
+        if runnable {
+            self.push_ready(session);
+        }
+        processed
+    }
+
+    /// Runs every session that is runnable now once; returns reads
+    /// processed. Sessions re-queued by their drain wait for the next call.
+    fn run_ready(&self) -> usize {
+        let runnable = std::mem::take(&mut self.ready.lock().expect("ready lock").sessions);
+        runnable.into_iter().map(|s| self.run(s)).sum()
+    }
+
+    /// Evicts sessions whose last ingest is older than the idle timeout,
+    /// if the sweep deadline has passed; returns the time to the next one.
+    fn sweep_if_due(&self) -> Duration {
+        let now = Instant::now();
+        let mut next = self.next_sweep.lock().expect("sweep lock");
+        if now < *next {
+            return *next - now;
+        }
+        *next = now + self.sweep_period;
+        drop(next);
         for s in self.registry.take_idle(self.cfg.idle_timeout) {
             s.close(CloseReason::Idle, &self.global);
             self.global.sessions_evicted.inc();
         }
+        self.sweep_period
     }
 
     /// Wire-boundary refusal accounting: a batch of `total` reads was
@@ -159,10 +203,6 @@ impl ServiceInner {
                 invalid as f64,
             );
         }
-    }
-
-    fn has_pending(&self) -> bool {
-        self.registry.has_pending()
     }
 
     fn telemetry(&self) -> TelemetryReport {
@@ -238,24 +278,20 @@ impl LocalClient {
     /// *different* tags interleave freely.
     pub fn ingest(&self, epc: Epc, reads: &[PhaseRead]) -> Result<IngestReceipt, ServeError> {
         let session = self.inner.get_or_create(epc)?;
-        let receipt = session.enqueue(
+        Ok(session.enqueue(
             reads,
             self.inner.cfg.backpressure,
             self.inner.cfg.queue_capacity,
             &self.inner.global,
-        );
-        if receipt.accepted > 0 {
-            self.inner.work.notify_all();
-        }
-        Ok(receipt)
+            || self.schedule(&session),
+        ))
     }
 
     /// Subscribes to a session's event stream (created lazily). Events
     /// arrive in processing order; a [`SessionEvent::Closed`] is always
     /// last.
     pub fn subscribe(&self, epc: Epc) -> Result<mpsc::Receiver<SessionEvent>, ServeError> {
-        let session = self.inner.get_or_create(epc)?;
-        Ok(session.subscribe())
+        Ok(self.inner.get_or_create(epc)?.subscribe(None))
     }
 
     /// Closes a session explicitly; returns whether it existed. Anything
@@ -305,10 +341,10 @@ impl LocalClient {
         self.inner.telemetry().to_prometheus()
     }
 
-    /// Resolves (creating lazily) the session a non-blocking ingest will
-    /// admit into. The reactor front end splits session lookup from
-    /// admission so it can hold the session across park/retry cycles.
-    pub(crate) fn session_for_ingest(&self, epc: Epc) -> Result<Arc<SessionShared>, ServeError> {
+    /// Resolves (creating lazily) a session. The reactor front end splits
+    /// session lookup from admission so it can hold the session across
+    /// park/retry cycles, and subscribes with its own wakeup handle.
+    pub(crate) fn session(&self, epc: Epc) -> Result<Arc<SessionShared>, ServeError> {
         self.inner.get_or_create(epc)
     }
 
@@ -323,10 +359,13 @@ impl LocalClient {
         &self.inner.cfg
     }
 
-    /// Wakes parked workers after an out-of-band admission (the reactor's
-    /// non-blocking ingest path enqueues without going through `ingest`).
-    pub(crate) fn notify_work(&self) {
-        self.inner.work.notify_all();
+    /// Makes a session runnable after an enqueue: the caller that wins
+    /// its `scheduled` flag appends it to the ready queue. The reactor's
+    /// non-blocking admission calls this too.
+    pub(crate) fn schedule(&self, session: &Arc<SessionShared>) {
+        if !session.scheduled.swap(true, Ordering::AcqRel) {
+            self.inner.push_ready(Arc::clone(session));
+        }
     }
 
     /// Records a wire-validation refusal without touching the session
@@ -364,14 +403,19 @@ impl TrackingService {
         let worker_count = cfg.workers.map(|p| p.thread_count()).unwrap_or(0);
         let recorder = cfg.observability.as_ref().map(|s| Arc::new(TraceRecorder::new(s.clone())));
         let registry = ShardedRegistry::new(cfg.shards);
+        // A quarter of the idle timeout, so a session is evicted at most a
+        // quarter late (floored at 1 ms, capped at a day).
+        let sweep_period =
+            (cfg.idle_timeout / 4).clamp(Duration::from_millis(1), Duration::from_secs(86_400));
         let inner = Arc::new(ServiceInner {
             cfg,
             registry,
+            ready: Mutex::new(Ready::default()),
             work: Condvar::new(),
-            park: Mutex::new(()),
+            next_sweep: Mutex::new(Instant::now() + sweep_period),
+            sweep_period,
             global: GlobalMetrics::new(recorder),
             shutdown: AtomicBool::new(false),
-            rr: AtomicUsize::new(0),
             net_sources: Mutex::new(Vec::new()),
         });
         let workers = (0..worker_count)
@@ -391,13 +435,15 @@ impl TrackingService {
         LocalClient { inner: Arc::clone(&self.inner) }
     }
 
-    /// Runs one drain round plus an idle sweep on the calling thread;
+    /// Drains once each session that was runnable when it was called (at
+    /// most `drain_batch` reads each), then sweeps idle sessions if due;
     /// returns the number of reads processed. This is the processing
     /// engine in manual mode (`workers: None`) and is also safe alongside
-    /// worker threads (the claim flag arbitrates).
+    /// worker threads (a session is queued at most once, so one caller
+    /// drains it).
     pub fn pump(&self) -> usize {
-        let n = self.inner.drain_round();
-        self.inner.sweep_idle();
+        let n = self.inner.run_ready();
+        self.inner.sweep_if_due();
         n
     }
 
@@ -406,14 +452,14 @@ impl TrackingService {
     pub fn quiesce(&self) {
         loop {
             if self.workers.is_empty() {
-                while self.inner.drain_round() > 0 {}
+                while self.inner.run_ready() > 0 {}
             }
             let busy = self
                 .inner
                 .registry
                 .snapshot()
                 .iter()
-                .any(|s| s.queue_depth() > 0 || s.claimed.load(Ordering::Acquire));
+                .any(|s| s.queue_depth() > 0 || s.scheduled.load(Ordering::Acquire));
             if !busy {
                 return;
             }
@@ -430,7 +476,11 @@ impl TrackingService {
 impl Drop for TrackingService {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
+        // Under the ready lock, which workers hold from the flag check to
+        // their wait, so none misses the wakeup.
+        let ready = self.inner.ready.lock().expect("ready lock");
         self.inner.work.notify_all();
+        drop(ready);
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -443,21 +493,30 @@ impl Drop for TrackingService {
     }
 }
 
+/// Pops runnable sessions and drains them; with none, waits until one is
+/// pushed or the idle sweep falls due.
 fn worker_loop(inner: &ServiceInner) {
     loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let processed = inner.drain_round();
-        inner.sweep_idle();
-        if processed == 0 && !inner.has_pending() {
-            let guard = inner.park.lock().expect("park lock");
-            // Short timeout: wakes double as the idle-eviction heartbeat
-            // and the shutdown re-check.
-            let _ = inner
-                .work
-                .wait_timeout(guard, Duration::from_millis(2))
-                .expect("park lock");
+        let until_sweep = inner.sweep_if_due();
+        let mut ready = inner.ready.lock().expect("ready lock");
+        let session = loop {
+            if inner.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            if let Some(session) = ready.sessions.pop_front() {
+                break Some(session);
+            }
+            ready.idle += 1;
+            let (guard, wait) = inner.work.wait_timeout(ready, until_sweep).expect("ready lock");
+            ready = guard;
+            ready.idle -= 1;
+            if wait.timed_out() {
+                break None;
+            }
+        };
+        drop(ready);
+        if let Some(session) = session {
+            inner.run(session);
         }
     }
 }

@@ -2,12 +2,14 @@
 //! cursor state machine), subscribers, and counters.
 //!
 //! A session is shared between producers (ingest / subscribe), one worker
-//! at a time (the `claimed` flag serializes draining, which is what keeps
+//! at a time, and the registry (idle eviction). The `scheduled` flag is
+//! set while the session sits on the service's ready queue or is being
+//! drained, so at most one worker drains it: that is what keeps
 //! per-session read order — and therefore results — identical to a
-//! standalone tracker), and the registry (idle eviction). The queue and
-//! the tracker sit behind *separate* locks so ingest never waits for a
-//! tracker tick: producers only touch the queue lock, workers hold the
-//! engine lock only while processing an already-taken batch.
+//! standalone tracker. The queue and the tracker sit behind *separate*
+//! locks so ingest never waits for a tracker tick: producers only touch
+//! the queue lock, workers hold the engine lock only while processing an
+//! already-taken batch.
 
 use crate::config::{BackpressurePolicy, CursorSetup};
 use crate::telemetry::{GlobalMetrics, SessionMetrics, SessionTelemetry};
@@ -15,6 +17,7 @@ use rfidraw_core::geom::Point2;
 use rfidraw_core::obs::Stage;
 use rfidraw_core::online::{OnlineEvent, OnlineTracker, TrackError};
 use rfidraw_core::stream::PhaseRead;
+use rfidraw_net::WakeupHandle;
 use rfidraw_protocol::Epc;
 use rfidraw_touch::{CursorEvent, CursorTracker};
 use std::collections::VecDeque;
@@ -131,6 +134,25 @@ struct Engine {
     cursor: Option<CursorTracker>,
 }
 
+/// One subscription's channel, plus the reactor to poke after each batch
+/// sent on it (subscriptions opened through the reactor front end).
+struct Subscriber {
+    tx: mpsc::Sender<SessionEvent>,
+    wakeup: Option<WakeupHandle>,
+}
+
+impl Subscriber {
+    /// Sends a batch, then pokes the reactor once; `false` when the
+    /// receiver is gone.
+    fn deliver(&self, events: &[SessionEvent]) -> bool {
+        let alive = events.iter().all(|e| self.tx.send(e.clone()).is_ok());
+        if let (true, Some(w)) = (alive, &self.wakeup) {
+            w.notify();
+        }
+        alive
+    }
+}
+
 /// What a non-blocking enqueue attempt produced (see
 /// [`SessionShared::try_enqueue`]).
 #[derive(Debug)]
@@ -159,10 +181,10 @@ pub(crate) struct SessionShared {
     /// for parked connections (each waiter pokes a reactor wakeup pipe).
     drain_waiters: Mutex<Vec<Box<dyn Fn() + Send>>>,
     engine: Mutex<Engine>,
-    subscribers: Mutex<Vec<mpsc::Sender<SessionEvent>>>,
-    /// Exactly one worker may drain at a time; claiming take+process as a
-    /// unit preserves the per-session read order.
-    pub(crate) claimed: AtomicBool,
+    subscribers: Mutex<Vec<Subscriber>>,
+    /// Set while the session is on the ready queue or being drained, so
+    /// one worker at a time drains it (which preserves the read order).
+    pub(crate) scheduled: AtomicBool,
     closed: AtomicBool,
     last_activity: Mutex<Instant>,
     pub(crate) metrics: SessionMetrics,
@@ -180,7 +202,7 @@ impl SessionShared {
                 cursor: cursor.map(|c| CursorTracker::new(c.config, c.map.clone())),
             }),
             subscribers: Mutex::new(Vec::new()),
-            claimed: AtomicBool::new(false),
+            scheduled: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             last_activity: Mutex::new(Instant::now()),
             metrics: SessionMetrics::default(),
@@ -204,19 +226,45 @@ impl SessionShared {
     }
 
     /// Enqueues a batch under the configured policy, counting every
-    /// decision in both the session and global metrics.
+    /// decision in both the session and global metrics. `schedule` makes
+    /// the session runnable: once the batch is in and, under `Block`,
+    /// before every wait for space, so no producer sleeps on a full queue
+    /// that nobody was told to drain.
     pub fn enqueue(
         &self,
         reads: &[PhaseRead],
         policy: BackpressurePolicy,
         capacity: usize,
         global: &GlobalMetrics,
+        schedule: impl Fn(),
     ) -> IngestReceipt {
         let mut receipt = IngestReceipt::default();
-        for &read in reads {
-            receipt.merge(self.enqueue_one(read, policy, capacity));
+        let mut rest = reads;
+        loop {
+            match self.try_enqueue(rest, policy, capacity, global) {
+                EnqueueOutcome::Done(r) => {
+                    receipt.merge(r);
+                    break;
+                }
+                EnqueueOutcome::Full { receipt: r, admitted } => {
+                    receipt.merge(r);
+                    rest = &rest[admitted..];
+                    schedule();
+                    // Sleep until a drain frees space or the session
+                    // closes; the timeout is only a backstop.
+                    let q = self.queue.lock().expect("queue lock");
+                    if q.len() >= capacity && !self.is_closed() {
+                        let _ = self
+                            .space
+                            .wait_timeout(q, Duration::from_millis(5))
+                            .expect("queue lock");
+                    }
+                }
+            }
         }
-        self.settle_receipt(receipt, global);
+        if receipt.accepted > 0 {
+            schedule();
+        }
         receipt
     }
 
@@ -362,45 +410,8 @@ impl SessionShared {
         }
     }
 
-    fn enqueue_one(
-        &self,
-        read: PhaseRead,
-        policy: BackpressurePolicy,
-        capacity: usize,
-    ) -> IngestReceipt {
-        let mut q = self.queue.lock().expect("queue lock");
-        loop {
-            if self.is_closed() {
-                return IngestReceipt { rejected: 1, ..Default::default() };
-            }
-            if q.len() < capacity {
-                q.push_back(QueuedRead { read, enqueued: Instant::now() });
-                return IngestReceipt { accepted: 1, ..Default::default() };
-            }
-            match policy {
-                BackpressurePolicy::Reject => {
-                    return IngestReceipt { rejected: 1, ..Default::default() };
-                }
-                BackpressurePolicy::DropOldest => {
-                    q.pop_front();
-                    q.push_back(QueuedRead { read, enqueued: Instant::now() });
-                    return IngestReceipt { accepted: 1, dropped: 1, ..Default::default() };
-                }
-                BackpressurePolicy::Block => {
-                    // Timeout so a producer re-checks `closed` even if it
-                    // raced a close that fired before this wait began.
-                    let (guard, _timeout) = self
-                        .space
-                        .wait_timeout(q, Duration::from_millis(5))
-                        .expect("queue lock");
-                    q = guard;
-                }
-            }
-        }
-    }
-
-    /// Takes up to `n` queued reads (the worker must hold the claim) and
-    /// wakes blocked producers for the freed space.
+    /// Takes up to `n` queued reads (the caller holds the `scheduled`
+    /// flag) and wakes blocked producers for the freed space.
     fn take_batch(&self, n: usize) -> Vec<QueuedRead> {
         let mut q = self.queue.lock().expect("queue lock");
         let take = n.min(q.len());
@@ -414,20 +425,32 @@ impl SessionShared {
     }
 
     /// Drains up to `max_reads` reads through the tracker, broadcasting
-    /// events and recording latency. Returns the number processed.
-    ///
-    /// The caller must have claimed the session.
-    pub fn drain(&self, max_reads: usize, global: &GlobalMetrics) -> usize {
+    /// events and recording latency. Returns the number processed and
+    /// whether reads remain, in which case the caller (which holds the
+    /// `scheduled` flag) must re-queue the session. Otherwise the flag is
+    /// released under the queue lock, so an enqueue landing afterwards
+    /// sees it clear and schedules the session itself.
+    pub fn drain(&self, max_reads: usize, global: &GlobalMetrics) -> (usize, bool) {
         let batch = self.take_batch(max_reads);
-        if batch.is_empty() {
-            return 0;
+        if !batch.is_empty() {
+            self.process(&batch, global);
         }
+        let q = self.queue.lock().expect("queue lock");
+        let runnable = !q.is_empty();
+        if !runnable {
+            self.scheduled.store(false, Ordering::Release);
+        }
+        (batch.len(), runnable)
+    }
+
+    /// Runs a taken batch through the tracker (see [`Self::drain`]).
+    fn process(&self, batch: &[QueuedRead], global: &GlobalMetrics) {
         let processed = batch.len();
         let sid = session_id(self.epc);
         let recorder = global.trace.as_deref();
         // Queue wait is measured at dequeue, before any tracker work, so
         // the wait/compute split is clean.
-        for qr in &batch {
+        for qr in batch {
             let wait = qr.enqueued.elapsed();
             global.queue_wait.observe(wait);
             if let Some(rec) = recorder {
@@ -438,7 +461,7 @@ impl SessionShared {
         let compute_start = Instant::now();
         {
             let mut engine = self.engine.lock().expect("engine lock");
-            for qr in &batch {
+            for qr in batch {
                 let events = match engine.tracker.push(qr.read) {
                     Ok(events) => events,
                     Err(err) => {
@@ -530,8 +553,8 @@ impl SessionShared {
             }
             // The tracker's windowed-acquisition count is monotonic, so the
             // session counter mirrors it exactly and the global counter
-            // receives the per-batch delta (only this claimed worker drains
-            // the session, so the delta cannot race).
+            // receives the per-batch delta (only the worker holding the
+            // `scheduled` flag drains the session, so the delta cannot race).
             let windowed = engine.tracker.windowed_evals();
             let delta = windowed.saturating_sub(self.metrics.windowed.get());
             if delta > 0 {
@@ -546,22 +569,23 @@ impl SessionShared {
         }
         self.metrics.processed.add(processed as u64);
         global.processed.add(processed as u64);
-        for e in out_events {
-            self.broadcast(e);
-        }
-        processed
+        self.broadcast(&out_events);
     }
 
-    /// Registers an in-process subscriber.
-    pub fn subscribe(&self) -> mpsc::Receiver<SessionEvent> {
+    /// Registers a subscriber. With a `wakeup`, every batch of events sent
+    /// to it is followed by one poke of that reactor.
+    pub fn subscribe(&self, wakeup: Option<WakeupHandle>) -> mpsc::Receiver<SessionEvent> {
         let (tx, rx) = mpsc::channel();
-        self.subscribers.lock().expect("subscribers lock").push(tx);
+        self.subscribers.lock().expect("subscribers lock").push(Subscriber { tx, wakeup });
         rx
     }
 
-    fn broadcast(&self, event: SessionEvent) {
-        let mut subs = self.subscribers.lock().expect("subscribers lock");
-        subs.retain(|tx| tx.send(event.clone()).is_ok());
+    /// Delivers a batch to every live subscriber under the subscribers
+    /// lock, so it cannot straddle a [`Self::close`].
+    fn broadcast(&self, events: &[SessionEvent]) {
+        if !events.is_empty() {
+            self.subscribers.lock().expect("subscribers lock").retain(|sub| sub.deliver(events));
+        }
     }
 
     /// Marks the session closed: discards (and counts) anything still
@@ -586,7 +610,13 @@ impl SessionShared {
         // lands in the vector before this take (and fires here) or sees
         // the flag and fires immediately — never stranded.
         self.fire_drain_waiters();
-        self.broadcast(SessionEvent::Closed { epc: self.epc, reason });
+        // `Closed` goes out under the subscribers lock, which also empties
+        // the list: a drain still in flight broadcasts to no one, so
+        // `Closed` is always the last event a subscriber sees.
+        let closed = [SessionEvent::Closed { epc: self.epc, reason }];
+        for sub in self.subscribers.lock().expect("subscribers lock").drain(..) {
+            sub.deliver(&closed);
+        }
     }
 
     /// The session's trajectory so far (the tracker's best candidate).

@@ -193,7 +193,7 @@ pub struct SessionTelemetry {
 
 /// Point-in-time snapshot of one registry shard (see
 /// [`crate::registry`]): how sessions spread over shards and how much
-/// each shard's workers have drained.
+/// the workers have drained from each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardTelemetry {
     /// The shard index (EPC-hash placement, stable for a session's life).
@@ -206,7 +206,9 @@ pub struct ShardTelemetry {
     /// equals `reads_processed` — a conservation check the fault tests
     /// enforce.
     pub reads_drained: u64,
-    /// Drain passes over this shard.
+    /// Times a worker (or `pump`) took one of this shard's sessions off
+    /// the ready queue to drain it, so `reads_drained / drain_visits` is
+    /// the mean reads per drain.
     pub drain_visits: u64,
 }
 
@@ -514,7 +516,7 @@ impl TelemetryReport {
             p.gauge("rfidraw_shard_sessions", "Sessions placed on this registry shard.", &labels, sh.sessions as f64);
             p.gauge("rfidraw_shard_queue_depth", "Reads queued across this shard's sessions.", &labels, sh.queue_depth as f64);
             p.counter("rfidraw_shard_reads_drained_total", "Reads drained from this shard.", &labels, sh.reads_drained);
-            p.counter("rfidraw_shard_drain_visits_total", "Drain passes over this shard.", &labels, sh.drain_visits);
+            p.counter("rfidraw_shard_drain_visits_total", "Ready-queue dequeues of this shard's sessions.", &labels, sh.drain_visits);
         }
         p.histogram("rfidraw_latency_us", "Ingest-to-position latency (µs).", &[], &self.latency);
         p.histogram("rfidraw_queue_wait_us", "Enqueue-to-dequeue wait (µs).", &[], &self.queue_wait);

@@ -334,6 +334,56 @@ fn idle_eviction_delivers_session_closed_and_the_connection_survives() {
     assert_eq!(report.sessions_evicted, 1);
 }
 
+/// Updates are pushed: a worker that completes a tick pokes the reactor
+/// through its wakeup pipe, and the reactor forwards the update with no
+/// other traffic to wake it. One ingest whose reads complete the first
+/// tick, then silence: the subscriber still receives that position, and
+/// the reactor woke on its pipe to send it.
+#[test]
+fn updates_are_pushed_without_further_traffic() {
+    let streams = eight_tag_streams(13, 3.0);
+    let (&epc, reads) = streams.iter().next().expect("a tag stream");
+    let mut tracker = template().build();
+    let (first, end) = reads
+        .iter()
+        .enumerate()
+        .find_map(|(i, &r)| {
+            tracker.push(r).ok()?.into_iter().find_map(|e| match e {
+                OnlineEvent::Position { t, pos } => Some(((t, pos), i + 1)),
+                _ => None,
+            })
+        })
+        .expect("the stream tracks");
+
+    let mut cfg = service_config(FrontendMode::Reactor);
+    cfg.workers = Some(Parallelism::Threads(1));
+    let service = TrackingService::start(cfg);
+    let server = ReactorServer::bind(
+        "127.0.0.1:0",
+        service.client(),
+        rfidraw_net::ReactorConfig::default(),
+    )
+    .unwrap();
+    let mut sub = WireClient::connect_binary(server.local_addr()).unwrap();
+    sub.subscribe(epc).unwrap();
+    sub.telemetry().expect("subscription barrier");
+    let mut producer = WireClient::connect_binary(server.local_addr()).unwrap();
+    let ack = producer.ingest(epc, &reads[..end]).unwrap();
+    assert_eq!(ack.accepted as usize, end);
+
+    // A deadline, so an update that is never pushed fails the test.
+    sub.stream_mut().set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    match sub.recv().expect("the update arrives without further traffic") {
+        Some(Message::PositionUpdate(p)) => {
+            assert_eq!(p.epc, epc);
+            assert_eq!(p.t.to_bits(), first.0.to_bits());
+            assert_eq!((p.x.to_bits(), p.z.to_bits()), (first.1.x.to_bits(), first.1.z.to_bits()));
+        }
+        other => panic!("expected a PositionUpdate, got {other:?}"),
+    }
+    assert!(service.telemetry().net.wakeups >= 1, "the update went out on a reactor wakeup");
+}
+
 /// Graceful reactor shutdown: in-flight frames are processed, pending
 /// writes are flushed, and every open subscription sees
 /// `SessionClosed("shutdown")` before the clean EOF — on both protocols.

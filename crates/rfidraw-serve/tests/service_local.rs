@@ -1,7 +1,9 @@
 //! In-process service tests: determinism against standalone trackers,
 //! backpressure accounting per policy, session lifecycle (idle eviction,
-//! explicit close, the session cap).
+//! explicit close, the session cap), and the ready queue under contention.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rfidraw_channel::{Channel, Scenario};
 use rfidraw_core::array::{AntennaId, Deployment};
 use rfidraw_core::exec::Parallelism;
@@ -11,10 +13,12 @@ use rfidraw_core::stream::PhaseRead;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::{
-    BackpressurePolicy, ServeConfig, ServeError, SessionEvent, TrackerTemplate, TrackingService,
+    BackpressurePolicy, ServeConfig, ServeError, SessionEvent, TelemetryReport, TrackerTemplate,
+    TrackingService,
 };
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 fn region() -> Rect {
     Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7))
@@ -364,4 +368,225 @@ fn hot_tag_cannot_starve_other_sessions() {
     assert_eq!(cold_t.reads_processed, 4, "cold session served in the first round");
     let hot_t = report.sessions.iter().find(|s| s.epc == hot).unwrap();
     assert!(hot_t.reads_processed <= 8);
+}
+
+/// One static tag read alone for `duration` seconds.
+fn one_tag_stream(seed: u64, duration: f64) -> Vec<PhaseRead> {
+    let plane = Plane::at_depth(2.0);
+    let traj = move |_t: f64| -> Point3 { plane.lift(Point2::new(1.1, 0.9)) };
+    let tags = [SimTag { epc: Epc::from_index(1), trajectory: &traj }];
+    let channel = Channel::new(Deployment::paper_default(), Scenario::Los.config(), seed);
+    let mut sim = InventorySim::new(channel, InventoryConfig::paper_default(0.030, seed));
+    demux_phase_reads(&sim.run(&tags, duration)).remove(&Epc::from_index(1)).expect("tag stream")
+}
+
+/// `Closed` stays a subscriber's last event when the close lands while a
+/// worker is still tracking a batch it took before the close: that
+/// drain's positions must not follow the `Closed`. A 30 s stream goes
+/// into a `Block` queue that holds just over half of it, so `ingest`
+/// returns only after the one worker has taken the first half as one
+/// batch; the close follows at once, long before that half is tracked.
+#[test]
+fn closed_stays_last_when_the_close_lands_mid_drain() {
+    let reads = one_tag_stream(5, 30.0);
+    let half = reads.len() / 2 + 1;
+    let mut cfg = ServeConfig::new(template());
+    cfg.workers = Some(Parallelism::Threads(1));
+    cfg.backpressure = BackpressurePolicy::Block;
+    cfg.queue_capacity = half;
+    cfg.drain_batch = half;
+    let service = TrackingService::start(cfg);
+    let client = service.client();
+    let epc = Epc::from_index(1);
+
+    let events = client.subscribe(epc).unwrap();
+    assert_eq!(client.ingest(epc, &reads).unwrap().accepted, reads.len() as u64);
+    assert!(client.close_session(epc));
+
+    // The stream ends when the last sender is dropped; the deadline turns
+    // a subscription that never ends into a failure, not a hang.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut seen = Vec::new();
+    loop {
+        match events.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(event) => seen.push(event),
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => panic!("the subscription never ended"),
+        }
+    }
+    let closed = seen
+        .iter()
+        .position(|e| matches!(e, SessionEvent::Closed { .. }))
+        .expect("the subscriber sees Closed");
+    assert_eq!(closed + 1, seen.len(), "{} events followed Closed", seen.len() - closed - 1);
+}
+
+/// What one stress run produced: the telemetry after quiescing, the
+/// reads offered, the producers' summed receipts, and each session's
+/// streamed positions.
+struct StressOutcome {
+    report: TelemetryReport,
+    offered: u64,
+    accepted: u64,
+    dropped: u64,
+    positions: BTreeMap<Epc, Vec<(f64, Point2)>>,
+}
+
+/// Producer threads, each feeding its own sessions.
+const STRESS_PRODUCERS: usize = 4;
+/// Sessions per producer thread.
+const STRESS_SESSIONS_PER_PRODUCER: usize = 16;
+
+/// One seeded stress run. Session `i` replays `streams[i % 8]` under its
+/// own EPC. Each producer thread owns 16 sessions and feeds them batches
+/// of 1–5 reads, picking the session and the batch size from its own
+/// seeded generator. The 2-read queue means every batch of 3 or more
+/// overflows: under `Block` the producer sleeps in `LocalClient::ingest`
+/// until a worker drains, under `DropOldest` the oldest reads go.
+fn stress_run(
+    workers: usize,
+    policy: BackpressurePolicy,
+    streams: &[Vec<PhaseRead>],
+    seed: u64,
+) -> StressOutcome {
+    let sessions = STRESS_PRODUCERS * STRESS_SESSIONS_PER_PRODUCER;
+    let mut cfg = ServeConfig::new(template());
+    cfg.workers = Some(Parallelism::Threads(workers));
+    cfg.backpressure = policy;
+    cfg.queue_capacity = 2;
+    cfg.drain_batch = 1;
+    cfg.max_sessions = sessions;
+    // No idle sweep for the whole run: a worker that missed its wakeup
+    // must not be rescued by the sweep timer.
+    cfg.idle_timeout = Duration::from_secs(3600);
+    let service = TrackingService::start(cfg);
+    let client = service.client();
+    let epc_of = |i: usize| Epc::from_index(i as u32 + 1);
+    let subscriptions: Vec<_> =
+        (0..sessions).map(|i| (epc_of(i), client.subscribe(epc_of(i)).unwrap())).collect();
+
+    let producers: Vec<_> = (0..STRESS_PRODUCERS)
+        .map(|p| {
+            let client = client.clone();
+            let owned: Vec<(Epc, Vec<PhaseRead>)> = (0..STRESS_SESSIONS_PER_PRODUCER)
+                .map(|k| {
+                    let i = p * STRESS_SESSIONS_PER_PRODUCER + k;
+                    (epc_of(i), streams[i % streams.len()].clone())
+                })
+                .collect();
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed * 16 + p as u64);
+                let mut next = vec![0usize; owned.len()];
+                let (mut offered, mut accepted, mut dropped) = (0u64, 0u64, 0u64);
+                loop {
+                    let open: Vec<usize> =
+                        (0..owned.len()).filter(|&k| next[k] < owned[k].1.len()).collect();
+                    if open.is_empty() {
+                        return (offered, accepted, dropped);
+                    }
+                    let k = open[rng.gen_range(0..open.len())];
+                    let (epc, reads) = &owned[k];
+                    let end = (next[k] + rng.gen_range(1..6)).min(reads.len());
+                    let receipt = client.ingest(*epc, &reads[next[k]..end]).expect("ingest");
+                    offered += (end - next[k]) as u64;
+                    accepted += receipt.accepted;
+                    dropped += receipt.dropped;
+                    next[k] = end;
+                }
+            })
+        })
+        .collect();
+    let (mut offered, mut accepted, mut dropped) = (0u64, 0u64, 0u64);
+    for producer in producers {
+        let (o, a, d) = producer.join().expect("producer");
+        offered += o;
+        accepted += a;
+        dropped += d;
+    }
+    service.quiesce();
+    let report = service.telemetry();
+    let positions = subscriptions
+        .into_iter()
+        .map(|(epc, events)| {
+            let got = std::iter::from_fn(|| events.try_recv().ok())
+                .filter_map(|e| match e {
+                    SessionEvent::Position { t, pos, .. } => Some((t, pos)),
+                    _ => None,
+                })
+                .collect();
+            (epc, got)
+        })
+        .collect();
+    StressOutcome { report, offered, accepted, dropped, positions }
+}
+
+/// The ready queue under contention: 4 producer threads × 16 sessions, a
+/// 2-read queue and 1-read drains, so sessions are re-queued, released
+/// and re-scheduled all the time. With 2 and with 4 workers, under
+/// `Block` and `DropOldest`:
+/// - every run finishes before a deadline, so a lost wakeup fails the
+///   test instead of hanging it;
+/// - the books balance exactly;
+/// - no tracker refuses a read, so no session was ever drained by two
+///   workers at once (that would hand it reads out of order);
+/// - under `Block`, every session's positions are bit-identical to a
+///   standalone tracker's.
+#[test]
+fn ready_queue_stress_keeps_results_and_books_exact() {
+    let base = eight_tag_streams(23, 2.0);
+    let reference = standalone_positions(&base);
+    let streams: Vec<Vec<PhaseRead>> = base.into_values().collect();
+    let expected: Vec<&Vec<(f64, Point2)>> = reference.values().map(|(p, _)| p).collect();
+    assert!(expected.iter().filter(|p| !p.is_empty()).count() >= 6, "the streams must track");
+
+    for workers in [2, 4] {
+        for policy in [BackpressurePolicy::Block, BackpressurePolicy::DropOldest] {
+            let label = format!("{workers} workers, {policy:?}");
+            let (tx, rx) = mpsc::channel();
+            let run_streams = streams.clone();
+            let run = std::thread::spawn(move || {
+                let _ = tx.send(stress_run(workers, policy, &run_streams, 41));
+            });
+            let out = match rx.recv_timeout(Duration::from_secs(300)) {
+                Ok(out) => out,
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("{label}: the run did not finish in 300 s; a wakeup was lost")
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    std::panic::resume_unwind(run.join().expect_err("the run panicked"))
+                }
+            };
+            run.join().expect("stress run");
+            let r = &out.report;
+            assert_eq!(r.reads_ingested, out.accepted, "{label}: ingested");
+            assert_eq!(r.reads_dropped, out.dropped, "{label}: dropped");
+            assert_eq!(r.reads_rejected, 0, "{label}: rejected");
+            assert_eq!(out.offered, out.accepted, "{label}: offered = accepted");
+            assert_eq!(r.reads_ingested, r.reads_processed + r.reads_dropped, "{label}");
+            assert_eq!(
+                r.shards.iter().map(|s| s.reads_drained).sum::<u64>(),
+                r.reads_processed,
+                "{label}: shard conservation"
+            );
+            for s in &r.sessions {
+                assert_eq!(s.queue_depth, 0, "{label}: {} drained", s.epc);
+                assert_eq!(s.reads_ingested, s.reads_processed + s.reads_dropped, "{label}");
+            }
+            assert_eq!(r.reads_invalid, 0, "{label}: a session's reads were reordered");
+            match policy {
+                BackpressurePolicy::Block => {
+                    assert_eq!(r.reads_dropped, 0, "{label}: Block is lossless");
+                    for (i, (epc, got)) in out.positions.iter().enumerate() {
+                        let want = expected[i % expected.len()];
+                        assert_eq!(got.len(), want.len(), "{label}: {epc}: position count");
+                        for ((gt, gp), (wt, wp)) in got.iter().zip(want.iter()) {
+                            assert_eq!(gt.to_bits(), wt.to_bits(), "{label}: {epc}: tick time");
+                            assert_eq!(bits(*gp), bits(*wp), "{label}: {epc}: position bits");
+                        }
+                    }
+                }
+                _ => assert!(r.reads_dropped > 0, "{label}: overflowing batches must drop"),
+            }
+        }
+    }
 }

@@ -158,6 +158,21 @@ cargo test --release --offline -q -p rfidraw-serve --test backpressure_parking
 cargo test --release --offline -q -p rfidraw-serve --test backpressure_parking \
     blocked_session_does_not_stall_other_connections
 
+echo "== tier 2: event-driven serving =="
+# The ready queue and pushed updates (DESIGN.md §7, §13), by name: the
+# seeded ready-queue stress run (64 sessions, 2-read queues, 1-read
+# drains, 2 and 4 workers, Block and DropOldest) must finish before its
+# watchdog deadline with exact books and bit-identical Block results;
+# `Closed` must stay a subscriber's last event when the close lands
+# mid-drain; and a finished update must reach a reactor subscriber with
+# no further traffic, on a reactor wakeup.
+cargo test --release --offline -q -p rfidraw-serve --test service_local \
+    ready_queue_stress_keeps_results_and_books_exact
+cargo test --release --offline -q -p rfidraw-serve --test service_local \
+    closed_stays_last_when_the_close_lands_mid_drain
+cargo test --release --offline -q -p rfidraw-serve --test reactor_service \
+    updates_are_pushed_without_further_traffic
+
 echo "== perf sanity: multi-reactor accept scaling =="
 # Four reactors fed round-robin by an accept thread versus the classic
 # single reactor, 1024 sessions of pipelined binary ingest over four
