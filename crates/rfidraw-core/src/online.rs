@@ -73,6 +73,10 @@ pub struct OnlineConfig {
     pub window: Option<TrackWindow>,
 }
 
+/// How many distinct antennas one [`OnlineTracker::is_quiet`] call
+/// follows; a batch touching more is judged not quiet.
+const QUIET_ANTENNAS: usize = 16;
+
 /// Window settings for [`OnlineConfig::window`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackWindow {
@@ -418,6 +422,80 @@ impl OnlineTracker {
             (Some(limit), Some(last)) => t - last > limit,
             _ => false,
         }
+    }
+
+    /// Whether pushing `reads` in order would only buffer them: no stale
+    /// reset, no dropout bookkeeping, no end of warm-up and no completed
+    /// tick, hence no event and no change to the trajectory or the
+    /// estimate. Reads [`push`](Self::push) would refuse (non-finite,
+    /// duplicate, out of order) and reads from unknown antennas count as
+    /// quiet. Never mutates the tracker.
+    ///
+    /// Conservative: `false` only means the check cannot rule an event
+    /// out. It is always `false` while [`OnlineConfig::dropout_after`] is
+    /// set, and for a batch that touches more than 16 distinct antennas.
+    /// A serving layer uses it to pick the thread that applies reads; the
+    /// reads still go through `push` in order, so no result depends on it.
+    pub fn is_quiet<'a>(&self, reads: impl IntoIterator<Item = &'a PhaseRead>) -> bool {
+        if self.cfg.dropout_after.is_some() {
+            return false;
+        }
+        // The batch's accepted reads so far, per antenna: (antenna,
+        // newest t, count). With dropout off no antenna is ever dropped,
+        // so every antenna gates warm-up and every tick.
+        let mut touched = [(AntennaId(0), 0.0, 0u32); QUIET_ANTENNAS];
+        let mut n_touched = 0;
+        let mut last_read_t = self.last_read_t;
+        for read in reads {
+            let Some(state) = self.states.get(&read.antenna) else {
+                continue;
+            };
+            if !read.t.is_finite() || !read.phase.is_finite() {
+                continue;
+            }
+            let slot = touched[..n_touched].iter().position(|e| e.0 == read.antenna);
+            let newest = slot.map(|i| touched[i].1).or(state.newest_t);
+            if newest.is_some_and(|n| read.t <= n) {
+                continue;
+            }
+            if let (Some(limit), Some(last)) = (self.cfg.max_read_gap, last_read_t) {
+                if read.t - last > limit {
+                    return false;
+                }
+            }
+            last_read_t = Some(last_read_t.map_or(read.t, |last| last.max(read.t)));
+            let i = match slot {
+                Some(i) => i,
+                None if n_touched < QUIET_ANTENNAS => {
+                    touched[n_touched] = (read.antenna, read.t, 0);
+                    n_touched += 1;
+                    n_touched - 1
+                }
+                None => return false,
+            };
+            touched[i].1 = read.t;
+            touched[i].2 += 1;
+            let seen = |ant: AntennaId| touched[..n_touched].iter().find(|e| e.0 == ant);
+            let completes = match self.next_tick {
+                // Warm-up ends once every antenna holds two samples.
+                None => self.states.iter().all(|(&ant, s)| {
+                    let held = u32::from(s.prev.is_some()) + u32::from(s.last.is_some());
+                    held + seen(ant).map_or(0, |e| e.2) >= 2
+                }),
+                // The tick is due once every antenna has read at or past it.
+                Some(tick_t) => {
+                    read.t >= tick_t
+                        && self.states.iter().all(|(&ant, s)| {
+                            let last = seen(ant).map(|e| e.1).or(s.last.map(|(t, _)| t));
+                            last.is_some_and(|t| t >= tick_t)
+                        })
+                }
+            };
+            if completes {
+                return false;
+            }
+        }
+        true
     }
 
     /// Whether acquisition has completed.

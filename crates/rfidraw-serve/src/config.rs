@@ -166,7 +166,7 @@ pub enum FrontendMode {
 pub struct NetConfig {
     /// Which front end `Frontend::bind` starts.
     pub frontend: FrontendMode,
-    /// Reactor tuning (readiness backend, buffer sizes, frame caps, tick,
+    /// Reactor tuning (readiness backend, read buffer size, frame cap,
     /// connection cap, shutdown flush budget). Ignored by the
     /// thread-per-connection front end.
     pub reactor: rfidraw_net::ReactorConfig,
@@ -206,10 +206,12 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Sessions with no ingest for this long (wall clock) are evicted.
     pub idle_timeout: Duration,
-    /// Worker threads draining session queues round-robin. `None` starts
+    /// Worker threads draining session queues round-robin. With workers,
+    /// the thread that schedules a session applies reads that cannot
+    /// finish a tick itself instead of handing them over. `None` starts
     /// no threads: the owner pumps manually via
     /// [`crate::TrackingService::pump`] (deterministic single-threaded
-    /// mode, used by tests and benchmarks).
+    /// mode, used by tests and benchmarks), and every read waits for it.
     pub workers: Option<Parallelism>,
     /// Maximum reads drained from one session per round-robin visit. The
     /// fairness knob: a hot tag yields the worker after this many reads so

@@ -13,6 +13,9 @@
 //! **Pushed updates.** A subscription opened here carries the reactor's
 //! [`WakeupHandle`]: a worker sends each drain's events, then pokes the
 //! pipe once, and [`rfidraw_net::Handler::on_wakeup`] forwards them.
+//! Reads that cannot finish a tick never reach a worker: admission
+//! applies them on the reactor thread (see [`LocalClient`]'s scheduling),
+//! so they produce no events to push.
 //!
 //! Each connection speaks either newline-JSON (wire v2) or length-
 //! prefixed binary (wire v3); the reactor's decoder negotiates from the
@@ -160,6 +163,9 @@ fn advance_pending(
         g.readmissions.add(p.receipt.accepted - accepted_before);
         g.parked_rejected.add(p.receipt.rejected - rejected_before);
     }
+    // Scheduling may apply quiet reads right here, on the reactor thread;
+    // the drain waiters that fires poke this reactor's own pipe, so a
+    // stash still parked on the session is retried on the next turn.
     if p.receipt.accepted > accepted_before {
         client.schedule(&p.session);
     }

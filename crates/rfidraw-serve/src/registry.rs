@@ -26,10 +26,12 @@ use std::sync::{Arc, Mutex};
 /// own drain bookkeeping.
 pub(crate) struct Shard {
     sessions: Mutex<BTreeMap<Epc, Arc<SessionShared>>>,
-    /// Reads drained from this shard's sessions (sums to the service's
-    /// `reads_processed` — a conservation check in the fault tests).
+    /// Reads drained from this shard's sessions, inline ones included
+    /// (sums to the service's `reads_processed` — a conservation check in
+    /// the fault tests).
     pub drained: Counter,
-    /// Dequeues of this shard's sessions from the ready queue.
+    /// Dequeues of this shard's sessions from the ready queue (inline
+    /// drains are not visits).
     pub visits: Counter,
 }
 
@@ -141,6 +143,12 @@ impl ShardedRegistry {
         let shard = &self.shards[self.shard_of(epc)];
         shard.visits.inc();
         shard.drained.add(reads as u64);
+    }
+
+    /// Books `reads` reads the producer of `epc`'s session applied inline:
+    /// drained, but no visit (the session never reached the ready queue).
+    pub fn note_inline(&self, epc: Epc, reads: usize) {
+        self.shards[self.shard_of(epc)].drained.add(reads as u64);
     }
 
     /// Sessions idle past `timeout` with empty queues and no drain pending

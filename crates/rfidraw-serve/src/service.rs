@@ -9,12 +9,14 @@
 //! explicit close, or shutdown.
 //!
 //! **Scheduling & determinism.** The enqueue that makes a session's
-//! queue non-empty wins its `scheduled` flag, pushes it onto one
-//! service-wide FIFO ready queue and wakes one idle worker. A worker
+//! queue non-empty wins its `scheduled` flag. If none of the queued reads
+//! can finish a tick, that thread applies them itself (worker mode only;
+//! see `LocalClient::schedule`); otherwise it pushes the session onto
+//! one service-wide FIFO ready queue and wakes one idle worker. A worker
 //! drains at most `drain_batch` reads and re-queues the session at the
 //! back if reads remain, so a hot tag cannot starve the rest; no worker
 //! scans the sessions. The flag keeps a session queued at most once, so
-//! one worker at a time drains it and its read order is exactly the
+//! one thread at a time drains it and its read order is exactly the
 //! ingest order — multiplexing changes *scheduling*, never *results*
 //! (enforced bit-for-bit by the crate's integration tests). Idle
 //! eviction runs on a deadline, at most once every `idle_timeout / 4`.
@@ -227,6 +229,7 @@ impl ServiceInner {
             reads_rejected: self.global.rejected.get(),
             reads_invalid: self.global.invalid.get(),
             reads_processed: self.global.processed.get(),
+            reads_inline: self.global.inline.get(),
             positions: self.global.positions.get(),
             stale_resets: self.global.stale_resets.get(),
             degraded_events: self.global.degraded.get(),
@@ -360,12 +363,27 @@ impl LocalClient {
     }
 
     /// Makes a session runnable after an enqueue: the caller that wins
-    /// its `scheduled` flag appends it to the ready queue. The reactor's
-    /// non-blocking admission calls this too.
+    /// its `scheduled` flag appends it to the ready queue. With worker
+    /// threads it first applies the queued reads itself if none can
+    /// finish a tick ([`SessionShared::drain_quiet`]), which spares a
+    /// worker's wake-up and park; manual `pump` mode keeps every read
+    /// queued, since its callers stage queues before they pump. The
+    /// reactor's non-blocking admission calls this too.
     pub(crate) fn schedule(&self, session: &Arc<SessionShared>) {
-        if !session.scheduled.swap(true, Ordering::AcqRel) {
-            self.inner.push_ready(Arc::clone(session));
+        if session.scheduled.swap(true, Ordering::AcqRel) {
+            return;
         }
+        if self.inner.cfg.workers.is_some() {
+            let (inline, runnable) = session.drain_quiet(&self.inner.global);
+            if inline > 0 {
+                self.inner.global.inline.add(inline as u64);
+                self.inner.registry.note_inline(session.epc, inline);
+            }
+            if !runnable {
+                return;
+            }
+        }
+        self.inner.push_ready(Arc::clone(session));
     }
 
     /// Records a wire-validation refusal without touching the session

@@ -1,15 +1,17 @@
 //! One tracking session: a bounded ingest queue, a tracker (plus optional
 //! cursor state machine), subscribers, and counters.
 //!
-//! A session is shared between producers (ingest / subscribe), one worker
+//! A session is shared between producers (ingest / subscribe), one drainer
 //! at a time, and the registry (idle eviction). The `scheduled` flag is
 //! set while the session sits on the service's ready queue or is being
-//! drained, so at most one worker drains it: that is what keeps
-//! per-session read order — and therefore results — identical to a
-//! standalone tracker. The queue and the tracker sit behind *separate*
-//! locks so ingest never waits for a tracker tick: producers only touch
-//! the queue lock, workers hold the engine lock only while processing an
-//! already-taken batch.
+//! drained, so only its holder drains: a worker, or the producer that won
+//! it and applies reads that cannot finish a tick on the spot
+//! (`SessionShared::drain_quiet`). That is what keeps per-session read
+//! order — and therefore results — identical to a standalone tracker. The
+//! queue and the tracker sit behind *separate* locks so ingest never waits
+//! for a tracker tick: producers only touch the queue lock (a quiet drain
+//! only `try_lock`s the engine and backs off when it is busy), and
+//! drainers hold the engine lock only while processing.
 
 use crate::config::{BackpressurePolicy, CursorSetup};
 use crate::telemetry::{GlobalMetrics, SessionMetrics, SessionTelemetry};
@@ -22,7 +24,7 @@ use rfidraw_protocol::Epc;
 use rfidraw_touch::{CursorEvent, CursorTracker};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Why a session ended.
@@ -183,7 +185,7 @@ pub(crate) struct SessionShared {
     engine: Mutex<Engine>,
     subscribers: Mutex<Vec<Subscriber>>,
     /// Set while the session is on the ready queue or being drained, so
-    /// one worker at a time drains it (which preserves the read order).
+    /// one thread at a time drains it (which preserves the read order).
     pub(crate) scheduled: AtomicBool,
     closed: AtomicBool,
     last_activity: Mutex<Instant>,
@@ -410,11 +412,16 @@ impl SessionShared {
         }
     }
 
-    /// Takes up to `n` queued reads (the caller holds the `scheduled`
-    /// flag) and wakes blocked producers for the freed space.
-    fn take_batch(&self, n: usize) -> Vec<QueuedRead> {
+    /// Takes up to `n` queued reads if `admit` approves the queue as it
+    /// stands (the caller holds the `scheduled` flag), and wakes blocked
+    /// producers for the freed space.
+    fn take_batch(
+        &self,
+        n: usize,
+        admit: impl FnOnce(&VecDeque<QueuedRead>) -> bool,
+    ) -> Vec<QueuedRead> {
         let mut q = self.queue.lock().expect("queue lock");
-        let take = n.min(q.len());
+        let take = if admit(&q) { n.min(q.len()) } else { 0 };
         let batch: Vec<QueuedRead> = q.drain(..take).collect();
         drop(q);
         if !batch.is_empty() {
@@ -431,20 +438,54 @@ impl SessionShared {
     /// released under the queue lock, so an enqueue landing afterwards
     /// sees it clear and schedules the session itself.
     pub fn drain(&self, max_reads: usize, global: &GlobalMetrics) -> (usize, bool) {
-        let batch = self.take_batch(max_reads);
+        let batch = self.take_batch(max_reads, |_| true);
         if !batch.is_empty() {
-            self.process(&batch, global);
+            self.process(&batch, global, || self.engine.lock().expect("engine lock"));
         }
+        self.finish_drain(batch.len())
+    }
+
+    /// The producer's drain, run by the thread that just won the
+    /// `scheduled` flag: when the engine is free and no queued read can
+    /// finish a tick ([`OnlineTracker::is_quiet`]), it applies them all
+    /// here, with the same books as [`Self::drain`], and so spares a
+    /// worker its wake-up and park. Otherwise it takes nothing. Returns
+    /// the same pair as `drain`: when reads remain, the caller must queue
+    /// the session for a worker.
+    ///
+    /// Locks nest engine → queue; nothing nests queue → engine.
+    pub fn drain_quiet(&self, global: &GlobalMetrics) -> (usize, bool) {
+        let Ok(engine) = self.engine.try_lock() else {
+            return (0, true);
+        };
+        let batch = self.take_batch(usize::MAX, |q| {
+            engine.tracker.is_quiet(q.iter().map(|qr| &qr.read))
+        });
+        if !batch.is_empty() {
+            self.process(&batch, global, move || engine);
+        }
+        self.finish_drain(batch.len())
+    }
+
+    /// Ends a drain of `processed` reads: reports whether reads remain,
+    /// or releases the `scheduled` flag under the queue lock.
+    fn finish_drain(&self, processed: usize) -> (usize, bool) {
         let q = self.queue.lock().expect("queue lock");
         let runnable = !q.is_empty();
         if !runnable {
             self.scheduled.store(false, Ordering::Release);
         }
-        (batch.len(), runnable)
+        (processed, runnable)
     }
 
-    /// Runs a taken batch through the tracker (see [`Self::drain`]).
-    fn process(&self, batch: &[QueuedRead], global: &GlobalMetrics) {
+    /// Runs a taken batch through the tracker, whose lock `engine` takes
+    /// (see [`Self::drain`]).
+    fn process<'a>(
+        &'a self,
+        batch: &[QueuedRead],
+        global: &GlobalMetrics,
+        engine: impl FnOnce() -> MutexGuard<'a, Engine>,
+    ) {
         let processed = batch.len();
         let sid = session_id(self.epc);
         let recorder = global.trace.as_deref();
@@ -460,7 +501,7 @@ impl SessionShared {
         let mut out_events: Vec<SessionEvent> = Vec::new();
         let compute_start = Instant::now();
         {
-            let mut engine = self.engine.lock().expect("engine lock");
+            let mut engine = engine();
             for qr in batch {
                 let events = match engine.tracker.push(qr.read) {
                     Ok(events) => events,
@@ -553,7 +594,7 @@ impl SessionShared {
             }
             // The tracker's windowed-acquisition count is monotonic, so the
             // session counter mirrors it exactly and the global counter
-            // receives the per-batch delta (only the worker holding the
+            // receives the per-batch delta (only the holder of the
             // `scheduled` flag drains the session, so the delta cannot race).
             let windowed = engine.tracker.windowed_evals();
             let delta = windowed.saturating_sub(self.metrics.windowed.get());
@@ -667,5 +708,75 @@ impl SessionShared {
     pub(crate) fn note_invalid_ingest(&self, total: u64, invalid: u64) {
         self.metrics.rejected.add(total);
         self.metrics.invalid.add(invalid);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::TrackerTemplate;
+    use rfidraw_core::array::AntennaId;
+    use rfidraw_core::geom::Rect;
+
+    /// A session over the paper-default tracker, private tables (these
+    /// tests never acquire, so no table is built).
+    fn session() -> SessionShared {
+        let region = Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7));
+        let mut template = TrackerTemplate::paper_default(region);
+        template.table_cache = None;
+        SessionShared::new(Epc::from_index(1), template.build(), None)
+    }
+
+    fn read(t: f64, antenna: u8) -> PhaseRead {
+        PhaseRead { t, antenna: AntennaId(antenna), phase: 0.5 }
+    }
+
+    /// Queues `reads` and takes the `scheduled` flag, as the thread that
+    /// calls `drain_quiet` holds it.
+    fn stage(session: &SessionShared, reads: &[PhaseRead], global: &GlobalMetrics) {
+        let outcome = session.try_enqueue(reads, BackpressurePolicy::Block, 8, global);
+        assert!(matches!(outcome, EnqueueOutcome::Done(r) if r.accepted == reads.len() as u64));
+        assert!(!session.scheduled.swap(true, Ordering::AcqRel));
+    }
+
+    /// While another thread holds the engine, `drain_quiet` takes nothing
+    /// and reports the session runnable with the flag still held, so the
+    /// caller hands it to the ready queue and no wakeup is lost. Once the
+    /// engine is free the same quiet reads are applied on the spot and
+    /// the flag is released.
+    #[test]
+    fn drain_quiet_backs_off_while_the_engine_is_busy() {
+        let session = session();
+        let global = GlobalMetrics::new(None);
+        stage(&session, &[read(0.0, 1), read(0.001, 2)], &global);
+
+        let busy = session.engine.lock().expect("engine lock");
+        assert_eq!(session.drain_quiet(&global), (0, true));
+        assert_eq!(session.queue_depth(), 2, "the reads stay queued");
+        assert!(session.scheduled.load(Ordering::Acquire), "the caller keeps the flag");
+        assert_eq!(global.processed.get(), 0);
+        drop(busy);
+
+        assert_eq!(session.drain_quiet(&global), (2, false));
+        assert_eq!(session.queue_depth(), 0);
+        assert!(!session.scheduled.load(Ordering::Acquire), "released with the queue empty");
+        assert_eq!(session.metrics.processed.get(), 2);
+        assert_eq!(global.processed.get(), 2);
+    }
+
+    /// A queue holding one read that is not quiet (here a stale gap) is
+    /// left whole for a worker, quiet reads ahead of it included.
+    #[test]
+    fn drain_quiet_leaves_a_queue_that_can_emit_to_a_worker() {
+        let session = session();
+        let global = GlobalMetrics::new(None);
+        stage(&session, &[read(0.0, 1)], &global);
+        assert_eq!(session.drain_quiet(&global), (1, false));
+
+        stage(&session, &[read(0.5, 2), read(5.0, 3)], &global);
+        assert_eq!(session.drain_quiet(&global), (0, true));
+        assert_eq!(session.queue_depth(), 2);
+        assert_eq!(session.drain(64, &global), (2, false), "a worker drains it");
+        assert_eq!(session.metrics.stale_resets.get(), 1);
     }
 }

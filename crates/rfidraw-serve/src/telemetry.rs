@@ -88,6 +88,9 @@ pub(crate) struct GlobalMetrics {
     pub dropped: Counter,
     pub rejected: Counter,
     pub processed: Counter,
+    /// Processed reads the thread that scheduled their session applied
+    /// itself, with no hand-off to a worker (a subset of `processed`).
+    pub inline: Counter,
     pub positions: Counter,
     pub stale_resets: Counter,
     pub invalid: Counter,
@@ -132,6 +135,7 @@ impl GlobalMetrics {
             dropped: Counter::new(),
             rejected: Counter::new(),
             processed: Counter::new(),
+            inline: Counter::new(),
             positions: Counter::new(),
             stale_resets: Counter::new(),
             invalid: Counter::new(),
@@ -202,13 +206,15 @@ pub struct ShardTelemetry {
     pub sessions: u64,
     /// Reads currently queued across this shard's sessions.
     pub queue_depth: u64,
-    /// Reads drained from this shard since start. Summed over shards this
-    /// equals `reads_processed` — a conservation check the fault tests
-    /// enforce.
+    /// Reads drained from this shard since start, by workers, `pump` and
+    /// inline drains alike. Summed over shards this equals
+    /// `reads_processed` — a conservation check the fault tests enforce.
     pub reads_drained: u64,
     /// Times a worker (or `pump`) took one of this shard's sessions off
-    /// the ready queue to drain it, so `reads_drained / drain_visits` is
-    /// the mean reads per drain.
+    /// the ready queue to drain it. A producer's inline drain
+    /// (`reads_inline`) is not a visit, so summed over shards
+    /// `(reads_drained − reads_inline) / drain_visits` is the mean reads
+    /// per worker drain.
     pub drain_visits: u64,
 }
 
@@ -300,6 +306,11 @@ pub struct TelemetryReport {
     pub reads_rejected: u64,
     /// Reads fed through trackers, service-wide.
     pub reads_processed: u64,
+    /// Of `reads_processed`, the reads that could not finish a tick and
+    /// that the thread scheduling their session (a producer or the
+    /// reactor) applied itself instead of handing them to a worker.
+    /// Always 0 without worker threads.
+    pub reads_inline: u64,
     /// Position snapshots emitted, service-wide.
     pub positions: u64,
     /// Stale resets, service-wide.
@@ -379,9 +390,10 @@ impl TelemetryReport {
             self.sessions_rejected,
         ));
         out.push_str(&format!(
-            "reads:    {} ingested, {} processed, {} dropped, {} rejected ({} invalid)\n",
+            "reads:    {} ingested, {} processed ({} inline), {} dropped, {} rejected ({} invalid)\n",
             self.reads_ingested,
             self.reads_processed,
+            self.reads_inline,
             self.reads_dropped,
             self.reads_rejected,
             self.reads_invalid,
@@ -473,6 +485,7 @@ impl TelemetryReport {
         p.counter("rfidraw_reads_dropped_total", "Reads evicted from queues.", &[], self.reads_dropped);
         p.counter("rfidraw_reads_rejected_total", "Reads refused at the ingest boundary.", &[], self.reads_rejected);
         p.counter("rfidraw_reads_processed_total", "Reads fed through trackers.", &[], self.reads_processed);
+        p.counter("rfidraw_reads_inline_total", "Processed reads the scheduling thread applied without a worker hand-off.", &[], self.reads_inline);
         p.counter("rfidraw_positions_total", "Position snapshots emitted.", &[], self.positions);
         p.counter("rfidraw_stale_resets_total", "Stale-gap tracker resets.", &[], self.stale_resets);
         p.counter("rfidraw_reads_invalid_total", "Reads refused as hostile or inconsistent.", &[], self.reads_invalid);
@@ -516,7 +529,7 @@ impl TelemetryReport {
             p.gauge("rfidraw_shard_sessions", "Sessions placed on this registry shard.", &labels, sh.sessions as f64);
             p.gauge("rfidraw_shard_queue_depth", "Reads queued across this shard's sessions.", &labels, sh.queue_depth as f64);
             p.counter("rfidraw_shard_reads_drained_total", "Reads drained from this shard.", &labels, sh.reads_drained);
-            p.counter("rfidraw_shard_drain_visits_total", "Ready-queue dequeues of this shard's sessions.", &labels, sh.drain_visits);
+            p.counter("rfidraw_shard_drain_visits_total", "Ready-queue dequeues of this shard's sessions (inline drains are not visits).", &labels, sh.drain_visits);
         }
         p.histogram("rfidraw_latency_us", "Ingest-to-position latency (µs).", &[], &self.latency);
         p.histogram("rfidraw_queue_wait_us", "Enqueue-to-dequeue wait (µs).", &[], &self.queue_wait);
@@ -577,6 +590,7 @@ mod tests {
             reads_dropped: 5,
             reads_rejected: 7,
             reads_processed: 90,
+            reads_inline: 70,
             positions: 42,
             stale_resets: 1,
             reads_invalid: 2,
@@ -663,6 +677,7 @@ mod tests {
         let r = report();
         let text = r.render();
         assert!(text.contains("1 active"));
+        assert!(text.contains("90 processed (70 inline)"));
         assert!(text.contains("1 evicted"));
         assert!(text.contains("latency:"));
         assert!(text.contains("queue:"));
@@ -692,6 +707,7 @@ mod tests {
         assert!(text.contains("rfidraw_latency_us_count 1"));
         assert!(text.contains("rfidraw_stage_us_bucket{stage=\"engine_evaluate\",le=\"+Inf\"} 1"));
         assert!(text.contains("rfidraw_reads_invalid_total 2"));
+        assert!(text.contains("rfidraw_reads_inline_total 70"));
         assert!(text.contains("rfidraw_degraded_total 1"));
         assert!(text.contains("rfidraw_windowed_evals_total 4"));
         assert!(text.contains("rfidraw_table_cache_hits_total 2"));

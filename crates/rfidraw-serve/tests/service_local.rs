@@ -590,3 +590,142 @@ fn ready_queue_stress_keeps_results_and_books_exact() {
         }
     }
 }
+
+/// What a one-read run produced: the telemetry after quiescing and each
+/// session's streamed positions.
+struct OneReadOutcome {
+    report: TelemetryReport,
+    positions: BTreeMap<Epc, Vec<(f64, Point2)>>,
+}
+
+/// Producer threads of a one-read run, each feeding half the sessions.
+const ONE_READ_PRODUCERS: usize = 2;
+
+/// One seeded run of the open-loop shape: one read per `ingest`, from 2
+/// producer threads that each pick their next session with their own
+/// seeded generator. A producer whose read completes a tick (per a
+/// standalone tracker) waits for that read's positions before it sends
+/// more, the way a writer at air time is slower than the tick; so the
+/// reads in between can only buffer. With `workers: None` the test
+/// thread pumps while the producers run.
+fn one_read_run(
+    workers: Option<Parallelism>,
+    streams: &BTreeMap<Epc, Vec<PhaseRead>>,
+    seed: u64,
+) -> OneReadOutcome {
+    let mut cfg = ServeConfig::new(template());
+    cfg.workers = workers;
+    cfg.idle_timeout = Duration::from_secs(3600);
+    let service = TrackingService::start(cfg);
+    let client = service.client();
+    let tpl = template();
+    // Per session: its reads, and how many positions the reads up to and
+    // including each one complete.
+    let sessions: Vec<(Epc, Vec<PhaseRead>, Vec<usize>)> = streams
+        .iter()
+        .map(|(&epc, reads)| {
+            let mut tracker = tpl.build();
+            let mut done = 0;
+            let upto = reads
+                .iter()
+                .map(|&r| {
+                    let events = tracker.push(r).expect("clean stream");
+                    done += events.iter().filter(|e| matches!(e, OnlineEvent::Position { .. })).count();
+                    done
+                })
+                .collect();
+            (epc, reads.clone(), upto)
+        })
+        .collect();
+    let per_producer = sessions.len().div_ceil(ONE_READ_PRODUCERS);
+    let producers: Vec<_> = sessions
+        .chunks(per_producer)
+        .enumerate()
+        .map(|(p, owned)| {
+            let client = client.clone();
+            let owned = owned.to_vec();
+            let events: Vec<_> =
+                owned.iter().map(|(epc, _, _)| client.subscribe(*epc).expect("subscribe")).collect();
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed * 16 + p as u64);
+                let mut next = vec![0usize; owned.len()];
+                let mut got = vec![Vec::new(); owned.len()];
+                loop {
+                    let open: Vec<usize> =
+                        (0..owned.len()).filter(|&k| next[k] < owned[k].1.len()).collect();
+                    if open.is_empty() {
+                        break;
+                    }
+                    let k = open[rng.gen_range(0..open.len())];
+                    let (epc, reads, upto) = &owned[k];
+                    let i = next[k];
+                    let receipt = client.ingest(*epc, &reads[i..i + 1]).expect("ingest");
+                    assert_eq!(receipt.accepted, 1, "{epc}: Block is lossless");
+                    next[k] += 1;
+                    // The deadline turns a lost wakeup into a failure.
+                    while got[k].len() < upto[i] {
+                        match events[k].recv_timeout(Duration::from_secs(60)) {
+                            Ok(SessionEvent::Position { t, pos, .. }) => got[k].push((t, pos)),
+                            Ok(_) => {}
+                            Err(e) => panic!("{epc}: read {i}'s position never came: {e:?}"),
+                        }
+                    }
+                }
+                owned.iter().map(|(epc, _, _)| *epc).zip(got).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    if workers.is_none() {
+        while !producers.iter().all(|h| h.is_finished()) {
+            if service.pump() == 0 {
+                std::thread::yield_now();
+            }
+        }
+    }
+    let positions = producers.into_iter().flat_map(|h| h.join().expect("producer")).collect();
+    service.quiesce();
+    OneReadOutcome { report: service.telemetry(), positions }
+}
+
+/// One-read ingests, as a gateway forwards them, over 8 sessions from 2
+/// producer threads. With 2 workers, the thread that schedules a session
+/// applies most reads itself (they cannot finish a tick), and results
+/// stay bit-identical to standalone trackers with exact books. Without
+/// workers (manual `pump`), no read is applied inline.
+#[test]
+fn one_read_ingests_apply_quiet_reads_inline() {
+    let streams = eight_tag_streams(29, 3.0);
+    let reference = standalone_positions(&streams);
+    assert!(reference.values().filter(|(p, _)| !p.is_empty()).count() >= 6, "the streams must track");
+    let total: u64 = streams.values().map(|r| r.len() as u64).sum();
+    for workers in [Some(Parallelism::Threads(2)), None] {
+        let label = format!("workers {workers:?}");
+        let out = one_read_run(workers, &streams, 31);
+        let r = &out.report;
+        assert_eq!(r.reads_ingested, total, "{label}: ingested");
+        assert_eq!(r.reads_processed, total, "{label}: processed");
+        assert_eq!(r.reads_invalid, 0, "{label}: a session's reads were reordered");
+        assert_eq!(
+            r.shards.iter().map(|s| s.reads_drained).sum::<u64>(),
+            r.reads_processed,
+            "{label}: shard conservation"
+        );
+        for (epc, (want, _)) in &reference {
+            let got = &out.positions[epc];
+            assert_eq!(got.len(), want.len(), "{label}: {epc}: position count");
+            for ((gt, gp), (wt, wp)) in got.iter().zip(want) {
+                assert_eq!(gt.to_bits(), wt.to_bits(), "{label}: {epc}: tick time");
+                assert_eq!(bits(*gp), bits(*wp), "{label}: {epc}: position bits");
+            }
+        }
+        match workers {
+            Some(_) => assert!(
+                r.reads_inline * 2 > r.reads_processed,
+                "{label}: only {} of {} reads applied inline",
+                r.reads_inline,
+                r.reads_processed
+            ),
+            None => assert_eq!(r.reads_inline, 0, "{label}: manual mode applies nothing inline"),
+        }
+    }
+}

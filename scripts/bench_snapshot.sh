@@ -13,8 +13,8 @@
 #
 # The vendored criterion stub prints one line per bench:
 #     <name padded to 40>  median <value> <unit>
-# with unit one of ns / µs / ms / s; this script normalizes everything to
-# nanoseconds.
+# with unit one of ns / µs / ms / s; scripts/median_ns.awk normalizes
+# everything to nanoseconds.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,18 +26,10 @@ trap 'rm -f "$RAW"' EXIT
 
 cargo bench --offline --bench kernels 2>&1 | tee "$RAW" >&2
 
-awk -v nproc="$(nproc 2>/dev/null || echo 1)" -v label="$LABEL" '
-    function to_ns(value, unit) {
-        if (unit == "ns") return value
-        if (unit == "µs" || unit == "us") return value * 1e3
-        if (unit == "ms") return value * 1e6
-        if (unit == "s")  return value * 1e9
-        return -1
-    }
-    $2 == "median" && NF >= 4 {
-        ns = to_ns($3, $4)
-        if (ns < 0) next
-        medians[$1] = ns
+awk -f scripts/median_ns.awk "$RAW" \
+    | awk -v nproc="$(nproc 2>/dev/null || echo 1)" -v label="$LABEL" '
+    $2 >= 0 {
+        medians[$1] = $2
         order[n++] = $1
     }
     END {
@@ -161,6 +153,6 @@ awk -v nproc="$(nproc 2>/dev/null || echo 1)" -v label="$LABEL" '
         printf "  }\n"
         printf "}\n"
     }
-' "$RAW" > "$OUT"
+' > "$OUT"
 
 echo "wrote $OUT" >&2

@@ -28,6 +28,14 @@ cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
     frac_dist_to_integer_matches_round_form
 cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
     trace_step_
+# The quiet-read predicate the serving layer applies reads inline by: a
+# batch it calls quiet must never emit or move the estimate (random
+# hostile streams and batch splits), and it must keep calling most reads
+# of a clean stream quiet.
+cargo test --release --offline -q -p rfidraw-core --test quiet_reads \
+    quiet_batches_never_emit_or_move_the_estimate
+cargo test --release --offline -q -p rfidraw-core --test quiet_reads \
+    clean_stream_is_mostly_quiet
 
 echo "== paper-metric regression gate (fig11/fig12, f64 vs f32 vs i16) =="
 # Re-runs the fig. 11 trajectory CDF and fig. 12 initial-position CDF at
@@ -52,15 +60,8 @@ echo "== perf sanity: pair-major engine vs reference path, f32 vs f64, i16 vs f3
 # (measured ~1.45-1.6x; see BENCH_09.json).
 perf_out=$(cargo bench --offline --bench kernels -- 1cm 2>/dev/null | grep ' median ')
 echo "$perf_out"
-echo "$perf_out" | awk '
-    function to_ns(value, unit) {
-        if (unit == "ns") return value
-        if (unit == "µs" || unit == "us") return value * 1e3
-        if (unit == "ms") return value * 1e6
-        if (unit == "s")  return value * 1e9
-        return -1
-    }
-    $2 == "median" { m[$1] = to_ns($3, $4) }
+echo "$perf_out" | awk -f scripts/median_ns.awk | awk '
+    { m[$1] = $2 }
     END {
         if (!("vote_reference_1cm" in m) || !("engine_1cm_serial" in m) \
             || !("engine_1cm_f32" in m) || !("engine_1cm_i16" in m)) {
@@ -85,15 +86,8 @@ echo "== perf sanity: binary vs JSON wire framing =="
 # gate only trips on a real regression.
 wire_out=$(cargo bench --offline --bench kernels -- serve_wire 2>/dev/null | grep ' median ')
 echo "$wire_out"
-echo "$wire_out" | awk '
-    function to_ns(value, unit) {
-        if (unit == "ns") return value
-        if (unit == "µs" || unit == "us") return value * 1e3
-        if (unit == "ms") return value * 1e6
-        if (unit == "s")  return value * 1e9
-        return -1
-    }
-    $2 == "median" { m[$1] = to_ns($3, $4) }
+echo "$wire_out" | awk -f scripts/median_ns.awk | awk '
+    { m[$1] = $2 }
     END {
         if (!("serve_wire_json_4096_reads_64_sessions" in m) \
             || !("serve_wire_binary_4096_reads_64_sessions" in m)) {
@@ -165,13 +159,21 @@ echo "== tier 2: event-driven serving =="
 # watchdog deadline with exact books and bit-identical Block results;
 # `Closed` must stay a subscriber's last event when the close lands
 # mid-drain; and a finished update must reach a reactor subscriber with
-# no further traffic, on a reactor wakeup.
+# no further traffic, on a reactor wakeup. Quiet reads applied inline by
+# the thread that schedules their session: one-read ingests over 8
+# sessions must stay bit-identical with exact shard books and mostly
+# inline under workers, and never inline under manual pumping; a quiet
+# drain facing a busy engine must leave the reads queued and the
+# session runnable.
 cargo test --release --offline -q -p rfidraw-serve --test service_local \
     ready_queue_stress_keeps_results_and_books_exact
 cargo test --release --offline -q -p rfidraw-serve --test service_local \
     closed_stays_last_when_the_close_lands_mid_drain
 cargo test --release --offline -q -p rfidraw-serve --test reactor_service \
     updates_are_pushed_without_further_traffic
+cargo test --release --offline -q -p rfidraw-serve --test service_local \
+    one_read_ingests_apply_quiet_reads_inline
+cargo test --release --offline -q -p rfidraw-serve --lib session::tests::drain_quiet_
 
 echo "== perf sanity: multi-reactor accept scaling =="
 # Four reactors fed round-robin by an accept thread versus the classic
@@ -183,15 +185,8 @@ echo "== perf sanity: multi-reactor accept scaling =="
 cores=$(nproc 2>/dev/null || echo 1)
 mr_out=$(cargo bench --offline --bench kernels -- serve_reactor_ingest 2>/dev/null | grep ' median ')
 echo "$mr_out"
-echo "$mr_out" | awk -v cores="$cores" '
-    function to_ns(value, unit) {
-        if (unit == "ns") return value
-        if (unit == "µs" || unit == "us") return value * 1e3
-        if (unit == "ms") return value * 1e6
-        if (unit == "s")  return value * 1e9
-        return -1
-    }
-    $2 == "median" { m[$1] = to_ns($3, $4) }
+echo "$mr_out" | awk -f scripts/median_ns.awk | awk -v cores="$cores" '
+    { m[$1] = $2 }
     END {
         r1 = "serve_reactor_ingest_4096_reads_1024_sessions_r1"
         r4 = "serve_reactor_ingest_4096_reads_1024_sessions_r4"
