@@ -395,87 +395,6 @@ fn bench_serve_block_one_slow_session(c: &mut Criterion) {
     feeder.join().expect("feeder");
 }
 
-/// Single- vs multi-reactor front-end throughput: 1024 sessions' worth
-/// of pre-encoded binary ingest frames pushed pipelined over four
-/// producer connections, acks read back, workers draining concurrently.
-/// `_r1` runs the classic in-loop listener, `_r4` the accept thread
-/// feeding four reactors round-robin; CI gates r4 >= 1.3x r1 where the
-/// machine has the cores to show it.
-fn bench_serve_multi_reactor(c: &mut Criterion) {
-    use rfidraw::core::array::AntennaId;
-    use rfidraw::core::stream::PhaseRead;
-    use rfidraw::protocol::Epc;
-    use rfidraw::serve::wire::{IngestBatch, Message};
-    use rfidraw::serve::{
-        wire3, ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
-    };
-    use std::io::Write;
-    use std::sync::Mutex;
-
-    const SESSIONS: usize = 1024;
-    const PRODUCERS: usize = 4;
-    const PER_FRAME: usize = 4;
-    const PER_PRODUCER: usize = SESSIONS / PRODUCERS;
-    for reactors in [1usize, 4] {
-        let mut cfg = ServeConfig::new(TrackerTemplate::paper_default(region()));
-        cfg.workers = Some(Parallelism::Threads(2));
-        cfg.queue_capacity = 8192;
-        cfg.max_sessions = SESSIONS;
-        let service = TrackingService::start(cfg);
-        let net_cfg = rfidraw::net::ReactorConfig::default();
-        let server = if reactors == 1 {
-            ReactorServer::bind("127.0.0.1:0", service.client(), net_cfg).expect("bind")
-        } else {
-            ReactorServer::bind_multi("127.0.0.1:0", service.client(), net_cfg, reactors)
-                .expect("bind_multi")
-        };
-        let addr = server.local_addr();
-
-        let frames: Vec<Vec<u8>> = (0..PRODUCERS)
-            .map(|p| {
-                let mut bytes = Vec::new();
-                for s in 0..PER_PRODUCER {
-                    let epc = Epc::from_index((p * PER_PRODUCER + s) as u32 + 1);
-                    let reads: Vec<PhaseRead> = (0..PER_FRAME)
-                        .map(|i| PhaseRead { t: i as f64 * 1e-3, antenna: AntennaId(0), phase: 0.5 })
-                        .collect();
-                    bytes.extend_from_slice(&wire3::encode_frame(&Message::Ingest(IngestBatch {
-                        epc,
-                        reads,
-                    })));
-                }
-                bytes
-            })
-            .collect();
-        let clients: Vec<Mutex<WireClient>> = (0..PRODUCERS)
-            .map(|_| Mutex::new(WireClient::connect_binary(addr).expect("connect")))
-            .collect();
-
-        let total = SESSIONS * PER_FRAME;
-        let name = format!("serve_reactor_ingest_{total}_reads_{SESSIONS}_sessions_r{reactors}");
-        c.bench_function(&name, |b| {
-            b.iter(|| {
-                std::thread::scope(|scope| {
-                    for (slot, bytes) in clients.iter().zip(&frames) {
-                        scope.spawn(move || {
-                            let mut client = slot.lock().expect("client");
-                            client.stream_mut().write_all(bytes).expect("pipeline");
-                            for _ in 0..PER_PRODUCER {
-                                match client.recv().expect("ack").expect("ack frame") {
-                                    Message::IngestAck(ack) => {
-                                        assert_eq!(ack.dropped + ack.rejected, 0)
-                                    }
-                                    other => panic!("expected IngestAck, got {other:?}"),
-                                }
-                            }
-                        });
-                    }
-                });
-            })
-        });
-    }
-}
-
 /// Instrumented-vs-uninstrumented vote-engine throughput. On the default
 /// build the emit sites don't exist, so `engine_1cm_trace_off` IS the
 /// uninstrumented kernel; with `--features trace` the same name measures
@@ -531,7 +450,7 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets = bench_vote_grid, bench_vote_reference, bench_vote_engine, bench_multires_locate,
               bench_trace_steps, bench_baseline_locate, bench_serve_ingest, bench_serve_wire,
-              bench_serve_block_one_slow_session, bench_serve_multi_reactor,
+              bench_serve_block_one_slow_session,
               bench_trace_overhead, bench_recognizer
 }
 criterion_main!(kernels);

@@ -34,7 +34,6 @@ pub use frame::{
 };
 pub use poller::{Event, Interest, Poller, PollerKind};
 pub use reactor::{
-    spawn, spawn_multi, ConnId, Handler, MultiReactorHandle, Outbox, ReactorConfig,
-    ReactorHandle, ReactorStats,
+    spawn, ConnId, Handler, Outbox, ReactorConfig, ReactorHandle, ReactorStats,
 };
 pub use wakeup::{Wakeup, WakeupHandle};

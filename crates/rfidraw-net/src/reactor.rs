@@ -51,17 +51,8 @@
 //! from other threads reaches it only through its [`Wakeup`] self-pipe.
 //! [`Handler::on_start`] hands the handler a [`WakeupHandle`] it may clone
 //! to other threads (the serve layer gives it to session subscriptions
-//! and drain waiters); when notified, the reactor drains the pipe, adopts
-//! any injected connections (multi-reactor mode), and calls
-//! [`Handler::on_wakeup`].
-//!
-//! # Multi-reactor accept
-//!
-//! [`spawn_multi`] runs N independent reactors behind one listener: a
-//! dedicated thread does blocking accepts and hands each new connection
-//! to the next reactor round-robin (fd passing over an in-process
-//! channel, wakeup pipe to get it adopted promptly). All reactors share
-//! one [`ReactorStats`] block, so observers see the aggregate.
+//! and drain waiters); when notified, the reactor drains the pipe and
+//! calls [`Handler::on_wakeup`].
 //!
 //! # Shutdown
 //!
@@ -79,7 +70,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Opaque identifier for one accepted connection (unique per reactor,
@@ -103,8 +94,7 @@ pub struct ReactorConfig {
     /// Per-frame payload/line cap handed to each connection's decoder.
     pub max_frame_payload: usize,
     /// Connections beyond this are accepted and immediately closed
-    /// (counted in [`ReactorStats::rejected`]). In multi-reactor mode the
-    /// cap applies per reactor.
+    /// (counted in [`ReactorStats::rejected`]).
     pub max_connections: usize,
     /// How long shutdown may spend flushing pending writes before
     /// closing anyway.
@@ -124,8 +114,7 @@ impl Default for ReactorConfig {
 }
 
 /// Live counters shared between the reactor thread and observers.
-/// Everything is monotonic except `open` and `parked` (gauges). In
-/// multi-reactor mode one block is shared by all reactors.
+/// Everything is monotonic except `open` and `parked` (gauges).
 #[derive(Debug, Default)]
 pub struct ReactorStats {
     /// Connections accepted.
@@ -297,8 +286,7 @@ pub fn spawn<H: Handler>(
     let shutdown = Arc::new(AtomicBool::new(false));
     let mut reactor = Reactor {
         poller,
-        listener: Some(listener),
-        inject: None,
+        listener,
         wakeup,
         config,
         handler,
@@ -319,177 +307,6 @@ pub fn spawn<H: Handler>(
         shutdown,
         wakeup: wakeup_handle,
         join: Some(join),
-    })
-}
-
-/// One reactor thread of a [`spawn_multi`] group.
-struct ReactorWorker {
-    shutdown: Arc<AtomicBool>,
-    wakeup: WakeupHandle,
-    join: Option<std::thread::JoinHandle<io::Result<()>>>,
-}
-
-/// Control handle for a listener thread feeding N reactors. Dropping it
-/// shuts everything down.
-pub struct MultiReactorHandle {
-    local_addr: SocketAddr,
-    stats: Arc<ReactorStats>,
-    backend: &'static str,
-    accept_stop: Arc<AtomicBool>,
-    accept_join: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<ReactorWorker>,
-}
-
-impl MultiReactorHandle {
-    /// The address the accept thread is listening on.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The counters, aggregated across all reactors (one shared block).
-    pub fn stats(&self) -> Arc<ReactorStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Which readiness backend the reactors run.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend
-    }
-
-    /// How many reactor threads serve this listener.
-    pub fn reactors(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Graceful shutdown: stop accepting first (no connection may land on
-    /// a dying reactor), then drain/flush/close each reactor. Idempotent.
-    pub fn shutdown(&mut self) -> io::Result<()> {
-        if !self.accept_stop.swap(true, Ordering::SeqCst) {
-            // The accept thread blocks in accept(2); a throwaway connect
-            // makes it see the stop flag.
-            let _ = TcpStream::connect(self.local_addr);
-        }
-        if let Some(join) = self.accept_join.take() {
-            let _ = join.join();
-        }
-        for w in &mut self.workers {
-            w.shutdown.store(true, Ordering::SeqCst);
-            w.wakeup.notify();
-        }
-        let mut result = Ok(());
-        for w in &mut self.workers {
-            if let Some(join) = w.join.take() {
-                match join.join() {
-                    Ok(r) => {
-                        if result.is_ok() {
-                            result = r;
-                        }
-                    }
-                    Err(_) => {
-                        result = Err(io::Error::new(
-                            io::ErrorKind::Other,
-                            "reactor thread panicked",
-                        ));
-                    }
-                }
-            }
-        }
-        result
-    }
-}
-
-impl Drop for MultiReactorHandle {
-    fn drop(&mut self) {
-        let _ = self.shutdown();
-    }
-}
-
-/// Runs `reactors` reactor threads behind one listener: a dedicated
-/// accept thread hands each connection to the next reactor round-robin
-/// (fd passing over a channel + wakeup). `make_handler(i)` builds the
-/// handler for reactor `i`; connections never migrate between reactors,
-/// so each handler only ever sees its own.
-pub fn spawn_multi<H, F>(
-    listener: TcpListener,
-    config: ReactorConfig,
-    reactors: usize,
-    mut make_handler: F,
-) -> io::Result<MultiReactorHandle>
-where
-    H: Handler,
-    F: FnMut(usize) -> H,
-{
-    let reactors = reactors.max(1);
-    let local_addr = listener.local_addr()?;
-    let stats = Arc::new(ReactorStats::default());
-    let mut backend = "poll";
-    let mut senders: Vec<(mpsc::Sender<TcpStream>, WakeupHandle)> = Vec::new();
-    let mut workers = Vec::new();
-    for i in 0..reactors {
-        let mut poller = Poller::new(config.poller)?;
-        backend = poller.backend_name();
-        let wakeup = Wakeup::new()?;
-        poller.register(wakeup.as_raw_fd(), WAKEUP_TOKEN, Interest::READ)?;
-        let wakeup_handle = wakeup.handle();
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut reactor = Reactor {
-            poller,
-            listener: None,
-            inject: Some(rx),
-            wakeup,
-            config: config.clone(),
-            handler: make_handler(i),
-            conns: BTreeMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-            stats: Arc::clone(&stats),
-            shutdown: Arc::clone(&shutdown),
-            events: Vec::new(),
-            dirty: Vec::new(),
-        };
-        let join = std::thread::Builder::new()
-            .name(format!("rfidraw-reactor-{i}"))
-            .spawn(move || reactor.run())?;
-        senders.push((tx, wakeup_handle.clone()));
-        workers.push(ReactorWorker { shutdown, wakeup: wakeup_handle, join: Some(join) });
-    }
-    let accept_stop = Arc::new(AtomicBool::new(false));
-    let stop = Arc::clone(&accept_stop);
-    let accept_join = std::thread::Builder::new()
-        .name("rfidraw-accept".to_string())
-        .spawn(move || {
-            let mut rr = 0usize;
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let (tx, wakeup) = &senders[rr % senders.len()];
-                        rr += 1;
-                        if tx.send(stream).is_ok() {
-                            wakeup.notify();
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        // Transient accept failure (ECONNABORTED, fd
-                        // exhaustion): back off instead of spinning.
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            }
-        })?;
-    Ok(MultiReactorHandle {
-        local_addr,
-        stats,
-        backend,
-        accept_stop,
-        accept_join: Some(accept_join),
-        workers,
     })
 }
 
@@ -531,11 +348,7 @@ impl Conn {
 
 struct Reactor<H: Handler> {
     poller: Poller,
-    /// `Some` when this reactor owns the accept path (single-reactor
-    /// mode); `None` when connections arrive through `inject`.
-    listener: Option<TcpListener>,
-    /// Connections handed over by the multi-reactor accept thread.
-    inject: Option<mpsc::Receiver<TcpStream>>,
+    listener: TcpListener,
     wakeup: Wakeup,
     config: ReactorConfig,
     handler: H,
@@ -568,7 +381,6 @@ impl<H: Handler> Reactor<H> {
                 } else if ev.token == WAKEUP_TOKEN {
                     self.wakeup.drain();
                     self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-                    self.adopt_injected();
                     let mut out = Outbox::default();
                     self.handler.on_wakeup(&mut out);
                     self.apply(out);
@@ -603,11 +415,7 @@ impl<H: Handler> Reactor<H> {
 
     fn accept_ready(&mut self) {
         loop {
-            let accepted = match &self.listener {
-                Some(listener) => listener.accept(),
-                None => return,
-            };
-            match accepted {
+            match self.listener.accept() {
                 Ok((stream, _peer)) => self.adopt_stream(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -617,26 +425,7 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    /// Pulls connections the accept thread handed over (multi-reactor
-    /// mode; no-op otherwise).
-    fn adopt_injected(&mut self) {
-        let streams: Vec<TcpStream> = match &self.inject {
-            Some(rx) => {
-                let mut v = Vec::new();
-                while let Ok(s) = rx.try_recv() {
-                    v.push(s);
-                }
-                v
-            }
-            None => return,
-        };
-        for stream in streams {
-            self.adopt_stream(stream);
-        }
-    }
-
-    /// Registers one new connection (accepted here or injected) and opens
-    /// it with the handler.
+    /// Registers one accepted connection and opens it with the handler.
     fn adopt_stream(&mut self, stream: TcpStream) {
         if self.conns.len() >= self.config.max_connections {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -933,16 +722,7 @@ impl<H: Handler> Reactor<H> {
 
     /// The graceful-shutdown sequence (see the module docs).
     fn run_shutdown(&mut self, scratch: &mut [u8]) {
-        if let Some(listener) = &self.listener {
-            let _ = self.poller.deregister(listener.as_raw_fd());
-        }
-        // Stop late injections, then drain ones already queued so their
-        // fds close through the normal path.
-        if let Some(rx) = self.inject.take() {
-            while let Ok(stream) = rx.try_recv() {
-                drop(stream);
-            }
-        }
+        let _ = self.poller.deregister(self.listener.as_raw_fd());
         // Drain in-flight: one nonblocking read sweep picks up frames
         // already buffered in the kernel, then dispatch completes them.
         // Parked connections are skipped — their admission is stalled by

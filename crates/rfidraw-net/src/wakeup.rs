@@ -1,10 +1,9 @@
 //! The reactor's cross-thread wakeup: a nonblocking self-pipe.
 //!
 //! The reactor thread sleeps in `poll`/`epoll_wait`; anything outside it
-//! (a session worker with updates to deliver or queue room to report, the
-//! multi-reactor accept thread handing over a connection, a shutdown
-//! request) needs a way to end that sleep *through the poller*, not
-//! around it. [`Wakeup`] owns the read
+//! (a session worker with updates to deliver or queue room to report, a
+//! shutdown request) needs a way to end that sleep *through the poller*,
+//! not around it. [`Wakeup`] owns the read
 //! end of a pipe registered with the poller under a reserved token;
 //! [`WakeupHandle`] is the cheap, cloneable write end. `notify` writes
 //! one byte — a full pipe means a wakeup is already pending, so the write

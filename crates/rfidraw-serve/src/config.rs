@@ -27,14 +27,14 @@ pub enum BackpressurePolicy {
     /// as dropped. Favors freshness (a live cursor wants recent reads).
     DropOldest,
     /// Lossless admission: no read is ever refused or evicted for a full
-    /// queue. On the thread-per-connection front end (and the in-process
-    /// [`crate::LocalClient::ingest`]) the producer thread blocks until
-    /// the queue has room or the session closes. The reactor front end
-    /// never blocks its event-loop thread: it *parks* the connection —
-    /// stashes the unadmitted reads, drops read interest so the kernel
-    /// TCP buffer back-propagates the stall to that client alone — and
-    /// re-admits when the session drains. Either way the stall lands on
-    /// the producer that caused it, never on other sessions.
+    /// queue. An in-process producer ([`crate::LocalClient::ingest`])
+    /// blocks until the queue has room or the session closes. The TCP
+    /// front end never blocks its event-loop thread: it *parks* the
+    /// connection — stashes the unadmitted reads, drops read interest so
+    /// the kernel TCP buffer back-propagates the stall to that client
+    /// alone — and re-admits when the session drains. Either way the
+    /// stall lands on the producer that caused it, never on other
+    /// sessions.
     Block,
 }
 
@@ -145,48 +145,14 @@ pub struct CursorSetup {
     pub map: ScreenMap,
 }
 
-/// Which TCP front end serves the wire protocol (see the fallback matrix
-/// in DESIGN.md §12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontendMode {
-    /// The readiness-driven reactor (`rfidraw-net`): one thread, epoll or
-    /// poll, nonblocking sockets, JSON *and* binary framing with
-    /// per-connection negotiation. The default.
-    #[default]
-    Reactor,
-    /// The original thread-per-connection front end: two threads per
-    /// connection, blocking sockets, newline-JSON only. Kept as a
-    /// config-selectable fallback and as the cross-check in the
-    /// bit-identity tests.
-    ThreadPerConnection,
-}
-
-/// Network front-end configuration.
-#[derive(Debug, Clone)]
+/// Network front-end settings: what callers of
+/// [`crate::ReactorServer::bind`] pass it (`cfg.net.reactor.clone()`).
+/// The service itself never reads them.
+#[derive(Debug, Clone, Default)]
 pub struct NetConfig {
-    /// Which front end `Frontend::bind` starts.
-    pub frontend: FrontendMode,
     /// Reactor tuning (readiness backend, read buffer size, frame cap,
-    /// connection cap, shutdown flush budget). Ignored by the
-    /// thread-per-connection front end.
+    /// connection cap, shutdown flush budget).
     pub reactor: rfidraw_net::ReactorConfig,
-    /// Reactor event-loop threads. `1` (the default) runs the classic
-    /// single-reactor: the listener lives inside the event loop. Above 1,
-    /// a dedicated accept thread feeds accepted connections round-robin
-    /// to this many reactor threads through their wakeup pipes; every
-    /// reactor shares one stats block, so telemetry is unchanged. Zero is
-    /// treated as 1. Ignored by the thread-per-connection front end.
-    pub reactors: usize,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        Self {
-            frontend: FrontendMode::default(),
-            reactor: rfidraw_net::ReactorConfig::default(),
-            reactors: 1,
-        }
-    }
 }
 
 /// The full service configuration.
@@ -226,7 +192,7 @@ pub struct ServeConfig {
     /// # Panics
     /// [`crate::TrackingService::start`] panics when this is zero.
     pub shards: usize,
-    /// Network front-end selection and reactor tuning.
+    /// Reactor tuning for the TCP front end.
     pub net: NetConfig,
     /// Optional cursor mode for every session.
     pub cursor: Option<CursorSetup>,
@@ -241,7 +207,7 @@ impl ServeConfig {
     /// Sensible service defaults around a tracker template: queue of 1024
     /// reads, `Block` backpressure (lossless), 64 sessions, 30 s idle
     /// timeout, auto worker threads, 64-read drain batches, 8 registry
-    /// shards, the reactor front end, no cursor.
+    /// shards, default reactor tuning, no cursor.
     pub fn new(tracker: TrackerTemplate) -> Self {
         Self {
             tracker,

@@ -5,13 +5,10 @@
 //! bounded ingest queue with an explicit backpressure policy, placed on an
 //! EPC-sharded registry, drained fairly by a small worker pool, observable
 //! through runtime telemetry, and reachable in-process and over TCP. The
-//! TCP face is config-selectable ([`Frontend`]): the default
-//! readiness-driven reactor (`rfidraw-net`; one thread for all
-//! connections, newline-JSON wire v2 *and* length-prefixed binary wire v3
-//! with per-connection negotiation) or the classic thread-per-connection
-//! fallback (JSON only). Both share one request dispatcher, so their
-//! semantics cannot drift — the integration tests pin them to
-//! bit-identical position streams.
+//! TCP face is [`ReactorServer`]: one `rfidraw-net` reactor thread for all
+//! connections, speaking newline-JSON wire v2 *and* length-prefixed
+//! binary wire v3 with per-connection negotiation. [`WireClient`] is its
+//! blocking client.
 //!
 //! # Observability
 //!
@@ -83,11 +80,9 @@ pub mod telemetry;
 pub mod wire;
 pub mod wire3;
 
-pub use config::{
-    BackpressurePolicy, CursorSetup, FrontendMode, NetConfig, ServeConfig, TrackerTemplate,
-};
-pub use net::{WireClient, WireProtocol, WireServer};
-pub use reactor::{Frontend, ReactorServer};
+pub use config::{BackpressurePolicy, CursorSetup, NetConfig, ServeConfig, TrackerTemplate};
+pub use net::{WireClient, WireProtocol};
+pub use reactor::ReactorServer;
 pub use service::{LocalClient, ServeError, SessionView, TrackingService};
 pub use session::{CloseReason, IngestReceipt, SessionEvent};
 pub use telemetry::{NetTelemetry, SessionTelemetry, ShardTelemetry, TelemetryReport};

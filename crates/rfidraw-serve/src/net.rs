@@ -1,19 +1,9 @@
-//! Thread-per-connection front end and the dual-protocol [`WireClient`].
+//! The blocking wire-protocol client, [`WireClient`].
 //!
-//! [`WireServer`] is the original blocking front end: each connection gets
-//! a reader thread (parses frames, calls into the shared [`LocalClient`])
-//! and a writer thread (serializes replies and subscription pushes; an
-//! mpsc channel in between keeps frames atomic even when a subscription
-//! forwarder and a request reply race). It speaks newline-JSON (wire v2)
-//! only and stays available as the config-selectable fallback behind the
-//! reactor front end ([`crate::reactor`]); both share the request
-//! dispatcher in this module, so their semantics cannot drift.
-//!
-//! [`WireClient`] is the matching blocking client and speaks both
-//! protocols: [`WireProtocol::JsonV2`] (newline JSON) and
+//! It speaks both protocols: [`WireProtocol::JsonV2`] (newline JSON) and
 //! [`WireProtocol::BinaryV3`] (length-prefixed binary). Protocol choice
-//! happens at connect time — the server infers it from the first byte the
-//! client sends and answers in kind.
+//! happens at connect time — the server ([`crate::ReactorServer`]) infers
+//! it from the first byte the client sends and answers in kind.
 //!
 //! **Connection discipline.** Replies to requests and subscription pushes
 //! share one ordered byte stream, so a connection that both ingests and
@@ -23,313 +13,23 @@
 //! request — use one connection for ingest and a separate one for
 //! subscriptions, as the integration tests do.
 
-use crate::service::{LocalClient, ServeError};
-use crate::session::SessionEvent;
 use crate::telemetry::TelemetryReport;
-use crate::wire::{
-    self, DecodeError, IngestAck, IngestBatch, Message, MetricsText, PositionUpdate,
-    SessionClosed, Subscribe, TraceDumpReply, TraceQuery, WireError,
-};
+use crate::wire::{self, IngestAck, IngestBatch, Message, Subscribe, TraceQuery};
 use crate::wire3;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_metrics::TraceDump;
-use rfidraw_net::{FrameDecoder, RawFrame, ReactorStats, WakeupHandle, WireMode};
+use rfidraw_net::{FrameDecoder, RawFrame, WireMode};
 use rfidraw_protocol::Epc;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-
-/// What handling one client request produced (shared by both front ends,
-/// so reactor and thread-per-connection semantics cannot drift).
-pub(crate) enum Dispatch {
-    /// Send this reply.
-    Reply(Message),
-    /// A subscription was opened; its events now belong on this
-    /// connection.
-    Subscribed(mpsc::Receiver<SessionEvent>),
-}
-
-/// Wire-boundary validation shared by both front ends: a crafted batch
-/// (1e999 → Inf, negative time) must never reach a tracker queue. Returns
-/// the refusal reply when the whole batch must be refused (counted; the
-/// connection survives), `None` when the batch may proceed to admission.
-pub(crate) fn validate_ingest(client: &LocalClient, batch: &IngestBatch) -> Option<Message> {
-    let invalid = batch.reads.iter().filter(|r| !wire::read_is_valid(r)).count() as u64;
-    if invalid == 0 {
-        return None;
-    }
-    client.note_invalid_ingest(batch.epc, batch.reads.len() as u64, invalid);
-    Some(Message::Error(WireError {
-        code: "invalid".to_string(),
-        message: format!(
-            "batch refused: {invalid} of {} reads have non-finite or negative fields",
-            batch.reads.len()
-        ),
-    }))
-}
-
-/// Handles one decoded client→server message against the service. A
-/// subscription pokes `wakeup` (the reactor's own) after each batch.
-pub(crate) fn dispatch_request(
-    client: &LocalClient,
-    msg: Message,
-    wakeup: Option<&WakeupHandle>,
-) -> Dispatch {
-    match msg {
-        Message::Ingest(batch) => {
-            let reply = match validate_ingest(client, &batch) {
-                Some(refusal) => refusal,
-                None => match client.ingest(batch.epc, &batch.reads) {
-                    Ok(receipt) => Message::IngestAck(IngestAck::from_receipt(batch.epc, receipt)),
-                    Err(e) => Message::Error(serve_error(&e)),
-                },
-            };
-            Dispatch::Reply(reply)
-        }
-        Message::Subscribe(sub) => match client.session(sub.epc) {
-            Ok(session) => Dispatch::Subscribed(session.subscribe(wakeup.cloned())),
-            Err(e) => Dispatch::Reply(Message::Error(serve_error(&e))),
-        },
-        Message::TelemetryRequest => Dispatch::Reply(Message::Telemetry(client.telemetry())),
-        Message::MetricsRequest => Dispatch::Reply(Message::MetricsText(MetricsText {
-            body: client.telemetry().to_prometheus(),
-        })),
-        Message::TraceQuery(q) => match client.trace_recorder() {
-            Some(rec) => {
-                let mut dumps = rec.dumps();
-                if q.max_dumps > 0 && dumps.len() > q.max_dumps as usize {
-                    dumps.drain(..dumps.len() - q.max_dumps as usize);
-                }
-                if q.clear {
-                    rec.clear_dumps();
-                }
-                Dispatch::Reply(Message::TraceDump(TraceDumpReply { dumps }))
-            }
-            None => Dispatch::Reply(Message::Error(WireError {
-                code: "unsupported".to_string(),
-                message: "service was started without a trace recorder".to_string(),
-            })),
-        },
-        // Server→client messages arriving at the server are a protocol
-        // violation; refuse but keep the connection.
-        other => Dispatch::Reply(Message::Error(WireError {
-            code: "unsupported".to_string(),
-            message: format!("not a client request: {other:?}"),
-        })),
-    }
-}
-
-/// Maps a payload-level decode failure to its error reply (connection
-/// survives; framing-level failures are the reactor's business).
-pub(crate) fn decode_error_reply(e: &DecodeError) -> Message {
-    let code = match e {
-        DecodeError::Version { .. } => "version",
-        DecodeError::Malformed(_) => "parse",
-    };
-    Message::Error(WireError { code: code.to_string(), message: e.to_string() })
-}
-
-pub(crate) fn serve_error(e: &ServeError) -> WireError {
-    let code = match e {
-        ServeError::SessionLimit { .. } => "limit",
-        ServeError::ShuttingDown => "shutdown",
-    };
-    WireError { code: code.to_string(), message: e.to_string() }
-}
-
-/// The thread-per-connection TCP server: an accept loop fanning out
-/// blocking handlers that all share one [`LocalClient`]. Newline-JSON
-/// only (the fallback matrix lives in DESIGN.md §12).
-pub struct WireServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    stats: Arc<ReactorStats>,
-}
-
-impl WireServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
-    /// accepting.
-    pub fn bind<A: ToSocketAddrs>(addr: A, client: LocalClient) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        // The same counter block the reactor uses, so telemetry sums both
-        // front ends uniformly.
-        let stats = Arc::new(ReactorStats::default());
-        client.register_net_stats(Arc::clone(&stats));
-        let conn_stats = Arc::clone(&stats);
-        let accept = std::thread::Builder::new()
-            .name("rfidraw-serve-accept".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop_flag.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Ok(stream) = conn {
-                        spawn_connection(stream, client.clone(), Arc::clone(&conn_stats));
-                    }
-                }
-            })?;
-        Ok(Self { addr: local, stop, accept: Some(accept), stats })
-    }
-
-    /// The bound address (resolves the ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// This front end's live connection/frame counters.
-    pub fn stats(&self) -> Arc<ReactorStats> {
-        Arc::clone(&self.stats)
-    }
-}
-
-impl Drop for WireServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Connection handler threads exit on their own when the peer hangs
-        // up (reader sees EOF) or the tracking service closes the sessions
-        // they forward (the forwarder sends `SessionClosed` and returns).
-    }
-}
-
-fn spawn_connection(stream: TcpStream, client: LocalClient, stats: Arc<ReactorStats>) {
-    let _ = std::thread::Builder::new().name("rfidraw-serve-conn".to_string()).spawn(move || {
-        stats.accepted.fetch_add(1, Ordering::Relaxed);
-        stats.open.fetch_add(1, Ordering::Relaxed);
-        let write_stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                stats.open.fetch_sub(1, Ordering::Relaxed);
-                stats.closed.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
-        // All outbound frames funnel through one writer thread so a
-        // subscription push can never split a reply frame.
-        let (tx, rx) = mpsc::channel::<String>();
-        let writer_stats = Arc::clone(&stats);
-        let writer = std::thread::spawn(move || {
-            let mut w = BufWriter::new(write_stream);
-            while let Ok(line) = rx.recv() {
-                if w.write_all(line.as_bytes()).is_err() || w.flush().is_err() {
-                    return;
-                }
-                writer_stats.bytes_out.fetch_add(line.len() as u64, Ordering::Relaxed);
-            }
-        });
-        serve_connection(stream, &client, &tx, &stats);
-        // Dropping our sender ends the writer thread once any subscription
-        // forwarders (which hold clones) finish too.
-        drop(tx);
-        let _ = writer.join();
-        stats.open.fetch_sub(1, Ordering::Relaxed);
-        stats.closed.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// Queues one frame; `false` means the writer is gone (connection dead).
-fn send_msg(tx: &mpsc::Sender<String>, stats: &ReactorStats, msg: &Message) -> bool {
-    let mut line = wire::encode(msg);
-    line.push('\n');
-    if tx.send(line).is_ok() {
-        stats.frames_out.fetch_add(1, Ordering::Relaxed);
-        true
-    } else {
-        false
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    client: &LocalClient,
-    tx: &mpsc::Sender<String>,
-    stats: &Arc<ReactorStats>,
-) {
-    let mut r = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = match r.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => n,
-        };
-        stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-        if line.trim().is_empty() {
-            // Tolerate keep-alive blank lines.
-            continue;
-        }
-        stats.frames_in_json.fetch_add(1, Ordering::Relaxed);
-        let reply_sent = match wire::decode(&line) {
-            Err(e) => send_msg(tx, stats, &decode_error_reply(&e)),
-            Ok(msg) => match dispatch_request(client, msg, None) {
-                Dispatch::Reply(reply) => send_msg(tx, stats, &reply),
-                Dispatch::Subscribed(events) => {
-                    let tx = tx.clone();
-                    let sub_stats = Arc::clone(stats);
-                    let _ = std::thread::Builder::new()
-                        .name("rfidraw-serve-sub".to_string())
-                        .spawn(move || forward_events(&events, &tx, &sub_stats));
-                    true
-                }
-            },
-        };
-        if !reply_sent {
-            return;
-        }
-    }
-}
-
-/// Maps a session's event stream onto the wire until the session closes or
-/// the connection dies. Only positions and the final close go out;
-/// acquisition/stale/cursor events are in-process-only detail.
-fn forward_events(
-    events: &mpsc::Receiver<SessionEvent>,
-    tx: &mpsc::Sender<String>,
-    stats: &ReactorStats,
-) {
-    while let Ok(ev) = events.recv() {
-        match ev {
-            SessionEvent::Position { epc, t, pos } => {
-                let msg = Message::PositionUpdate(PositionUpdate { epc, t, x: pos.x, z: pos.z });
-                if !send_msg(tx, stats, &msg) {
-                    return;
-                }
-            }
-            SessionEvent::Closed { epc, reason } => {
-                let msg = Message::SessionClosed(SessionClosed {
-                    epc,
-                    reason: reason.as_str().to_string(),
-                });
-                let _ = send_msg(tx, stats, &msg);
-                return;
-            }
-            SessionEvent::Acquired { .. }
-            | SessionEvent::Stale { .. }
-            | SessionEvent::Degraded { .. }
-            | SessionEvent::Cursor { .. } => {}
-        }
-    }
-}
+use std::io::{self, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 
 /// Which protocol a [`WireClient`] speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireProtocol {
-    /// Newline-delimited JSON envelopes (wire v2). Understood by both
-    /// front ends.
+    /// Newline-delimited JSON envelopes (wire v2).
     #[default]
     JsonV2,
-    /// Length-prefixed binary frames (wire v3). Requires the reactor
-    /// front end.
+    /// Length-prefixed binary frames (wire v3).
     BinaryV3,
 }
 

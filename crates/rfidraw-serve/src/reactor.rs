@@ -1,14 +1,11 @@
-//! The readiness-driven TCP front end: `rfidraw-net`'s reactor wired to
-//! the tracking service.
+//! The TCP front end: `rfidraw-net`'s reactor wired to the tracking
+//! service.
 //!
 //! One reactor thread owns every connection (accept, framed reads,
 //! buffered writes); this module supplies the [`rfidraw_net::Handler`]
-//! that turns complete frames into [`crate::net::dispatch_request`] calls
-//! against the shared [`LocalClient`]. Request handling is byte-for-byte
-//! the same code path the thread-per-connection front end uses, so the
-//! two front ends cannot diverge semantically — the integration tests
-//! assert bit-identical trajectories across both and against standalone
-//! trackers.
+//! that answers each complete frame against the shared [`LocalClient`].
+//! The integration tests assert that the positions it streams are
+//! bit-identical to standalone trackers.
 //!
 //! **Pushed updates.** A subscription opened here carries the reactor's
 //! [`WakeupHandle`]: a worker sends each drain's events, then pokes the
@@ -45,18 +42,17 @@
 //! as accepted exactly once — while other connections keep flowing. See
 //! DESIGN.md §13 for the state machine.
 
-use crate::config::{FrontendMode, NetConfig};
-use crate::net::{
-    decode_error_reply, dispatch_request, serve_error, validate_ingest, Dispatch, WireServer,
-};
-use crate::service::LocalClient;
+use crate::service::{LocalClient, ServeError};
 use crate::session::{EnqueueOutcome, IngestReceipt, SessionEvent, SessionShared};
-use crate::wire::{self, IngestAck, IngestBatch, Message, PositionUpdate, SessionClosed, WireError};
+use crate::wire::{
+    self, DecodeError, IngestAck, IngestBatch, Message, MetricsText, PositionUpdate,
+    SessionClosed, TraceDumpReply, WireError,
+};
 use crate::wire3;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_net::{
-    ConnId, FrameError, MultiReactorHandle, Outbox, RawFrame, ReactorConfig, ReactorHandle,
-    ReactorStats, WakeupHandle, WireMode,
+    ConnId, FrameError, Outbox, RawFrame, ReactorConfig, ReactorHandle, ReactorStats,
+    WakeupHandle, WireMode,
 };
 use rfidraw_protocol::Epc;
 use std::collections::HashMap;
@@ -99,6 +95,19 @@ struct ConnState {
     /// The stash of a parked connection's partially admitted ingest.
     /// `Some` exactly while the reactor has the connection parked.
     pending: Option<PendingIngest>,
+}
+
+/// An `Error` reply with one of [`WireError::code`]'s stable codes.
+fn error_reply(code: &str, message: String) -> Message {
+    Message::Error(WireError { code: code.to_string(), message })
+}
+
+fn serve_error(e: &ServeError) -> Message {
+    let code = match e {
+        ServeError::SessionLimit { .. } => "limit",
+        ServeError::ShuttingDown => "shutdown",
+    };
+    error_reply(code, e.to_string())
 }
 
 fn encode_for(mode: WireMode, msg: &Message) -> Vec<u8> {
@@ -186,18 +195,27 @@ impl ServeHandler {
         Self { client, conns: HashMap::new(), wakeup: None }
     }
 
-    /// Ingest on the reactor path: validate, then admit without ever
-    /// blocking the reactor thread — a partial `Block` admission parks
-    /// the connection and holds the ack until the stash drains.
+    /// Ingest: validate, then admit without ever blocking the reactor
+    /// thread — a partial `Block` admission parks the connection and
+    /// holds the ack until the stash drains.
     fn handle_ingest(&mut self, conn: ConnId, batch: IngestBatch, mode: WireMode, out: &mut Outbox) {
-        if let Some(refusal) = validate_ingest(&self.client, &batch) {
-            out.send(conn, encode_for(mode, &refusal));
+        // Wire-boundary validation: a crafted batch (1e999 → Inf, negative
+        // time) is refused whole and counted; it never creates a session
+        // or reaches a tracker queue, and the connection survives.
+        let invalid = batch.reads.iter().filter(|r| !wire::read_is_valid(r)).count() as u64;
+        if invalid > 0 {
+            let total = batch.reads.len();
+            self.client.note_invalid_ingest(batch.epc, total as u64, invalid);
+            let message = format!(
+                "batch refused: {invalid} of {total} reads have non-finite or negative fields"
+            );
+            out.send(conn, encode_for(mode, &error_reply("invalid", message)));
             return;
         }
         let session = match self.client.session(batch.epc) {
             Ok(s) => s,
             Err(e) => {
-                out.send(conn, encode_for(mode, &Message::Error(serve_error(&e))));
+                out.send(conn, encode_for(mode, &serve_error(&e)));
                 return;
             }
         };
@@ -281,35 +299,58 @@ impl rfidraw_net::Handler for ServeHandler {
             RawFrame::Json(line) => wire::decode(line),
             RawFrame::Binary(bin) => wire3::decode_frame(bin),
         };
-        let msg = match msg {
-            Ok(msg) => msg,
+        let reply = match msg {
+            // Payload-level failure: the framing is intact, so the
+            // connection survives with an error reply.
             Err(e) => {
-                // Payload-level failure: the framing is intact, so the
-                // connection survives with an error reply.
-                out.send(conn, encode_for(mode, &decode_error_reply(&e)));
+                let code = match e {
+                    DecodeError::Version { .. } => "version",
+                    DecodeError::Malformed(_) => "parse",
+                };
+                error_reply(code, e.to_string())
+            }
+            // Ingest replies itself: its ack may wait for a parked stash.
+            Ok(Message::Ingest(batch)) => {
+                self.handle_ingest(conn, batch, mode, out);
                 return;
             }
-        };
-        // Ingest takes the non-blocking admission path (it may park this
-        // connection); everything else shares the blocking dispatcher
-        // with the thread-per-connection front end.
-        if let Message::Ingest(batch) = msg {
-            self.handle_ingest(conn, batch, mode, out);
-            return;
-        }
-        let sub_epc = match &msg {
-            Message::Subscribe(s) => Some(s.epc),
-            _ => None,
-        };
-        match dispatch_request(&self.client, msg, self.wakeup.as_ref()) {
-            Dispatch::Reply(reply) => out.send(conn, encode_for(mode, &reply)),
-            Dispatch::Subscribed(rx) => {
-                let epc = sub_epc.expect("Subscribed dispatch only from Subscribe");
-                if let Some(state) = self.conns.get_mut(&conn.0) {
-                    state.subs.push(Sub { epc, rx });
+            // A subscription carries this reactor's wakeup handle, so a
+            // worker that sends it events pokes the loop to forward them.
+            Ok(Message::Subscribe(sub)) => match self.client.session(sub.epc) {
+                Ok(session) => {
+                    let rx = session.subscribe(self.wakeup.clone());
+                    if let Some(state) = self.conns.get_mut(&conn.0) {
+                        state.subs.push(Sub { epc: sub.epc, rx });
+                    }
+                    return;
                 }
+                Err(e) => serve_error(&e),
+            },
+            Ok(Message::TelemetryRequest) => Message::Telemetry(self.client.telemetry()),
+            Ok(Message::MetricsRequest) => {
+                Message::MetricsText(MetricsText { body: self.client.telemetry().to_prometheus() })
             }
-        }
+            Ok(Message::TraceQuery(q)) => match self.client.trace_recorder() {
+                Some(rec) => {
+                    let mut dumps = rec.dumps();
+                    if q.max_dumps > 0 && dumps.len() > q.max_dumps as usize {
+                        dumps.drain(..dumps.len() - q.max_dumps as usize);
+                    }
+                    if q.clear {
+                        rec.clear_dumps();
+                    }
+                    Message::TraceDump(TraceDumpReply { dumps })
+                }
+                None => error_reply(
+                    "unsupported",
+                    "service was started without a trace recorder".to_string(),
+                ),
+            },
+            // Server→client messages arriving at the server are a protocol
+            // violation; refuse but keep the connection.
+            Ok(other) => error_reply("unsupported", format!("not a client request: {other:?}")),
+        };
+        out.send(conn, encode_for(mode, &reply));
     }
 
     fn on_frame_error(&mut self, conn: ConnId, err: FrameError, out: &mut Outbox) {
@@ -326,11 +367,7 @@ impl rfidraw_net::Handler for ServeHandler {
             },
             Some(mode) => mode,
         };
-        let reply = Message::Error(WireError {
-            code: "frame".to_string(),
-            message: err.to_string(),
-        });
-        out.send(conn, encode_for(mode, &reply));
+        out.send(conn, encode_for(mode, &error_reply("frame", err.to_string())));
     }
 
     fn on_close(&mut self, conn: ConnId, _midframe: bool, _out: &mut Outbox) {
@@ -380,18 +417,11 @@ impl rfidraw_net::Handler for ServeHandler {
     }
 }
 
-/// Single- or multi-reactor deployment behind one face.
-enum ReactorInner {
-    /// One reactor thread owning accept and every connection.
-    Single(ReactorHandle),
-    /// A dedicated accept thread feeding N reactor threads round-robin.
-    Multi(MultiReactorHandle),
-}
-
-/// The reactor front end bound to a TCP address: accepts connections,
-/// speaks both wire protocols, and serves the shared [`LocalClient`].
+/// The TCP front end bound to an address: one reactor thread that
+/// accepts connections, speaks both wire protocols, and serves the shared
+/// [`LocalClient`].
 pub struct ReactorServer {
-    inner: ReactorInner,
+    handle: ReactorHandle,
 }
 
 impl ReactorServer {
@@ -405,115 +435,27 @@ impl ReactorServer {
         let listener = TcpListener::bind(addr)?;
         let handle = rfidraw_net::spawn(listener, cfg, ServeHandler::new(client.clone()))?;
         client.register_net_stats(handle.stats());
-        Ok(Self { inner: ReactorInner::Single(handle) })
-    }
-
-    /// Binds `addr` with a dedicated accept thread distributing
-    /// connections round-robin over `reactors` reactor threads (each with
-    /// its own poller, wakeup pipe, and handler; all sharing the service
-    /// client and one stats block, so telemetry is unchanged). A
-    /// connection lives on one reactor for its whole life, which keeps
-    /// per-connection frame order — and therefore results — identical to
-    /// the single-reactor front end.
-    pub fn bind_multi<A: ToSocketAddrs>(
-        addr: A,
-        client: LocalClient,
-        cfg: ReactorConfig,
-        reactors: usize,
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let per_reactor_client = client.clone();
-        let handle = rfidraw_net::spawn_multi(listener, cfg, reactors, move |_i| {
-            ServeHandler::new(per_reactor_client.clone())
-        })?;
-        client.register_net_stats(handle.stats());
-        Ok(Self { inner: ReactorInner::Multi(handle) })
+        Ok(Self { handle })
     }
 
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.inner {
-            ReactorInner::Single(h) => h.local_addr(),
-            ReactorInner::Multi(h) => h.local_addr(),
-        }
+        self.handle.local_addr()
     }
 
-    /// The front end's live counters (shared by every reactor thread).
+    /// The reactor's live counters.
     pub fn stats(&self) -> Arc<ReactorStats> {
-        match &self.inner {
-            ReactorInner::Single(h) => h.stats(),
-            ReactorInner::Multi(h) => h.stats(),
-        }
+        self.handle.stats()
     }
 
     /// Which readiness backend runs (`"epoll"` or `"poll"`).
     pub fn backend_name(&self) -> &'static str {
-        match &self.inner {
-            ReactorInner::Single(h) => h.backend_name(),
-            ReactorInner::Multi(h) => h.backend_name(),
-        }
-    }
-
-    /// How many reactor threads serve connections.
-    pub fn reactors(&self) -> usize {
-        match &self.inner {
-            ReactorInner::Single(_) => 1,
-            ReactorInner::Multi(h) => h.reactors(),
-        }
+        self.handle.backend_name()
     }
 
     /// Graceful shutdown: deliver in-flight frames, emit `SessionClosed`
     /// to open subscriptions, flush, close, join. Also runs on drop.
     pub fn shutdown(&mut self) -> io::Result<()> {
-        match &mut self.inner {
-            ReactorInner::Single(h) => h.shutdown(),
-            ReactorInner::Multi(h) => h.shutdown(),
-        }
-    }
-}
-
-/// Whichever TCP front end the config selected, behind one face.
-pub enum Frontend {
-    /// The readiness-driven reactor (default).
-    Reactor(ReactorServer),
-    /// The thread-per-connection fallback (newline-JSON only).
-    Thread(WireServer),
-}
-
-impl Frontend {
-    /// Binds the front end picked by `net.frontend`.
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
-        client: LocalClient,
-        net: &NetConfig,
-    ) -> io::Result<Self> {
-        match net.frontend {
-            FrontendMode::Reactor if net.reactors > 1 => {
-                ReactorServer::bind_multi(addr, client, net.reactor.clone(), net.reactors)
-                    .map(Frontend::Reactor)
-            }
-            FrontendMode::Reactor => {
-                ReactorServer::bind(addr, client, net.reactor.clone()).map(Frontend::Reactor)
-            }
-            FrontendMode::ThreadPerConnection => {
-                WireServer::bind(addr, client).map(Frontend::Thread)
-            }
-        }
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        match self {
-            Frontend::Reactor(s) => s.local_addr(),
-            Frontend::Thread(s) => s.local_addr(),
-        }
-    }
-
-    /// The front end's live connection/frame counters.
-    pub fn stats(&self) -> Arc<ReactorStats> {
-        match self {
-            Frontend::Reactor(s) => s.stats(),
-            Frontend::Thread(s) => s.stats(),
-        }
+        self.handle.shutdown()
     }
 }

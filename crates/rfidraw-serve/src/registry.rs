@@ -12,7 +12,7 @@
 //! service's ready queue. Each session keeps its own FIFO queue and
 //! `scheduled` flag, so per-tag read order (and therefore every
 //! trajectory) is bit-identical to a standalone tracker — the crate's
-//! integration tests assert this across front ends.
+//! integration tests assert this in-process and over TCP.
 
 use crate::session::SessionShared;
 use crate::telemetry::ShardTelemetry;

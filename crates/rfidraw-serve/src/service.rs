@@ -3,7 +3,7 @@
 //!
 //! [`TrackingService::start`] owns the worker threads; [`LocalClient`] is
 //! the cheap, cloneable in-process handle that ingest paths, subscribers,
-//! and the TCP front-end ([`crate::net`]) all share. Sessions spin up
+//! and the TCP front end ([`crate::reactor`]) all share. Sessions spin up
 //! lazily — the first read (or subscription) for an unseen EPC builds a
 //! tracker from the configured template — and die by idle timeout,
 //! explicit close, or shutdown.
@@ -102,8 +102,8 @@ struct ServiceInner {
     sweep_period: Duration,
     global: GlobalMetrics,
     shutdown: AtomicBool,
-    /// Network front-end counter blocks registered by `Frontend::bind`,
-    /// folded into every telemetry snapshot.
+    /// Network front-end counter blocks registered by
+    /// `ReactorServer::bind`, folded into every telemetry snapshot.
     net_sources: Mutex<Vec<Arc<rfidraw_net::ReactorStats>>>,
 }
 
@@ -180,9 +180,11 @@ impl ServiceInner {
         }
         *next = now + self.sweep_period;
         drop(next);
+        // Count before the close announces it: a subscriber that sees
+        // `Closed` may ask for telemetry at once.
         for s in self.registry.take_idle(self.cfg.idle_timeout) {
-            s.close(CloseReason::Idle, &self.global);
             self.global.sessions_evicted.inc();
+            s.close(CloseReason::Idle, &self.global);
         }
         self.sweep_period
     }
@@ -302,8 +304,8 @@ impl LocalClient {
     pub fn close_session(&self, epc: Epc) -> bool {
         match self.inner.registry.remove(epc) {
             Some(s) => {
-                s.close(CloseReason::Explicit, &self.inner.global);
                 self.inner.global.sessions_closed.inc();
+                s.close(CloseReason::Explicit, &self.inner.global);
                 true
             }
             None => false,
@@ -505,8 +507,8 @@ impl Drop for TrackingService {
         // Close every remaining session: unblocks producers, tells
         // subscribers the stream is over.
         for s in self.inner.registry.drain_all() {
-            s.close(CloseReason::Shutdown, &self.inner.global);
             self.inner.global.sessions_closed.inc();
+            s.close(CloseReason::Shutdown, &self.inner.global);
         }
     }
 }

@@ -218,9 +218,8 @@ pub struct ShardTelemetry {
     pub drain_visits: u64,
 }
 
-/// Point-in-time snapshot of the network front ends (reactor and/or
-/// thread-per-connection servers registered with the service). Summed
-/// across every front end the service has ever bound.
+/// Point-in-time snapshot of the network front end: the counters of
+/// every [`crate::ReactorServer`] the service has ever bound, summed.
 ///
 /// Conservation: `connections_accepted = connections_closed +
 /// connections_open` once the servers quiesce, and every accepted frame
@@ -256,7 +255,7 @@ pub struct NetTelemetry {
     /// backpressure, waiting for their session to drain). A gauge: returns
     /// to 0 whenever no queue is full.
     pub connections_parked: u64,
-    /// Reactor wakeup-pipe firings (drain signals, injected connections,
+    /// Reactor wakeup-pipe firings (pushed updates, drain signals,
     /// shutdown pokes).
     pub wakeups: u64,
     /// Poller reregister failures; each one force-closed its connection.

@@ -15,9 +15,7 @@
 //!    tracker fed the same reads;
 //! 3. conservation stays exact when a parked connection dies or its
 //!    session closes mid-park (`parked_reads = readmissions +
-//!    parked_rejected + parked_discarded + stashed`);
-//! 4. the multi-reactor accept path serves and conserves like the
-//!    single-reactor one.
+//!    parked_rejected + parked_discarded + stashed`).
 
 use rfidraw_channel::{Channel, Scenario};
 use rfidraw_core::array::{AntennaId, Deployment};
@@ -352,66 +350,4 @@ fn session_closed_mid_park_rejects_the_stash_and_releases_the_ack() {
     // The connection survives its parked episode.
     let t = conn.telemetry().expect("connection must remain usable");
     assert_eq!(t.parked_rejected, 8);
-}
-
-/// The multi-reactor accept path: a listener thread feeding two reactors
-/// round-robin serves concurrent producers with the same lossless `Block`
-/// semantics and exact conservation as a single reactor, and shuts down
-/// cleanly.
-#[test]
-fn multi_reactor_accept_serves_and_conserves() {
-    let mut cfg = ServeConfig::new(template());
-    cfg.backpressure = BackpressurePolicy::Block;
-    cfg.workers = Some(Parallelism::Threads(2));
-    let service = TrackingService::start(cfg);
-    let mut server = ReactorServer::bind_multi(
-        "127.0.0.1:0",
-        service.client(),
-        rfidraw_net::ReactorConfig::default(),
-        2,
-    )
-    .unwrap();
-    assert_eq!(server.reactors(), 2);
-    let addr = server.local_addr();
-
-    const PRODUCERS: usize = 4;
-    const READS: usize = 256;
-    let handles: Vec<_> = (0..PRODUCERS)
-        .map(|i| {
-            std::thread::spawn(move || {
-                let epc = Epc::from_index(i as u32 + 1);
-                let mut client = WireClient::connect(addr).expect("connect");
-                let reads = synthetic_reads(READS, 0.0);
-                let mut accepted = 0u64;
-                for chunk in reads.chunks(32) {
-                    let ack = client.ingest(epc, chunk).expect("ingest");
-                    assert_eq!(ack.dropped + ack.rejected, 0, "Block is lossless");
-                    accepted += ack.accepted;
-                }
-                assert_eq!(accepted as usize, READS);
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("producer");
-    }
-
-    service.quiesce();
-    let report = service.telemetry();
-    let total = (PRODUCERS * READS) as u64;
-    assert_eq!(report.reads_ingested, total);
-    assert_eq!(report.reads_processed, total);
-    assert_eq!(report.reads_dropped + report.reads_rejected, 0);
-    assert_eq!(report.net.connections_accepted, PRODUCERS as u64);
-    assert_eq!(
-        report.net.connections_accepted,
-        report.net.connections_open + report.net.connections_closed
-    );
-    // Handovers go through the wakeup pipes (pokes may coalesce into
-    // fewer readiness events, so only >= 1 is guaranteed).
-    assert!(report.net.wakeups >= 1, "handovers poke the wakeup pipes");
-
-    server.shutdown().expect("multi-reactor shutdown");
-    let after = service.telemetry();
-    assert_eq!(after.net.connections_open, 0);
 }

@@ -20,7 +20,7 @@ use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventoryS
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::{self, Envelope, Message};
 use rfidraw_serve::{
-    BackpressurePolicy, ServeConfig, TrackerTemplate, TrackingService, WireClient, WireServer,
+    BackpressurePolicy, ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
 };
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -317,6 +317,12 @@ fn manual_service() -> TrackingService {
     TrackingService::start(cfg)
 }
 
+/// Binds the TCP front end in front of `service`.
+fn serve(service: &TrackingService) -> ReactorServer {
+    ReactorServer::bind("127.0.0.1:0", service.client(), rfidraw_net::ReactorConfig::default())
+        .expect("bind loopback")
+}
+
 /// Hostile numerics over TCP: the whole batch is refused with an
 /// `"invalid"` error frame, the refusal is counted (globally always,
 /// per-session only when the session already exists), the connection
@@ -324,7 +330,7 @@ fn manual_service() -> TrackingService {
 #[test]
 fn hostile_wire_batches_are_refused_counted_and_create_no_session() {
     let service = manual_service();
-    let server = WireServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = serve(&service);
     let mut client = WireClient::connect(server.local_addr()).unwrap();
     let hostile_epc = Epc::from_index(7);
 
@@ -381,7 +387,7 @@ fn hostile_wire_batches_are_refused_counted_and_create_no_session() {
 #[test]
 fn truncated_frames_get_a_parse_error_and_the_connection_survives() {
     let service = manual_service();
-    let server = WireServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = serve(&service);
     let mut client = WireClient::connect(server.local_addr()).unwrap();
 
     let whole = serde_json::to_string(&Envelope {
@@ -412,8 +418,10 @@ fn malformed_frame_corpus_never_kills_the_connection() {
     assert!(lines.len() >= 20, "corpus should stay substantial, got {}", lines.len());
 
     let service = manual_service();
-    let server = WireServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = serve(&service);
     let mut client = WireClient::connect(server.local_addr()).unwrap();
+    // A deadline, so a reply that never comes fails the test.
+    client.stream_mut().set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
 
     for (i, line) in lines.iter().enumerate() {
         client.send_raw(line).unwrap();

@@ -1,11 +1,11 @@
-//! Reactor front-end integration: the readiness-driven server must be
-//! observationally identical to both the thread-per-connection front end
-//! and standalone trackers — bit-for-bit on every streamed position — for
-//! eight concurrent sessions, across JSON (wire v2) and binary (wire v3)
-//! clients in any mix. Plus the connection lifecycle: idle eviction
-//! delivers `SessionClosed("idle")` with the connection staying usable,
-//! and graceful shutdown flushes `SessionClosed("shutdown")` before the
-//! socket closes.
+//! Reactor front-end integration: the TCP front end must be
+//! observationally identical to standalone trackers — bit-for-bit on
+//! every streamed position — for eight concurrent sessions, across JSON
+//! (wire v2) and binary (wire v3) clients in any mix, with telemetry over
+//! the wire that conserves every read. Plus the connection lifecycle:
+//! idle eviction delivers `SessionClosed("idle")` with the connection
+//! staying usable, and graceful shutdown flushes
+//! `SessionClosed("shutdown")` before the socket closes.
 
 use rfidraw_channel::{Channel, Scenario};
 use rfidraw_core::array::{AntennaId, Deployment};
@@ -17,8 +17,8 @@ use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventoryS
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::Message;
 use rfidraw_serve::{
-    BackpressurePolicy, FrontendMode, ReactorServer, ServeConfig, TrackerTemplate,
-    TrackingService, WireClient, WireProtocol, WireServer,
+    BackpressurePolicy, ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
+    WireProtocol,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -77,51 +77,35 @@ fn standalone_reference(
         .collect()
 }
 
-fn service_config(frontend: FrontendMode) -> ServeConfig {
-    service_config_with(template(), frontend)
+fn service_config() -> ServeConfig {
+    service_config_with(template())
 }
 
-fn service_config_with(tpl: TrackerTemplate, frontend: FrontendMode) -> ServeConfig {
+fn service_config_with(tpl: TrackerTemplate) -> ServeConfig {
     let mut cfg = ServeConfig::new(tpl);
     cfg.workers = Some(Parallelism::Threads(4));
     cfg.backpressure = BackpressurePolicy::Block;
-    cfg.net.frontend = frontend;
     cfg
 }
 
-/// Runs the eight streams through a served front end: per tag one
+/// Runs the eight streams through the TCP front end: per tag one
 /// subscriber connection (protocol chosen by `sub_protocol`) and one
 /// producer connection (`prod_protocol`). Returns each tag's streamed
-/// positions as bits.
+/// positions as bits and the telemetry once every read is processed.
+/// After the sessions close it checks the telemetry fetched over the
+/// wire: every read ingested and processed, none lost, every session
+/// closed.
 fn run_frontend(
     streams: &BTreeMap<Epc, Vec<PhaseRead>>,
     cfg: ServeConfig,
     sub_protocol: impl Fn(usize) -> WireProtocol,
     prod_protocol: impl Fn(usize) -> WireProtocol,
 ) -> (BTreeMap<Epc, PositionBits>, rfidraw_serve::TelemetryReport) {
-    let frontend = cfg.net.frontend;
+    let reactor_cfg = cfg.net.reactor.clone();
     let service = TrackingService::start(cfg);
-    let addr = match frontend {
-        FrontendMode::Reactor => {
-            let server = ReactorServer::bind(
-                "127.0.0.1:0",
-                service.client(),
-                rfidraw_net::ReactorConfig::default(),
-            )
-            .expect("bind reactor");
-            let addr = server.local_addr();
-            // Keep the reactor alive for the whole run; graceful shutdown
-            // is exercised by the dedicated lifecycle test below.
-            std::mem::forget(server);
-            addr
-        }
-        FrontendMode::ThreadPerConnection => {
-            let server = WireServer::bind("127.0.0.1:0", service.client()).expect("bind thread");
-            let addr = server.local_addr();
-            std::mem::forget(server);
-            addr
-        }
-    };
+    let mut server =
+        ReactorServer::bind("127.0.0.1:0", service.client(), reactor_cfg).expect("bind reactor");
+    let addr = server.local_addr();
 
     let collectors: Vec<_> = streams
         .keys()
@@ -131,10 +115,8 @@ fn run_frontend(
                 WireClient::connect_with(addr, sub_protocol(i)).expect("connect subscriber");
             sub.subscribe(epc).expect("subscribe");
             // A round trip on the same connection: the server handles one
-            // connection's frames in order, so the reply proves the subscription
-            // is registered before any producer below ingests. Without it, a
-            // subscriber whose connection thread is scheduled late misses the
-            // first positions of its tag.
+            // connection's frames in order, so the reply proves the
+            // subscription is registered before any producer below ingests.
             sub.telemetry().expect("subscription barrier");
             std::thread::spawn(move || {
                 let mut positions = Vec::new();
@@ -191,6 +173,15 @@ fn run_frontend(
         let (epc, positions) = c.join().expect("collector");
         got.insert(epc, positions);
     }
+
+    let mut tc = WireClient::connect(addr).expect("connect telemetry");
+    let wire_report = tc.telemetry().expect("telemetry over tcp");
+    let total: u64 = streams.values().map(|r| r.len() as u64).sum();
+    assert_eq!(wire_report.reads_ingested, total);
+    assert_eq!(wire_report.reads_processed, total);
+    assert_eq!(wire_report.reads_dropped + wire_report.reads_rejected, 0);
+    assert_eq!(wire_report.sessions_closed, streams.len() as u64);
+    server.shutdown().expect("graceful shutdown");
     (got, report)
 }
 
@@ -204,35 +195,6 @@ fn assert_streams_equal(
         assert_eq!(g.len(), exp.len(), "{label}: {epc}: position count");
         assert_eq!(g, exp, "{label}: {epc}: position bits diverged");
     }
-}
-
-/// The headline guarantee: reactor-mode serving is bit-identical to
-/// thread-per-connection serving and to standalone trackers for eight
-/// concurrent sessions.
-#[test]
-fn reactor_matches_thread_frontend_and_standalone_bit_for_bit() {
-    let streams = eight_tag_streams(13, 3.0);
-    let reference = standalone_reference(&template(), &streams);
-    assert!(
-        reference.values().filter(|p| !p.is_empty()).count() >= 6,
-        "the scenario must produce real position streams"
-    );
-
-    let (via_reactor, _) = run_frontend(
-        &streams,
-        service_config(FrontendMode::Reactor),
-        |_| WireProtocol::JsonV2,
-        |_| WireProtocol::JsonV2,
-    );
-    assert_streams_equal("reactor", &via_reactor, &reference);
-
-    let (via_threads, _) = run_frontend(
-        &streams,
-        service_config(FrontendMode::ThreadPerConnection),
-        |_| WireProtocol::JsonV2,
-        |_| WireProtocol::JsonV2,
-    );
-    assert_streams_equal("thread-per-connection", &via_threads, &reference);
 }
 
 /// JSON/binary equivalence: the same ingest over wire v2 and wire v3, in
@@ -249,7 +211,7 @@ fn mixed_protocol_sessions_are_equivalent_and_conserve() {
     // opposite. Every session therefore crosses protocols somewhere.
     let (got, report) = run_frontend(
         &streams,
-        service_config(FrontendMode::Reactor),
+        service_config(),
         |i| if i % 2 == 0 { WireProtocol::JsonV2 } else { WireProtocol::BinaryV3 },
         |i| if i % 2 == 0 { WireProtocol::BinaryV3 } else { WireProtocol::JsonV2 },
     );
@@ -292,7 +254,7 @@ fn mixed_protocol_sessions_are_equivalent_and_conserve() {
 /// `SessionClosed("idle")`, and the connection remains fully usable.
 #[test]
 fn idle_eviction_delivers_session_closed_and_the_connection_survives() {
-    let mut cfg = service_config(FrontendMode::Reactor);
+    let mut cfg = service_config();
     cfg.idle_timeout = Duration::from_millis(200);
     cfg.workers = Some(Parallelism::Threads(1));
     let service = TrackingService::start(cfg);
@@ -355,7 +317,7 @@ fn updates_are_pushed_without_further_traffic() {
         })
         .expect("the stream tracks");
 
-    let mut cfg = service_config(FrontendMode::Reactor);
+    let mut cfg = service_config();
     cfg.workers = Some(Parallelism::Threads(1));
     let service = TrackingService::start(cfg);
     let server = ReactorServer::bind(
@@ -389,7 +351,7 @@ fn updates_are_pushed_without_further_traffic() {
 /// `SessionClosed("shutdown")` before the clean EOF — on both protocols.
 #[test]
 fn graceful_shutdown_delivers_session_closed_then_clean_eof() {
-    let service = TrackingService::start(service_config(FrontendMode::Reactor));
+    let service = TrackingService::start(service_config());
     let mut server = ReactorServer::bind(
         "127.0.0.1:0",
         service.client(),
@@ -402,8 +364,10 @@ fn graceful_shutdown_delivers_session_closed_then_clean_eof() {
     let epc_b = Epc::from_index(2);
     let mut sub_json = WireClient::connect(addr).unwrap();
     sub_json.subscribe(epc_a).unwrap();
+    sub_json.telemetry().expect("subscription barrier");
     let mut sub_bin = WireClient::connect_binary(addr).unwrap();
     sub_bin.subscribe(epc_b).unwrap();
+    sub_bin.telemetry().expect("subscription barrier");
 
     let mut producer = WireClient::connect_binary(addr).unwrap();
     for (epc, t) in [(epc_a, 0.1), (epc_b, 0.2)] {
@@ -413,9 +377,6 @@ fn graceful_shutdown_delivers_session_closed_then_clean_eof() {
         assert_eq!(ack.accepted, 1);
     }
     service.quiesce();
-    // Give the reactor a tick to register both subscriptions' replies
-    // before tearing it down.
-    std::thread::sleep(Duration::from_millis(50));
     server.shutdown().expect("graceful shutdown");
 
     for (mut sub, epc) in [(sub_json, epc_a), (sub_bin, epc_b)] {
@@ -440,11 +401,11 @@ fn graceful_shutdown_delivers_session_closed_then_clean_eof() {
 /// The acceptance gate under fault injection: faulted streams (duplicate
 /// reads, swapped order, a per-antenna blackout, a clock-skew step — the
 /// wire-encodable fault classes; non-finite fields are covered by the
-/// hostile-batch and corpus tests) served through the reactor and through
-/// the thread-per-connection front end, in a protocol mix, must both stay
-/// bit-identical to standalone trackers fed the identical faulted bytes.
+/// hostile-batch and corpus tests) served over TCP in a protocol mix must
+/// stay bit-identical to standalone trackers fed the identical faulted
+/// bytes.
 #[test]
-fn faulted_streams_stay_bit_identical_across_both_frontends() {
+fn faulted_streams_stay_bit_identical_to_standalone_trackers() {
     use rfidraw_channel::{Blackout, ClockSkew, FaultSchedule, ScheduledFaults};
 
     // Dropout detection on, so the blackout exercises degraded-mode
@@ -508,7 +469,7 @@ fn faulted_streams_stay_bit_identical_across_both_frontends() {
 
     let (via_reactor, report) = run_frontend(
         &streams,
-        service_config_with(tpl.clone(), FrontendMode::Reactor),
+        service_config_with(tpl),
         |i| if i % 2 == 0 { WireProtocol::BinaryV3 } else { WireProtocol::JsonV2 },
         |i| if i % 2 == 0 { WireProtocol::JsonV2 } else { WireProtocol::BinaryV3 },
     );
@@ -521,12 +482,4 @@ fn faulted_streams_stay_bit_identical_across_both_frontends() {
         report.shards.iter().map(|s| s.reads_drained).sum::<u64>(),
         report.reads_processed
     );
-
-    let (via_threads, _) = run_frontend(
-        &streams,
-        service_config_with(tpl, FrontendMode::ThreadPerConnection),
-        |_| WireProtocol::JsonV2,
-        |_| WireProtocol::JsonV2,
-    );
-    assert_streams_equal("faulted thread-per-connection", &via_threads, &reference);
 }

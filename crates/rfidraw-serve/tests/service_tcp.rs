@@ -12,14 +12,19 @@ use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventoryS
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::{self, Envelope, Message};
 use rfidraw_serve::{
-    BackpressurePolicy, ServeConfig, TrackerTemplate, TrackingService, WireClient, WireServer,
+    BackpressurePolicy, ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
 };
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::TcpStream;
 
 fn template() -> TrackerTemplate {
     TrackerTemplate::paper_default(Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7)))
+}
+
+/// Binds the TCP front end in front of `service`.
+fn serve(service: &TrackingService) -> ReactorServer {
+    ReactorServer::bind("127.0.0.1:0", service.client(), rfidraw_net::ReactorConfig::default())
+        .expect("bind loopback")
 }
 
 fn eight_tag_streams(seed: u64, duration: f64) -> BTreeMap<Epc, Vec<PhaseRead>> {
@@ -75,7 +80,7 @@ fn eight_sessions_over_tcp_match_standalone_trackers_bit_for_bit() {
     cfg.workers = Some(Parallelism::Threads(4));
     cfg.backpressure = BackpressurePolicy::Block;
     let service = TrackingService::start(cfg);
-    let server = WireServer::bind("127.0.0.1:0", service.client()).expect("bind loopback");
+    let server = serve(&service);
     let addr = server.local_addr();
 
     // Per tag: one subscriber connection collecting the pushed stream, and
@@ -86,10 +91,8 @@ fn eight_sessions_over_tcp_match_standalone_trackers_bit_for_bit() {
             let mut sub = WireClient::connect(addr).expect("connect subscriber");
             sub.subscribe(epc).expect("subscribe");
             // A round trip on the same connection: the server handles one
-            // connection's frames in order, so the reply proves the subscription
-            // is registered before any producer below ingests. Without it, a
-            // subscriber whose connection thread is scheduled late misses the
-            // first positions of its tag.
+            // connection's frames in order, so the reply proves the
+            // subscription is registered before any producer below ingests.
             sub.telemetry().expect("subscription barrier");
             std::thread::spawn(move || {
                 let mut positions = Vec::new();
@@ -158,6 +161,9 @@ fn eight_sessions_over_tcp_match_standalone_trackers_bit_for_bit() {
     assert_eq!(report.reads_ingested, total as u64);
     assert_eq!(report.reads_processed, total as u64);
     assert_eq!(report.reads_dropped + report.reads_rejected, 0);
+    // The service's trackers refused no read of the clean streams, so
+    // neither did the standalone ones the reference ran.
+    assert_eq!(report.reads_invalid, 0);
     assert_eq!(report.sessions_closed, 8);
 }
 
@@ -168,7 +174,7 @@ fn version_mismatch_gets_an_error_frame() {
         cfg.workers = None;
         cfg
     });
-    let server = WireServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = serve(&service);
     let mut client = WireClient::connect(server.local_addr()).unwrap();
 
     let bad = serde_json::to_string(&Envelope { v: 999, msg: Message::TelemetryRequest }).unwrap();
@@ -189,7 +195,7 @@ fn malformed_and_unsupported_frames_get_error_frames() {
         cfg.workers = None;
         cfg
     });
-    let server = WireServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = serve(&service);
     let mut client = WireClient::connect(server.local_addr()).unwrap();
 
     client.send_raw("this is not json").unwrap();
@@ -219,7 +225,7 @@ fn session_cap_is_reported_over_the_wire() {
         cfg.max_sessions = 1;
         cfg
     });
-    let server = WireServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = serve(&service);
     let mut client = WireClient::connect(server.local_addr()).unwrap();
 
     let read = PhaseRead { t: 0.0, antenna: rfidraw_core::array::AntennaId(1), phase: 0.5 };
@@ -241,9 +247,4 @@ impl SendRaw for WireClient {
         stream.write_all(b"\n")?;
         stream.flush()
     }
-}
-
-#[allow(dead_code)]
-fn _assert_raw_access_exists(c: &mut WireClient) -> &mut TcpStream {
-    c.stream_mut()
 }

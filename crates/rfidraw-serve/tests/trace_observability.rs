@@ -13,7 +13,7 @@ use rfidraw_metrics::TraceSettings;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::{
-    BackpressurePolicy, ServeConfig, TrackerTemplate, TrackingService, WireClient, WireServer,
+    BackpressurePolicy, ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
 };
 use std::collections::BTreeMap;
 
@@ -206,7 +206,9 @@ fn trace_dumps_and_metrics_round_trip_over_tcp() {
     cfg.queue_capacity = 8;
     cfg.observability = Some(TraceSettings::default());
     let service = TrackingService::start(cfg);
-    let server = WireServer::bind("127.0.0.1:0", service.client()).expect("bind loopback");
+    let server =
+        ReactorServer::bind("127.0.0.1:0", service.client(), rfidraw_net::ReactorConfig::default())
+            .expect("bind loopback");
     let mut client = WireClient::connect(server.local_addr()).expect("connect");
 
     let epc = Epc::from_index(42);
@@ -242,7 +244,9 @@ fn trace_query_without_a_recorder_is_a_clean_refusal() {
     let mut cfg = ServeConfig::new(template());
     cfg.workers = None;
     let service = TrackingService::start(cfg);
-    let server = WireServer::bind("127.0.0.1:0", service.client()).expect("bind loopback");
+    let server =
+        ReactorServer::bind("127.0.0.1:0", service.client(), rfidraw_net::ReactorConfig::default())
+            .expect("bind loopback");
     let mut client = WireClient::connect(server.local_addr()).expect("connect");
 
     let err = client.trace_query(0, false).expect_err("no recorder configured");

@@ -4,10 +4,10 @@
 # plus derived throughput numbers
 # (reads/sec through the serving layer up to 10k sessions, binary vs JSON
 # wire framing, healthy throughput alongside a parked Block connection,
-# multi- vs single-reactor accept, windowed vs full-grid speedup, f32 vs
-# f64 engine speedup, quantized i16/i8 vs f32 speedups, and explicit-SIMD
-# vs scalar-kernel speedups). Records nproc: the engine numbers here are
-# serial, but serving-layer numbers depend on core count.
+# windowed vs full-grid speedup, f32 vs f64 engine speedup, quantized
+# i16/i8 vs f32 speedups, and explicit-SIMD vs scalar-kernel speedups).
+# Records nproc: the engine numbers here are serial, but serving-layer
+# numbers depend on core count.
 #
 # Usage: scripts/bench_snapshot.sh [output.json]
 #
@@ -137,17 +137,6 @@ awk -f scripts/median_ns.awk "$RAW" \
             printf "%s    \"serve_block_healthy_reads_per_sec\": %.0f", sep, \
                 256 * 1e9 / medians["serve_block_one_slow_session_256_reads"]
             sep = ",\n"
-        }
-        # Multi-reactor accept: four reactors fed round-robin vs the
-        # classic single reactor (CI gates >= 1.3x on >= 4 cores).
-        if ("serve_reactor_ingest_4096_reads_1024_sessions_r1" in medians && \
-            "serve_reactor_ingest_4096_reads_1024_sessions_r4" in medians) {
-            printf "%s    \"multi_reactor_vs_single_speedup_1024_sessions\": %.2f", sep, \
-                medians["serve_reactor_ingest_4096_reads_1024_sessions_r1"] / \
-                medians["serve_reactor_ingest_4096_reads_1024_sessions_r4"]
-            sep = ",\n"
-            printf "%s    \"serve_reactor_reads_per_sec_1024_sessions_r4\": %.0f", sep, \
-                4096 * 1e9 / medians["serve_reactor_ingest_4096_reads_1024_sessions_r4"]
         }
         if (sep != "") printf "\n"
         printf "  }\n"
