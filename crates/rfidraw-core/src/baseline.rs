@@ -1,5 +1,5 @@
 //! The compared scheme: conventional antenna-array AoA positioning
-//! (paper §6 "Compared Schemes", §8; the approach of Azzouzi et al. [12]).
+//! (paper §6 "Compared Schemes", §8; the approach of Azzouzi et al. \[12\]).
 //!
 //! The baseline uses the *same number of antennas* as RF-IDraw — eight, as
 //! two 4-element uniform linear arrays with λ/4 physical spacing (λ/2
@@ -14,7 +14,7 @@
 //! large and mutually independent — which is exactly why its reconstructed
 //! trajectories are unrecognizable (§8.1, §9).
 //!
-//! Faithful to [12], the default steering model is **far-field**: each
+//! Faithful to \[12\], the default steering model is **far-field**: each
 //! array scans plane-wave angles and the position is where the two bearing
 //! beams intersect. At the paper's 2–5 m ranges the plane-wave assumption
 //! mismatches the true spherical wavefront across the 0.75 m aperture,
@@ -42,7 +42,7 @@ pub struct BaselineArrays {
     dep: Deployment,
     arrays: Vec<Vec<AntennaId>>,
     /// Steer with the far-field (plane-wave) model, as the compared scheme
-    /// [12] does (default). `false` upgrades the baseline to near-field
+    /// \[12\] does (default). `false` upgrades the baseline to near-field
     /// focusing — strictly better than the published scheme, useful for
     /// ablations.
     pub far_field: bool,

@@ -42,7 +42,7 @@
 //! (table entry, measured turns, `-f²` terms, partial sums) and widens to
 //! `f64` only when the finished accumulator is written out — an exact
 //! conversion. The sweep is additionally *tiled* over the cell dimension
-//! ([`CELL_TILE`] cells per tile) so the accumulator tile stays in L1
+//! (`CELL_TILE` cells per tile) so the accumulator tile stays in L1
 //! while the pair columns stream through. Neither tiling nor sharding
 //! changes any per-cell operation sequence, so f32 results are
 //! bit-identical across every [`Parallelism`] setting and tile boundary.
@@ -55,8 +55,8 @@
 //!
 //! Below f32 sit two fixed-point precisions. `I16` and `I8` store each
 //! entry's *fractional* turns as two's-complement fixed point at the full
-//! type width (2¹⁶ or 2⁸ quanta per turn, the per-table scale recorded in
-//! [`QuantTable::scale_bits`]): integer turns wrap away at quantization,
+//! type width (2¹⁶ or 2⁸ quanta per turn, the per-table scale recorded
+//! with the table): integer turns wrap away at quantization,
 //! and the kernel's wrapping subtraction `q_t − q_m` *is* the
 //! modulo-1-turn fold — no rounding, no libm, no lobe search. The
 //! difference squares and accumulates per-lane in a fixed order: `I8`
@@ -84,9 +84,9 @@
 //! mood on the baseline target. [`VoteEngine::set_simd_mode`] can pin the
 //! scalar kernel; results never change, only wall-clock.
 //!
-//! The table slots are `Arc`s so engines over the same
-//! (deployment, plane, grid) can share physical tables — see
-//! [`crate::cache::TableCache`].
+//! The table slots are `Arc`s, so a cloned engine shares its original's
+//! tables: both score the same grid, and whichever builds a table first
+//! builds it for both.
 
 use crate::array::{AntennaPair, Deployment};
 use crate::exec::Parallelism;
@@ -126,10 +126,7 @@ const CELL_TILE_I8: usize = 4096;
 /// [`VoteEngine::f32_vote_error_bound`]); `I16` and `I8` quantize the
 /// fractional turns to fixed point for 4× / 8× compression over f64, with
 /// their own derived bound ([`VoteEngine::vote_error_bound`]) and exact
-/// integer accumulation (see the module docs). The precision is part of
-/// the engine configuration, not the cache key: a
-/// [`crate::cache::TableCache`] entry carries one slot per precision, so
-/// mixed fleets share geometry without duplicating keys.
+/// integer accumulation (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TablePrecision {
     /// Double-precision tables — bit-identical to [`VoteMap::evaluate`].
@@ -153,8 +150,7 @@ impl Default for TablePrecision {
 }
 
 impl TablePrecision {
-    /// Every precision, in byte-cost order. Telemetry and the cache walk
-    /// this to break accounting out per precision.
+    /// Every precision, in byte-cost order.
     pub const ALL: [TablePrecision; 4] =
         [TablePrecision::F64, TablePrecision::F32, TablePrecision::I16, TablePrecision::I8];
 
@@ -168,25 +164,13 @@ impl TablePrecision {
         }
     }
 
-    /// The lower-case label telemetry uses for this precision (the
-    /// `precision="…"` value on per-precision Prometheus series).
+    /// The lower-case label reports use for this precision.
     pub fn label(self) -> &'static str {
         match self {
             TablePrecision::F64 => "f64",
             TablePrecision::F32 => "f32",
             TablePrecision::I16 => "i16",
             TablePrecision::I8 => "i8",
-        }
-    }
-
-    /// Dense index into per-precision arrays (cache slots, byte
-    /// breakdowns), in [`TablePrecision::ALL`] order.
-    pub(crate) fn index(self) -> usize {
-        match self {
-            TablePrecision::F64 => 0,
-            TablePrecision::F32 => 1,
-            TablePrecision::I16 => 2,
-            TablePrecision::I8 => 3,
         }
     }
 }
@@ -227,8 +211,7 @@ pub struct VoteEngine {
     /// Pair-major distance-difference table in turns:
     /// `table[k * grid.len() + c] = turns_factor · (|P_c − pos_i_k| − |P_c − pos_j_k|)`.
     /// Built on first use (see module docs for when that pays off). Behind
-    /// an `Arc` so a [`crate::cache::TableCache`] can make engines over the
-    /// same (deployment, plane, grid) share one physical table; a fresh
+    /// an `Arc` so clones of the engine share one physical table; a fresh
     /// engine always starts with a private slot.
     table: Arc<OnceLock<Vec<f64>>>,
     /// The single-precision sibling of `table`: same pair-major layout,
@@ -339,12 +322,10 @@ impl VoteEngine {
         self.precision
     }
 
-    /// Changes the table precision. Must be called before the engine is
-    /// adopted into a [`crate::cache::TableCache`]: a cache charges its
-    /// byte budget for the precision an engine declares at adoption, so
-    /// switching afterwards detaches the engine onto fresh *private* slots
-    /// (dropping any shared or already-built table) rather than letting it
-    /// build uncharged bytes into a shared slot.
+    /// Changes the table precision. Switching detaches the engine onto
+    /// fresh *private* slots (dropping any shared or already-built table),
+    /// so a clone that switches never builds into the slots its siblings
+    /// share.
     pub fn set_precision(&mut self, precision: TablePrecision) {
         if precision != self.precision {
             self.precision = precision;
@@ -370,8 +351,6 @@ impl VoteEngine {
 
     /// The bytes the active-precision table occupies once built (exactly
     /// `grid cells × pairs × entry size`; the table is a dense rectangle).
-    /// This is also what a [`crate::cache::TableCache`] charges against
-    /// its byte budget at adoption time.
     pub fn table_bytes(&self) -> u64 {
         self.grid.len() as u64 * self.pairs.len() as u64 * self.precision.entry_bytes()
     }
@@ -415,74 +394,6 @@ impl VoteEngine {
                 self.build_table_i8();
             }
         }
-    }
-
-    /// The engine's f64 table slot, for sharing through a
-    /// [`crate::cache::TableCache`]. Cloning the `Arc` is cheap; the table
-    /// itself is built at most once per slot.
-    pub(crate) fn table_slot(&self) -> Arc<OnceLock<Vec<f64>>> {
-        Arc::clone(&self.table)
-    }
-
-    /// The engine's f32 table slot (see [`VoteEngine::table_slot`]).
-    pub(crate) fn table_slot_f32(&self) -> Arc<OnceLock<Vec<f32>>> {
-        Arc::clone(&self.table_f32)
-    }
-
-    /// Replaces the engine's f64 table slot with a shared one. Only the
-    /// cache calls this, and only with a slot for the identical
-    /// (deployment, plane, grid, pairs) fingerprint, so the table contents
-    /// are the same bits either way — sharing never changes a result.
-    pub(crate) fn set_table_slot(&mut self, slot: Arc<OnceLock<Vec<f64>>>) {
-        self.table = slot;
-    }
-
-    /// Replaces the engine's f32 table slot with a shared one (see
-    /// [`VoteEngine::set_table_slot`]).
-    pub(crate) fn set_table_slot_f32(&mut self, slot: Arc<OnceLock<Vec<f32>>>) {
-        self.table_f32 = slot;
-    }
-
-    /// The engine's i16 table slot (see [`VoteEngine::table_slot`]).
-    pub(crate) fn table_slot_i16(&self) -> Arc<OnceLock<QuantTable<i16>>> {
-        Arc::clone(&self.table_i16)
-    }
-
-    /// The engine's i8 table slot (see [`VoteEngine::table_slot`]).
-    pub(crate) fn table_slot_i8(&self) -> Arc<OnceLock<QuantTable<i8>>> {
-        Arc::clone(&self.table_i8)
-    }
-
-    /// Replaces the engine's i16 table slot with a shared one (see
-    /// [`VoteEngine::set_table_slot`]).
-    pub(crate) fn set_table_slot_i16(&mut self, slot: Arc<OnceLock<QuantTable<i16>>>) {
-        self.table_i16 = slot;
-    }
-
-    /// Replaces the engine's i8 table slot with a shared one (see
-    /// [`VoteEngine::set_table_slot`]).
-    pub(crate) fn set_table_slot_i8(&mut self, slot: Arc<OnceLock<QuantTable<i8>>>) {
-        self.table_i8 = slot;
-    }
-
-    /// A canonical fingerprint of everything the table depends on: the
-    /// grid lattice, the lifted plane, the pair set with its geometry, and
-    /// the turns factor. Two engines with equal fingerprints build
-    /// bit-identical tables.
-    pub(crate) fn table_fingerprint(&self) -> crate::cache::TableKey {
-        crate::cache::TableKey::new(self)
-    }
-
-    pub(crate) fn plane(&self) -> Plane {
-        self.plane
-    }
-
-    pub(crate) fn geom(&self) -> &[(Point3, Point3)] {
-        &self.geom
-    }
-
-    pub(crate) fn turns_factor(&self) -> f64 {
-        self.turns_factor
     }
 
     /// Builds (once) and returns the pair-major distance-difference table.
@@ -1572,6 +1483,33 @@ mod tests {
         engine.evaluate(&ms);
         assert_eq!(first, engine.build_table().as_ptr());
         assert!(engine.is_table_built());
+    }
+
+    #[test]
+    fn cloned_engines_share_one_table() {
+        let (dep, plane, grid, _) = setup();
+        let a = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+        let b = a.clone();
+        assert!(!a.is_table_built() && !b.is_table_built(), "cloning must not build eagerly");
+        // Whichever engine builds first builds the one physical table both use.
+        a.build_table();
+        assert!(b.is_table_built());
+        assert_eq!(a.build_table().as_ptr(), b.build_table().as_ptr());
+        assert_eq!(
+            b.table_bytes(),
+            (a.build_table().len() * std::mem::size_of::<f64>()) as u64
+        );
+    }
+
+    #[test]
+    fn shared_table_scores_like_a_private_one() {
+        let (dep, plane, grid, ms) = setup();
+        let private = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+        let reference = private.evaluate(&ms);
+        let a = private.clone();
+        let b = a.clone();
+        a.build_table();
+        assert_eq!(bits(reference.values()), bits(b.evaluate(&ms).values()));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! |---|---|---|
 //! | [`geom`] | — | points, planes, distances |
 //! | [`phase`] | §3.1 | phase wrap/unwrap, wavelength helpers (Eq. 1–2) |
-//! | [`array`] | §3.4–3.5, §6 | antennas, pairs, deployments (Fig. 6d) |
+//! | [`array`](mod@array) | §3.4–3.5, §6 | antennas, pairs, deployments (Fig. 6d) |
 //! | [`lobes`] | §3.2–3.3 | grating-lobe structure, AoA candidates (Eq. 3–5) |
 //! | [`vote`] | §5.1 | per-pair votes on points (Eq. 6–7) |
 //! | [`grid`] | §5.1 | search surfaces and vote-map evaluation |
@@ -57,7 +57,6 @@
 
 pub mod array;
 pub mod baseline;
-pub mod cache;
 pub mod engine;
 pub mod exec;
 pub mod filter;
@@ -74,7 +73,6 @@ pub mod volume;
 pub mod vote;
 
 pub use array::{Antenna, AntennaId, AntennaPair, Deployment, ReaderId};
-pub use cache::{AdoptOutcome, CacheConfig, TableCache, TableCacheStats};
 pub use engine::{TablePrecision, VoteEngine};
 pub use exec::Parallelism;
 pub use rfidraw_simd::SimdMode;

@@ -395,19 +395,10 @@ impl OnlineTracker {
         self.windowed_evals
     }
 
-    /// Adopts the positioner's distance tables into `cache`, so trackers
-    /// over the same deployment/plane/grids share physical tables (see
-    /// [`crate::cache`]), and eagerly builds them — one build amortized
-    /// across every sharing tracker. Results are unchanged. Returns the
-    /// `[coarse, fine]` adopt outcomes (a budgeted cache may report a
-    /// [`crate::cache::AdoptOutcome::Rebuild`] after evictions).
-    pub fn attach_table_cache(
-        &mut self,
-        cache: &crate::cache::TableCache,
-    ) -> [crate::cache::AdoptOutcome; 2] {
-        let outcomes = self.positioner.attach_table_cache(cache);
-        self.positioner.prebuild_tables();
-        outcomes
+    /// The acquisition positioner. Clones of a tracker share its vote
+    /// tables (see [`MultiResPositioner::prebuild_tables`]).
+    pub fn positioner(&self) -> &MultiResPositioner {
+        &self.positioner
     }
 
     /// The timestamp of the newest read the tracker has accepted, if any.
@@ -1235,6 +1226,29 @@ mod tests {
         ));
         // Rejected reads left no trace: the accepted read is still newest.
         assert_eq!(tracker.last_read_time(), Some(1.0));
+    }
+
+    #[test]
+    fn clone_shares_built_tables_and_tracks_like_a_fresh_tracker() {
+        // A serving layer builds one tracker and clones it per session: the
+        // clone must share the built tables, not copy them...
+        let (dep, plane, proto) = setup();
+        proto.positioner().prebuild_tables();
+        let mut clone = proto.clone();
+        let addrs = |t: &OnlineTracker| t.positioner().f64_tables().map(<[f64]>::as_ptr);
+        assert_eq!(addrs(&proto), addrs(&clone), "the clone copied a table");
+        // ...and track exactly like a tracker that builds its own, whose
+        // fine table stays lazy (the masked path computes distances).
+        let (_, _, mut fresh) = setup();
+        for r in reads_for_path(&dep, plane, &circle_path(), 2.0) {
+            clone.push(r).unwrap();
+            fresh.push(r).unwrap();
+        }
+        let bits = |t: &OnlineTracker| -> Vec<(u64, u64)> {
+            t.trajectory().iter().map(|p| (p.x.to_bits(), p.z.to_bits())).collect()
+        };
+        assert!(!clone.trajectory().is_empty(), "the clone never tracked");
+        assert_eq!(bits(&clone), bits(&fresh));
     }
 
     #[test]

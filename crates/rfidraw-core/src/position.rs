@@ -13,7 +13,6 @@
 //! candidate whose traced trajectory keeps the highest cumulative vote wins.
 
 use crate::array::Deployment;
-use crate::cache::{AdoptOutcome, TableCache};
 use crate::engine::{TablePrecision, VoteEngine};
 use crate::exec::Parallelism;
 use crate::geom::{Plane, Point2, Rect};
@@ -208,26 +207,33 @@ impl MultiResPositioner {
         self.coarse_engine.grid()
     }
 
-    /// Adopts both engines' distance tables into `cache`, so positioners
-    /// over the same (deployment, plane, grid) share two physical tables
-    /// instead of building private copies. Sharing never changes any
-    /// result (see [`crate::cache`]). Returns the `[coarse, fine]` adopt
-    /// outcomes so callers can observe cache churn (e.g. a
-    /// [`AdoptOutcome::Rebuild`] after an eviction) explicitly.
-    pub fn attach_table_cache(&mut self, cache: &TableCache) -> [AdoptOutcome; 2] {
-        [cache.adopt(&mut self.coarse_engine), cache.adopt(&mut self.fine_engine)]
-    }
-
     /// Eagerly builds both distance tables (idempotent). A standalone
     /// positioner leaves the fine table lazy — the stage-1 filter keeps so
     /// little of the fine grid that on-the-fly distances win for a single
-    /// user — but once a [`TableCache`] shares tables across many
-    /// sessions, one eager build is amortized over all of them and every
-    /// masked evaluation takes the faster table-backed path. Which path
-    /// runs never changes any value (see [`crate::engine`]).
+    /// user — but clones share the tables (see [`crate::engine`]), so when
+    /// many sessions clone one positioner, one eager build is amortized
+    /// over all of them and every masked evaluation takes the faster
+    /// table-backed path. Which path runs never changes any value.
     pub fn prebuild_tables(&self) {
         self.coarse_engine.prebuild();
         self.fine_engine.prebuild();
+    }
+
+    /// The coarse and fine f64 tables, built if need be (tests compare
+    /// their addresses to check sharing).
+    #[cfg(test)]
+    pub(crate) fn f64_tables(&self) -> [&[f64]; 2] {
+        [self.coarse_engine.build_table(), self.fine_engine.build_table()]
+    }
+
+    /// Bytes held by the built coarse and fine tables (an unbuilt table
+    /// counts zero).
+    pub fn table_bytes(&self) -> u64 {
+        [&self.coarse_engine, &self.fine_engine]
+            .into_iter()
+            .filter(|e| e.is_table_built())
+            .map(VoteEngine::table_bytes)
+            .sum()
     }
 
     /// Runs both stages and returns the ranked candidates.

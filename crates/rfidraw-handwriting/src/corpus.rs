@@ -1,6 +1,6 @@
 //! An embedded frequent-word list standing in for the Corpus of
 //! Contemporary American English (COCA) top-5000 the paper samples from
-//! (§6, [6]).
+//! (§6, \[6\]).
 //!
 //! The list below contains ~470 of the most common English words restricted
 //! to lowercase `a`–`z` (the font's coverage), spanning lengths 2–10 and

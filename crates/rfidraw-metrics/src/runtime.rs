@@ -6,7 +6,7 @@
 //! sessions evicted, …) and a fixed-bucket [`LatencyHistogram`] for the
 //! ingest→position path. Both are lock-free (`AtomicU64`), cheap enough to
 //! sit on hot paths, and snapshot into plain serializable structs
-//! ([`CounterSnapshot`] is just a `u64`; [`HistogramSnapshot`] carries the
+//! (a counter snapshots to a plain `u64`; [`HistogramSnapshot`] carries the
 //! bucket boundaries so a report is self-describing).
 //!
 //! Consumers (e.g. `rfidraw-serve`) aggregate these into their own report

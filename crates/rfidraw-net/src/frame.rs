@@ -245,25 +245,28 @@ impl FrameDecoder {
     }
 
     fn next_json(&mut self) -> Result<Option<RawFrame>, FrameError> {
-        let pending = &self.buf[self.head..];
-        match pending.iter().position(|&b| b == b'\n') {
-            Some(nl) => {
-                let line_bytes = &pending[..nl];
-                let line = std::str::from_utf8(line_bytes)
-                    .map_err(|_| FrameError::NotUtf8)?
-                    .trim_end_matches('\r')
-                    .to_string();
-                self.head += nl + 1;
-                // Blank keep-alive lines are not frames; recurse past them.
-                if line.trim().is_empty() {
-                    return self.next_json();
+        loop {
+            let pending = &self.buf[self.head..];
+            match pending.iter().position(|&b| b == b'\n') {
+                Some(nl) => {
+                    let line_bytes = &pending[..nl];
+                    let line = std::str::from_utf8(line_bytes)
+                        .map_err(|_| FrameError::NotUtf8)?
+                        .trim_end_matches('\r')
+                        .to_string();
+                    self.head += nl + 1;
+                    // Blank keep-alive lines are not frames. Skip them in a
+                    // loop, not by recursion: one read can carry tens of
+                    // thousands.
+                    if !line.trim().is_empty() {
+                        return Ok(Some(RawFrame::Json(line)));
+                    }
                 }
-                Ok(Some(RawFrame::Json(line)))
+                None if pending.len() > self.max_payload => {
+                    return Err(FrameError::LineTooLong { max: self.max_payload });
+                }
+                None => return Ok(None),
             }
-            None if pending.len() > self.max_payload => {
-                Err(FrameError::LineTooLong { max: self.max_payload })
-            }
-            None => Ok(None),
         }
     }
 
@@ -520,6 +523,24 @@ mod tests {
         d.feed(&[MAGIC[0], MAGIC[1], BINARY_VERSION, 1, 0x04, 0x00]);
         assert_eq!(d.next().unwrap(), None, "incomplete header just waits");
         assert!(d.has_partial(), "an EOF here is a mid-frame disconnect");
+    }
+
+    #[test]
+    fn a_read_of_blank_lines_does_not_overflow_the_stack() {
+        // Twice the reactor's default 64 KiB read, on a stack far smaller
+        // than a thread's default 2 MiB.
+        let next = std::thread::Builder::new()
+            .stack_size(64 << 10)
+            .spawn(|| {
+                let mut d = FrameDecoder::default();
+                d.feed(&[b'\n'; 128 << 10]);
+                d.feed(b"{}\n");
+                d.next()
+            })
+            .expect("spawn decoder thread")
+            .join()
+            .expect("decoder thread");
+        assert_eq!(next, Ok(Some(RawFrame::Json("{}".to_string()))));
     }
 
     #[test]

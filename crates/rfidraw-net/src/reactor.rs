@@ -1,4 +1,4 @@
-//! The reactor: one thread, one [`Poller`](crate::poller::Poller), every
+//! The reactor: one thread, one [`Poller`], every
 //! connection.
 //!
 //! The reactor owns the listener and all connection fds, runs the

@@ -1,4 +1,4 @@
-//! EPC identifiers and the Gen-2 CRC (EPCglobal Class 1 Generation 2 [15]).
+//! EPC identifiers and the Gen-2 CRC (EPCglobal Class 1 Generation 2 \[15\]).
 //!
 //! Every tag carries a 96-bit Electronic Product Code; its uniqueness is
 //! what lets RF-IDraw distinguish multiple users writing simultaneously

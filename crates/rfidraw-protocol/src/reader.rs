@@ -1,6 +1,6 @@
 //! A multi-port reader and its antenna dwell schedule.
 //!
-//! Commercial 4-port readers (the paper uses ThingMagic M6e units [33])
+//! Commercial 4-port readers (the paper uses ThingMagic M6e units \[33\])
 //! drive one antenna at a time, cycling ports on a configurable dwell. The
 //! dwell time is the key sampling knob: a short dwell revisits every
 //! antenna often (good for phase unwrapping of a moving tag) at the cost of

@@ -1,7 +1,6 @@
 //! Service configuration: how sessions are built, bounded, and drained.
 
 use rfidraw_core::array::Deployment;
-use rfidraw_core::cache::TableCache;
 use rfidraw_core::exec::Parallelism;
 use rfidraw_core::geom::{Plane, Rect};
 use rfidraw_core::online::{OnlineConfig, OnlineTracker};
@@ -40,10 +39,11 @@ pub enum BackpressurePolicy {
 
 /// Everything needed to build one per-session [`OnlineTracker`].
 ///
-/// The registry clones this template lazily, once per tag that appears in
-/// the ingest stream, so every session runs the identical pipeline
-/// configuration — which is what makes multiplexed results bit-identical
-/// to a standalone tracker.
+/// The service builds one tracker from this template when its first
+/// session opens and gives every session a clone of it, so every session
+/// runs the identical pipeline configuration — which is what makes
+/// multiplexed results bit-identical to a standalone tracker — and all
+/// of them share that tracker's coarse and fine vote tables.
 #[derive(Debug, Clone)]
 pub struct TrackerTemplate {
     /// The antenna deployment shared by all sessions.
@@ -56,13 +56,6 @@ pub struct TrackerTemplate {
     pub trace: TraceConfig,
     /// Streaming-tracker settings (tick, pruning, stale gap).
     pub online: OnlineConfig,
-    /// Shared vote-table cache. Every tracker built from this template
-    /// adopts (and eagerly populates) the cache, so N sessions over the
-    /// same deployment share exactly one coarse and one fine table instead
-    /// of building 2N copies. `None` gives each session private tables —
-    /// scoring is bit-identical either way, only memory and build work
-    /// change.
-    pub table_cache: Option<std::sync::Arc<TableCache>>,
 }
 
 impl TrackerTemplate {
@@ -92,29 +85,21 @@ impl TrackerTemplate {
                 max_read_gap: Some(1.0),
                 ..OnlineConfig::default()
             },
-            table_cache: Some(std::sync::Arc::new(TableCache::new())),
         }
     }
 
-    /// Builds a fresh tracker from this template.
+    /// Builds a fresh tracker from this template, with its coarse and
+    /// fine vote tables built, so its clones share them.
     pub fn build(&self) -> OnlineTracker {
-        let mut tracker = OnlineTracker::new(
+        let tracker = OnlineTracker::new(
             self.deployment.clone(),
             self.plane,
             self.position.clone(),
             self.trace.clone(),
             self.online.clone(),
         );
-        if let Some(cache) = &self.table_cache {
-            tracker.attach_table_cache(cache);
-        }
+        tracker.positioner().prebuild_tables();
         tracker
-    }
-
-    /// A snapshot of the shared table cache's counters, if one is
-    /// configured (surfaced through the service telemetry).
-    pub fn table_cache_stats(&self) -> Option<rfidraw_core::cache::TableCacheStats> {
-        self.table_cache.as_ref().map(|c| c.stats())
     }
 }
 
@@ -122,15 +107,6 @@ impl ServeConfig {
     /// The vote-table precision every session tracker will use.
     pub fn table_precision(&self) -> rfidraw_core::engine::TablePrecision {
         self.tracker.position.precision
-    }
-
-    /// Sets the vote-table precision for every session tracker built from
-    /// this config. `F32` halves shared-table bytes and bandwidth with a
-    /// derived, regression-gated accuracy bound (see `rfidraw-core`'s
-    /// engine docs); `F64` (the default) is bit-exact versus the
-    /// reference kernel.
-    pub fn set_table_precision(&mut self, precision: rfidraw_core::engine::TablePrecision) {
-        self.tracker.position.precision = precision;
     }
 }
 

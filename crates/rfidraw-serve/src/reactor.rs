@@ -32,7 +32,7 @@
 //! **`Block` backpressure never sleeps the reactor thread.** Ingest on
 //! this front end goes through the session's *non-blocking* admission
 //! path: when a `Block`-policy queue fills mid-batch, the handler stashes
-//! the unadmitted tail as a [`PendingIngest`], parks the connection (the
+//! the unadmitted tail as a `PendingIngest`, parks the connection (the
 //! reactor drops its read interest, so the kernel TCP buffer pushes the
 //! stall back onto that client alone), and holds the `IngestAck`. A
 //! drain waiter armed on the session pokes the reactor's wakeup pipe when

@@ -4,9 +4,11 @@
 //! [`TrackingService::start`] owns the worker threads; [`LocalClient`] is
 //! the cheap, cloneable in-process handle that ingest paths, subscribers,
 //! and the TCP front end ([`crate::reactor`]) all share. Sessions spin up
-//! lazily — the first read (or subscription) for an unseen EPC builds a
-//! tracker from the configured template — and die by idle timeout,
-//! explicit close, or shutdown.
+//! lazily — the first read (or subscription) for an unseen EPC clones the
+//! service's prototype tracker, which the first session builds from the
+//! configured template — and die by idle timeout, explicit close, or
+//! shutdown. Clones share the prototype's vote tables, so the service
+//! holds one coarse and one fine table whatever its session count.
 //!
 //! **Scheduling & determinism.** The enqueue that makes a session's
 //! queue non-empty wins its `scheduled` flag. If none of the queued reads
@@ -27,12 +29,13 @@ use crate::session::{CloseReason, IngestReceipt, SessionEvent, SessionShared};
 use crate::telemetry::{GlobalMetrics, NetTelemetry, TelemetryReport};
 use rfidraw_core::geom::Point2;
 use rfidraw_core::obs::Stage;
+use rfidraw_core::online::OnlineTracker;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_metrics::{TraceDump, TraceRecorder};
 use rfidraw_protocol::Epc;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -88,8 +91,15 @@ struct Ready {
     idle: usize,
 }
 
+/// Vote tables per tracker: one coarse, one fine.
+const TABLES_PER_TRACKER: u64 = 2;
+
 struct ServiceInner {
     cfg: ServeConfig,
+    /// The tracker every session clones, built from `cfg.tracker` when the
+    /// first session opens. The config cannot change after `start`, so
+    /// its tables never go stale.
+    prototype: OnceLock<OnlineTracker>,
     /// EPC-sharded session registry (see [`crate::registry`]): sessions
     /// are placed by EPC hash and never migrate.
     registry: ShardedRegistry,
@@ -114,7 +124,7 @@ impl ServiceInner {
         }
         let built = self.registry.get_or_insert(epc, self.cfg.max_sessions, || {
             #[allow(unused_mut)]
-            let mut tracker = self.cfg.tracker.build();
+            let mut tracker = self.prototype.get_or_init(|| self.cfg.tracker.build()).clone();
             // With the `trace` feature the per-session tracker emits core
             // hot-path events (phase unwrap, lobe locking, vote flips)
             // into the shared recorder, tagged with the session id.
@@ -211,7 +221,8 @@ impl ServiceInner {
 
     fn telemetry(&self) -> TelemetryReport {
         let sessions: Vec<Arc<SessionShared>> = self.registry.snapshot_sorted();
-        let cache = self.cfg.tracker.table_cache_stats();
+        let opened = self.global.sessions_opened.get();
+        let prototype = self.prototype.get();
         let net = {
             let sources = self.net_sources.lock().expect("net sources lock");
             let mut net = NetTelemetry::default();
@@ -222,7 +233,7 @@ impl ServiceInner {
         };
         TelemetryReport {
             active_sessions: sessions.len() as u64,
-            sessions_opened: self.global.sessions_opened.get(),
+            sessions_opened: opened,
             sessions_evicted: self.global.sessions_evicted.get(),
             sessions_closed: self.global.sessions_closed.get(),
             sessions_rejected: self.global.sessions_rejected.get(),
@@ -240,14 +251,11 @@ impl ServiceInner {
             readmissions: self.global.readmissions.get(),
             parked_rejected: self.global.parked_rejected.get(),
             parked_discarded: self.global.parked_discarded.get(),
-            table_cache_hits: cache.as_ref().map_or(0, |c| c.hits),
-            table_cache_misses: cache.as_ref().map_or(0, |c| c.misses),
-            table_cache_bytes: cache.as_ref().map_or(0, |c| c.resident_bytes),
-            table_cache_evictions: cache.as_ref().map_or(0, |c| c.evictions),
-            table_cache_bytes_by_precision: cache
-                .as_ref()
-                .map_or([0; 4], |c| c.resident_bytes_by_precision),
-            table_cache_slot_drops: cache.as_ref().map_or(0, |c| c.slot_drops),
+            // The first session built the prototype's tables; every later
+            // session's clone shares them.
+            table_cache_hits: TABLES_PER_TRACKER * opened.saturating_sub(1),
+            table_cache_misses: prototype.map_or(0, |_| TABLES_PER_TRACKER),
+            table_cache_bytes: prototype.map_or(0, |p| p.positioner().table_bytes()),
             latency: self.global.latency.snapshot(),
             queue_wait: self.global.queue_wait.snapshot(),
             compute: self.global.compute.snapshot(),
@@ -429,6 +437,7 @@ impl TrackingService {
             (cfg.idle_timeout / 4).clamp(Duration::from_millis(1), Duration::from_secs(86_400));
         let inner = Arc::new(ServiceInner {
             cfg,
+            prototype: OnceLock::new(),
             registry,
             ready: Mutex::new(Ready::default()),
             work: Condvar::new(),

@@ -718,13 +718,10 @@ mod tests {
     use rfidraw_core::array::AntennaId;
     use rfidraw_core::geom::Rect;
 
-    /// A session over the paper-default tracker, private tables (these
-    /// tests never acquire, so no table is built).
+    /// A session over the paper-default tracker.
     fn session() -> SessionShared {
         let region = Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7));
-        let mut template = TrackerTemplate::paper_default(region);
-        template.table_cache = None;
-        SessionShared::new(Epc::from_index(1), template.build(), None)
+        SessionShared::new(Epc::from_index(1), TrackerTemplate::paper_default(region).build(), None)
     }
 
     fn read(t: f64, antenna: u8) -> PhaseRead {

@@ -44,7 +44,6 @@
 //!
 //! [`TrackError`]: rfidraw_core::online::TrackError
 
-use rfidraw_core::engine::TablePrecision;
 use rfidraw_metrics::runtime::{Counter, HistogramSnapshot, LatencyHistogram};
 use rfidraw_metrics::{PromText, StageLatency, TraceRecorder};
 use rfidraw_protocol::Epc;
@@ -195,9 +194,8 @@ pub struct SessionTelemetry {
     pub degraded: bool,
 }
 
-/// Point-in-time snapshot of one registry shard (see
-/// [`crate::registry`]): how sessions spread over shards and how much
-/// the workers have drained from each.
+/// Point-in-time snapshot of one registry shard: how sessions spread over
+/// shards and how much the workers have drained from each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardTelemetry {
     /// The shard index (EPC-hash placement, stable for a session's life).
@@ -331,32 +329,16 @@ pub struct TelemetryReport {
     pub parked_rejected: u64,
     /// Stashed reads abandoned because the parked connection closed.
     pub parked_discarded: u64,
-    /// Vote-table cache hits: tracker builds that found their coarse or
-    /// fine table already shared (0 when no cache is configured).
+    /// Vote tables sessions shared instead of building: every session
+    /// after the first clones the service's prototype tracker and shares
+    /// its coarse and fine table, so this is `2 × (sessions_opened − 1)`.
     pub table_cache_hits: u64,
-    /// Vote-table cache misses: lookups that installed a new shared slot.
-    /// `hits + misses = 2 × sessions that attached` (one coarse + one fine
-    /// lookup each), so `misses` bounds the number of distinct tables.
+    /// Vote tables built: the prototype's coarse and fine table, built
+    /// when the first session opened (0 before that, 2 after).
     pub table_cache_misses: u64,
-    /// Bytes resident in built shared tables. A byte-budgeted cache keeps
-    /// this at or below its `max_resident_bytes` at every instant.
+    /// Bytes held by the prototype's built tables, which every session
+    /// shares.
     pub table_cache_bytes: u64,
-    /// Shared-table entries evicted to keep the cache within its byte
-    /// budget (0 when no cache is configured or the budget is unbounded).
-    pub table_cache_evictions: u64,
-    /// Per-precision breakdown of `table_cache_bytes`, indexed in
-    /// [`TablePrecision::ALL`] order (`f64`, `f32`, `i16`, `i8`). The four
-    /// entries sum to `table_cache_bytes` at every instant — a conservation
-    /// law the fault-injection suite asserts.
-    ///
-    /// [`TablePrecision::ALL`]: rfidraw_core::engine::TablePrecision::ALL
-    pub table_cache_bytes_by_precision: [u64; 4],
-    /// `f64` slots dropped from double-resident cache entries under byte
-    /// pressure — the precision-aware eviction stage that reclaims the
-    /// expensive slot while the deployment's cheap quantized table stays
-    /// shared. Whole-entry removals are counted in `table_cache_evictions`,
-    /// never here.
-    pub table_cache_slot_drops: u64,
     /// Ingest→position latency histogram.
     pub latency: HistogramSnapshot,
     /// Enqueue→dequeue wait histogram (how long reads sit in queues).
@@ -402,19 +384,10 @@ impl TelemetryReport {
             self.positions, self.stale_resets, self.degraded_events,
         ));
         out.push_str(&format!(
-            "tables:   {} cache hits / {} misses, {} evictions, {} slot drops, \
-             {} bytes resident ({}), {} windowed evals\n",
+            "tables:   {} cache hits / {} misses, {} bytes resident, {} windowed evals\n",
             self.table_cache_hits,
             self.table_cache_misses,
-            self.table_cache_evictions,
-            self.table_cache_slot_drops,
             self.table_cache_bytes,
-            TablePrecision::ALL
-                .iter()
-                .zip(self.table_cache_bytes_by_precision)
-                .map(|(p, b)| format!("{} {}", p.label(), b))
-                .collect::<Vec<_>>()
-                .join(" / "),
             self.windowed_evals,
         ));
         out.push_str(&format!(
@@ -494,19 +467,9 @@ impl TelemetryReport {
         p.counter("rfidraw_readmissions_total", "Stashed reads admitted after a drain signal.", &[], self.readmissions);
         p.counter("rfidraw_parked_rejected_total", "Stashed reads refused at retry (session closed).", &[], self.parked_rejected);
         p.counter("rfidraw_parked_discarded_total", "Stashed reads abandoned (connection closed mid-park).", &[], self.parked_discarded);
-        p.counter("rfidraw_table_cache_hits_total", "Vote-table cache hits.", &[], self.table_cache_hits);
-        p.counter("rfidraw_table_cache_misses_total", "Vote-table cache misses.", &[], self.table_cache_misses);
-        p.counter("rfidraw_table_cache_evictions_total", "Shared-table entries evicted to honor the cache byte budget.", &[], self.table_cache_evictions);
-        p.counter("rfidraw_table_cache_slot_drops_total", "f64 slots dropped from double-resident cache entries under byte pressure.", &[], self.table_cache_slot_drops);
-        p.gauge("rfidraw_table_cache_resident_bytes", "Bytes resident in built shared vote tables.", &[], self.table_cache_bytes as f64);
-        for (precision, bytes) in TablePrecision::ALL.iter().zip(self.table_cache_bytes_by_precision) {
-            p.gauge(
-                "rfidraw_table_cache_resident_bytes",
-                "Bytes resident in built shared vote tables.",
-                &[("precision", precision.label())],
-                bytes as f64,
-            );
-        }
+        p.counter("rfidraw_table_cache_hits_total", "Vote tables sessions shared instead of building.", &[], self.table_cache_hits);
+        p.counter("rfidraw_table_cache_misses_total", "Vote tables built.", &[], self.table_cache_misses);
+        p.gauge("rfidraw_table_cache_resident_bytes", "Bytes held by the shared vote tables.", &[], self.table_cache_bytes as f64);
         p.counter("rfidraw_net_connections_accepted_total", "Connections accepted by the network front ends.", &[], self.net.connections_accepted);
         p.counter("rfidraw_net_connections_closed_total", "Connections fully closed.", &[], self.net.connections_closed);
         p.gauge("rfidraw_net_connections_open", "Connections currently open.", &[], self.net.connections_open as f64);
@@ -602,9 +565,6 @@ mod tests {
             table_cache_hits: 2,
             table_cache_misses: 2,
             table_cache_bytes: 4096,
-            table_cache_evictions: 1,
-            table_cache_bytes_by_precision: [2048, 1024, 768, 256],
-            table_cache_slot_drops: 3,
             latency: h.snapshot(),
             queue_wait: LatencyHistogram::default_bounds().snapshot(),
             compute: LatencyHistogram::default_bounds().snapshot(),
@@ -681,11 +641,7 @@ mod tests {
         assert!(text.contains("latency:"));
         assert!(text.contains("queue:"));
         assert!(text.contains("stage engine_evaluate"));
-        assert!(text.contains("2 cache hits / 2 misses"));
-        assert!(text.contains("1 evictions"));
-        assert!(text.contains("3 slot drops"));
-        assert!(text.contains("4096 bytes resident (f64 2048 / f32 1024 / i16 768 / i8 256)"));
-        assert!(text.contains("4 windowed evals"));
+        assert!(text.contains("2 cache hits / 2 misses, 4096 bytes resident, 4 windowed evals"));
         assert!(text.contains("9 conns accepted"));
         assert!(text.contains("50 json + 70 binary frames in"));
         assert!(text.contains("12 partial resumes"));
@@ -711,18 +667,7 @@ mod tests {
         assert!(text.contains("rfidraw_windowed_evals_total 4"));
         assert!(text.contains("rfidraw_table_cache_hits_total 2"));
         assert!(text.contains("rfidraw_table_cache_misses_total 2"));
-        assert!(text.contains("rfidraw_table_cache_evictions_total 1"));
-        assert!(text.contains("rfidraw_table_cache_slot_drops_total 3"));
         assert!(text.contains("rfidraw_table_cache_resident_bytes 4096"));
-        assert!(text.contains("rfidraw_table_cache_resident_bytes{precision=\"f64\"} 2048"));
-        assert!(text.contains("rfidraw_table_cache_resident_bytes{precision=\"f32\"} 1024"));
-        assert!(text.contains("rfidraw_table_cache_resident_bytes{precision=\"i16\"} 768"));
-        assert!(text.contains("rfidraw_table_cache_resident_bytes{precision=\"i8\"} 256"));
-        assert_eq!(
-            text.matches("# TYPE rfidraw_table_cache_resident_bytes gauge").count(),
-            1,
-            "labeled and unlabeled samples must share one family header"
-        );
         assert!(text.contains("rfidraw_net_connections_accepted_total 9"));
         assert!(text.contains("rfidraw_net_frames_in_binary_total 70"));
         assert!(text.contains("rfidraw_net_partial_frame_resumes_total 12"));

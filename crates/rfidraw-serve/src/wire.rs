@@ -25,7 +25,7 @@ use crate::telemetry::TelemetryReport;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_protocol::Epc;
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// The protocol version this build speaks.
 pub const WIRE_VERSION: u64 = 2;
@@ -224,20 +224,6 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame; `Ok(None)` on a cleanly closed stream.
-pub fn read_frame<R: BufRead>(r: &mut R) -> std::io::Result<Option<Result<Message, DecodeError>>> {
-    let mut line = String::new();
-    let n = r.read_line(&mut line)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if line.trim().is_empty() {
-        // Tolerate keep-alive blank lines.
-        return read_frame(r);
-    }
-    Ok(Some(decode(&line)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,12 +306,20 @@ mod tests {
         for msg in sample_messages() {
             write_frame(&mut buf, &msg).unwrap();
         }
-        let mut r = std::io::BufReader::new(&buf[..]);
+        // Read back through the decoder the service reads JSON with.
+        let mut decoder = rfidraw_net::FrameDecoder::with_mode(
+            rfidraw_net::WireMode::Json,
+            rfidraw_net::DEFAULT_MAX_PAYLOAD,
+        );
+        decoder.feed(&buf);
         for msg in sample_messages() {
-            let got = read_frame(&mut r).unwrap().expect("frame present").unwrap();
-            assert_eq!(msg, got);
+            let Some(rfidraw_net::RawFrame::Json(line)) = decoder.next().unwrap() else {
+                panic!("expected a JSON frame");
+            };
+            assert_eq!(msg, decode(&line).unwrap());
         }
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        assert_eq!(decoder.next().unwrap(), None, "every frame consumed");
+        assert!(!decoder.has_partial());
     }
 
     #[test]

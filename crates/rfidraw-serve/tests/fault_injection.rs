@@ -14,6 +14,7 @@ use rfidraw_channel::{
 use rfidraw_core::array::{AntennaId, Deployment};
 use rfidraw_core::exec::Parallelism;
 use rfidraw_core::geom::{Plane, Point2, Point3, Rect};
+use rfidraw_core::grid::Grid2;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_core::TablePrecision;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
@@ -267,33 +268,19 @@ fn run_all_fault_classes(precision: TablePrecision) {
         0,
         "quiesce must leave every shard drained"
     );
-    // The default template shares a table cache: 8 sessions, 2 tables,
-    // and under an unbounded byte budget nothing is ever evicted — at
-    // either precision.
+    // 8 sessions, 2 tables: every session shares the coarse and fine
+    // table the first one built, and the telemetry counts their exact
+    // bytes at the sessions' precision.
     assert_eq!(report.table_cache_misses, 2);
     assert_eq!(report.table_cache_hits, 14);
-    assert_eq!(report.table_cache_evictions, 0, "unbounded budget must never evict");
-    assert!(report.table_cache_bytes > 0);
-    // Per-precision residency conservation: the four labeled samples must
-    // sum to the aggregate gauge, and with every session at one precision
-    // the whole residency sits in that precision's slot.
+    let cells = |res: f64| Grid2::new(tpl.position.region, res).len() as u64;
+    let pairs = tpl.deployment.all_pairs().count() as u64;
     assert_eq!(
-        report.table_cache_bytes_by_precision.iter().sum::<u64>(),
         report.table_cache_bytes,
-        "per-precision bytes must sum to the aggregate residency"
-    );
-    let active = TablePrecision::ALL
-        .iter()
-        .position(|&p| p == precision)
-        .expect("precision listed in ALL");
-    assert_eq!(
-        report.table_cache_bytes_by_precision[active],
-        report.table_cache_bytes,
-        "all residency must sit at the sessions' precision"
-    );
-    assert_eq!(
-        report.table_cache_slot_drops, 0,
-        "unbounded budget must never drop f64 slots"
+        (cells(tpl.position.coarse_resolution) + cells(tpl.position.fine_resolution))
+            * pairs
+            * precision.entry_bytes(),
+        "table bytes at {precision:?}"
     );
 }
 

@@ -1,6 +1,6 @@
-//! Shared vote-table cache across sessions: 8 concurrent sessions over one
+//! Shared vote tables across sessions: 8 concurrent sessions over one
 //! deployment must build exactly one coarse and one fine table between
-//! them, produce positions bit-identical to cache-less sessions, and
+//! them, produce positions bit-identical to standalone trackers, and
 //! surface the sharing through the service telemetry.
 
 use rfidraw_channel::{Channel, Scenario};
@@ -18,14 +18,7 @@ fn region() -> Rect {
 
 /// 8 static tags inventoried together, demuxed into per-tag streams.
 fn eight_tag_streams(seed: u64, duration: f64) -> BTreeMap<Epc, Vec<PhaseRead>> {
-    tag_streams_at_depth(2.0, seed, duration)
-}
-
-/// Same 8-tag inventory, but with the writing plane (and the tags) at an
-/// arbitrary depth — used to drive several *distinct* deployments against
-/// one shared cache.
-fn tag_streams_at_depth(depth: f64, seed: u64, duration: f64) -> BTreeMap<Epc, Vec<PhaseRead>> {
-    let plane = Plane::at_depth(depth);
+    let plane = Plane::at_depth(2.0);
     let positions: Vec<Point2> = (0..8)
         .map(|i| Point2::new(0.7 + 0.4 * f64::from(i % 4), 0.6 + 0.7 * f64::from(i / 4)))
         .collect();
@@ -46,34 +39,8 @@ fn tag_streams_at_depth(depth: f64, seed: u64, duration: f64) -> BTreeMap<Epc, V
     demux_phase_reads(&sim.run(&tags, duration))
 }
 
-/// Runs all streams through a manually-pumped service built from
-/// `template`, returning each session's trajectory as raw bit patterns.
-fn run_service(
-    template: TrackerTemplate,
-    streams: &BTreeMap<Epc, Vec<PhaseRead>>,
-) -> (BTreeMap<Epc, Vec<(u64, u64)>>, TrackingService) {
-    let mut cfg = ServeConfig::new(template);
-    cfg.workers = None; // deterministic manual pumping
-    cfg.queue_capacity = 1 << 14;
-    let service = TrackingService::start(cfg);
-    let client = service.client();
-    for (&epc, reads) in streams {
-        client.ingest(epc, reads).expect("ingest");
-    }
-    while service.pump() > 0 {}
-    let trajectories = streams
-        .keys()
-        .map(|&epc| {
-            let view = client.session_view(epc).expect("session exists");
-            let bits = view
-                .trajectory
-                .iter()
-                .map(|p| (p.x.to_bits(), p.z.to_bits()))
-                .collect();
-            (epc, bits)
-        })
-        .collect();
-    (trajectories, service)
+fn bits(trajectory: &[Point2]) -> Vec<(u64, u64)> {
+    trajectory.iter().map(|p| (p.x.to_bits(), p.z.to_bits())).collect()
 }
 
 #[test]
@@ -81,140 +48,46 @@ fn eight_sessions_share_exactly_two_tables_bit_identically() {
     let streams = eight_tag_streams(11, 3.0);
     assert_eq!(streams.len(), 8, "every tag should be read");
 
-    // The default template carries a shared cache; keep a handle on it so
-    // its counters can be inspected after the config moves into the service.
-    let shared = TrackerTemplate::paper_default(region());
-    let cache = shared.table_cache.clone().expect("cache on by default");
-    let mut private = TrackerTemplate::paper_default(region());
-    private.table_cache = None;
+    let template = TrackerTemplate::paper_default(region());
+    let mut cfg = ServeConfig::new(template.clone());
+    cfg.workers = None; // deterministic manual pumping
+    cfg.queue_capacity = 1 << 14;
+    let service = TrackingService::start(cfg);
+    let client = service.client();
+    for (&epc, reads) in &streams {
+        client.ingest(epc, reads).expect("ingest");
+    }
+    while service.pump() > 0 {}
+    let served: BTreeMap<Epc, Vec<(u64, u64)>> = streams
+        .keys()
+        .map(|&epc| (epc, bits(&client.session_view(epc).expect("session exists").trajectory)))
+        .collect();
 
-    let (with_cache, service) = run_service(shared, &streams);
-    let (without_cache, _plain) = run_service(private, &streams);
-
-    // Scoring through shared tables is bit-identical to private tables.
-    let tracked = with_cache.values().filter(|t| !t.is_empty()).count();
+    // Every session clones one prototype tracker and scores through its
+    // tables, bit-identically to a standalone tracker with its own.
+    let standalone: BTreeMap<Epc, Vec<(u64, u64)>> = streams
+        .iter()
+        .map(|(&epc, reads)| {
+            let mut tracker = template.build();
+            for &r in reads {
+                // The service counts a refused read and goes on; so does this.
+                let _ = tracker.push(r);
+            }
+            (epc, bits(tracker.trajectory()))
+        })
+        .collect();
+    let tracked = served.values().filter(|t| !t.is_empty()).count();
     assert!(tracked >= 6, "only {tracked}/8 sessions produced a trajectory");
-    assert_eq!(with_cache, without_cache, "shared tables changed a position");
+    assert_eq!(served, standalone, "shared tables changed a position");
 
-    // 8 sessions × (coarse + fine) lookups: the first session registers
-    // both tables, every later session finds them.
-    let stats = cache.stats();
-    assert_eq!(stats.misses, 2, "exactly one coarse and one fine table registered");
-    assert_eq!(stats.hits, 14, "7 later sessions × 2 lookups each");
-    assert_eq!(stats.entries, 2);
-    assert_eq!(stats.built_tables, 2, "both shared tables were built once");
-    assert!(stats.resident_bytes > 0);
-
-    // The sharing is visible through the service telemetry and exposition.
+    // 8 sessions × (coarse + fine): the first session built both tables,
+    // every later session shares them.
     let report = service.telemetry();
-    assert_eq!(report.table_cache_misses, 2);
-    assert_eq!(report.table_cache_hits, 14);
-    assert_eq!(report.table_cache_bytes, stats.resident_bytes);
+    assert_eq!(report.table_cache_misses, 2, "exactly one coarse and one fine table built");
+    assert_eq!(report.table_cache_hits, 14, "7 later sessions × 2 tables each");
+    assert_eq!(report.table_cache_bytes, template.build().positioner().table_bytes());
     assert_eq!(report.windowed_evals, 0, "no windowed tracking configured");
     let prom = report.to_prometheus();
     assert!(prom.contains("rfidraw_table_cache_hits_total 14"));
     assert!(prom.contains("rfidraw_table_cache_misses_total 2"));
-    assert!(prom.contains("rfidraw_table_cache_evictions_total 0"));
-}
-
-/// Three deployments (distinct plane depths) contending for a cache whose
-/// byte budget holds only two of them: the LRU policy must evict, the
-/// budget must hold at *every* step, the counters must balance, and every
-/// session must still score bit-identically to a cache-less tracker.
-#[test]
-fn three_deployments_under_a_two_deployment_budget_evict_lru_and_stay_bit_identical() {
-    let depths = [2.0, 2.5, 3.0];
-    let streams: Vec<BTreeMap<Epc, Vec<PhaseRead>>> = depths
-        .iter()
-        .map(|&d| tag_streams_at_depth(d, 17, 2.0))
-        .collect();
-    for s in &streams {
-        assert_eq!(s.len(), 8, "every tag should be read at every depth");
-    }
-
-    // Probe one deployment's (coarse + fine) footprint by building a single
-    // tracker against an unbounded cache.
-    let probe_cache = std::sync::Arc::new(rfidraw_core::TableCache::new());
-    let mut probe = TrackerTemplate::paper_default(region());
-    probe.table_cache = Some(probe_cache.clone());
-    probe.build();
-    let one_deployment = probe_cache.stats().resident_bytes;
-    assert!(one_deployment > 0);
-
-    // Budget for exactly two deployments; the third must push one out.
-    let budget = 2 * one_deployment;
-    let cache = std::sync::Arc::new(rfidraw_core::TableCache::with_config(
-        rfidraw_core::CacheConfig { max_resident_bytes: budget },
-    ));
-
-    let services: Vec<TrackingService> = depths
-        .iter()
-        .map(|&d| {
-            let mut t = TrackerTemplate::paper_default(region());
-            t.plane = Plane::at_depth(d);
-            t.table_cache = Some(cache.clone());
-            let mut cfg = ServeConfig::new(t);
-            cfg.workers = None; // deterministic manual pumping
-            cfg.queue_capacity = 1 << 14;
-            TrackingService::start(cfg)
-        })
-        .collect();
-
-    // Interleave session creation across the deployments (tag 1 on A, B, C,
-    // then tag 2 on A, B, C, …) so the LRU order actually churns, checking
-    // the budget invariant after every single step.
-    let epcs: Vec<Epc> = streams[0].keys().copied().collect();
-    for &epc in &epcs {
-        for (service, stream) in services.iter().zip(&streams) {
-            service.client().ingest(epc, &stream[&epc]).expect("ingest");
-            while service.pump() > 0 {}
-            let s = cache.stats();
-            assert!(
-                s.resident_bytes <= budget,
-                "resident {} bytes exceeded the {} byte budget",
-                s.resident_bytes,
-                budget
-            );
-        }
-    }
-
-    // Counter conservation: every session adopts twice (coarse + fine), and
-    // every successful registration either survives as an entry or was
-    // evicted.
-    let s = cache.stats();
-    let sessions = (3 * epcs.len()) as u64;
-    assert_eq!(s.hits + s.misses, 2 * sessions, "one adoption per table per session");
-    assert!(s.evictions >= 1, "three deployments cannot fit a two-deployment budget");
-    assert_eq!(s.entries as u64, s.misses - s.evictions);
-    assert!(s.resident_bytes <= budget);
-
-    // Eviction and rebuild never change a position: each budgeted service
-    // matches a cache-less service over the same streams bit-for-bit.
-    for ((service, stream), &depth) in services.iter().zip(&streams).zip(&depths) {
-        let client = service.client();
-        let budgeted: BTreeMap<Epc, Vec<(u64, u64)>> = stream
-            .keys()
-            .map(|&epc| {
-                let view = client.session_view(epc).expect("session exists");
-                let bits = view
-                    .trajectory
-                    .iter()
-                    .map(|p| (p.x.to_bits(), p.z.to_bits()))
-                    .collect();
-                (epc, bits)
-            })
-            .collect();
-        let mut private = TrackerTemplate::paper_default(region());
-        private.plane = Plane::at_depth(depth);
-        private.table_cache = None;
-        let (standalone, _service) = run_service(private, stream);
-        assert_eq!(budgeted, standalone, "eviction changed a position at depth {depth}");
-    }
-
-    // The shared counters surface through every service's telemetry.
-    let report = services[0].telemetry();
-    assert_eq!(report.table_cache_evictions, s.evictions);
-    assert_eq!(report.table_cache_bytes, s.resident_bytes);
-    let prom = report.to_prometheus();
-    assert!(prom.contains(&format!("rfidraw_table_cache_evictions_total {}", s.evictions)));
 }

@@ -4,7 +4,7 @@
 //! reproduction.
 //!
 //! The paper's prototype feeds reconstructed trajectories to an Android
-//! phone through the MonkeyRunner API, "convert[ing] the reconstructed
+//! phone through the MonkeyRunner API, "convert\[ing\] the reconstructed
 //! trajectory of the RFID to touch screen input sequences" (§6), and
 //! discusses a mouse-like cursor mode with visual feedback for selecting
 //! and manipulating on-screen items (§9.3). This crate reproduces that

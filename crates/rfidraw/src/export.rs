@@ -2,7 +2,7 @@
 //!
 //! Reconstructed trajectories are most useful outside the terminal — in a
 //! plotting notebook, a gesture dataset, or a regression corpus. This
-//! module serializes a [`WordRun`](crate::pipeline::WordRun) into JSON and
+//! module serializes a [`WordRun`] into JSON and
 //! CSV forms that preserve everything an analysis needs: the time base,
 //! ground truth, both systems' reconstructions and the candidate votes.
 

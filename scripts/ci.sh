@@ -16,6 +16,17 @@ cargo build --release --offline
 echo "== tests =="
 cargo test --offline -q
 
+echo "== docs build without warnings =="
+# Every rfidraw* package's rustdoc builds with warnings denied, so a link
+# to a deleted or private item, or a citation like [12] read as a link,
+# fails here instead of shipping a dead link. The vendored stand-ins
+# under vendor/ are left out.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q \
+    -p rfidraw -p rfidraw-bench -p rfidraw-channel -p rfidraw-core \
+    -p rfidraw-handwriting -p rfidraw-metrics -p rfidraw-net \
+    -p rfidraw-protocol -p rfidraw-recognition -p rfidraw-serve \
+    -p rfidraw-simd -p rfidraw-touch
+
 echo "== core suite in release (vectorized kernels) =="
 # The tracer's blocked tick kernel and the libm-free nearest-integer fold
 # vectorize only at opt-level 3, while the suite above builds at
