@@ -53,10 +53,7 @@ fn bench_vote_reference(c: &mut Criterion) {
 /// density where the table + sharding actually pay off). The table is
 /// built up front so the comparison isolates the accumulation kernel;
 /// results are bit-identical across all of these, only wall-clock moves.
-/// `engine_1cm_windowed` evaluates a 0.4 m window of the same grid — the
-/// tracker's re-acquisition case — instead of all of it.
 fn bench_vote_engine(c: &mut Criterion) {
-    use rfidraw::core::grid::GridWindow;
     let dep = Deployment::paper_default();
     let plane = Plane::at_depth(2.0);
     let tag = plane.lift(Point2::new(1.2, 0.9));
@@ -81,56 +78,36 @@ fn bench_vote_engine(c: &mut Criterion) {
         });
     }
 
-    let engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
-    engine.build_table();
-    let window = GridWindow::around(engine.grid(), Point2::new(1.2, 0.9), 0.2);
-    c.bench_function("engine_1cm_windowed", |b| {
-        b.iter(|| black_box(engine.evaluate_windowed(black_box(&ms), &window).argmax()))
-    });
-
-    // The f32 kernel on the same grid and window: half the table bytes and
-    // bandwidth. CI's perf-sanity gate requires `engine_1cm_f32` to beat
-    // `engine_1cm_serial` by at least 1.2x.
+    // The quantized i16 kernel on the same grid: a quarter of the f64
+    // table bytes, f32 accumulation, SIMD-dispatched. CI's perf-sanity
+    // gate requires `engine_1cm_i16` to beat `engine_1cm_serial` by at
+    // least 1.56x. `engine_1cm_i16_scalar` forces scalar dispatch so a
+    // snapshot can report the simd-vs-scalar speedup on the same machine
+    // (results are bit-identical either way; only wall-clock moves).
     use rfidraw::core::engine::TablePrecision;
+    use rfidraw::core::SimdMode;
     let mut engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
-    engine.set_precision(TablePrecision::F32);
-    engine.build_table_f32();
-    c.bench_function("engine_1cm_f32", |b| {
+    engine.set_precision(TablePrecision::I16);
+    engine.prebuild();
+    c.bench_function("engine_1cm_i16", |b| {
         b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
     });
-    let window = GridWindow::around(engine.grid(), Point2::new(1.2, 0.9), 0.2);
-    c.bench_function("engine_1cm_f32_windowed", |b| {
-        b.iter(|| black_box(engine.evaluate_windowed(black_box(&ms), &window).argmax()))
+    engine.set_simd_mode(SimdMode::Scalar);
+    c.bench_function("engine_1cm_i16_scalar", |b| {
+        b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
     });
+}
 
-    // The quantized fixed-point kernels on the same grid and window: a
-    // quarter (i16) and an eighth (i8) of the f64 table bytes, integer
-    // accumulation, SIMD-dispatched. CI's perf-sanity gate requires
-    // `engine_1cm_i16` to beat `engine_1cm_f32` by at least 1.3x. The
-    // `_scalar` variants force scalar dispatch so BENCH_09 can report the
-    // simd-vs-scalar speedup on the same machine (results are
-    // bit-identical either way; only wall-clock moves).
-    use rfidraw::core::SimdMode;
-    let grid = engine.grid().clone();
-    for (precision, name, windowed_name, scalar_name) in [
-        (TablePrecision::I16, "engine_1cm_i16", "engine_1cm_i16_windowed", "engine_1cm_i16_scalar"),
-        (TablePrecision::I8, "engine_1cm_i8", "engine_1cm_i8_windowed", "engine_1cm_i8_scalar"),
-    ] {
-        let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
-        engine.set_precision(precision);
-        engine.prebuild();
-        c.bench_function(name, |b| {
-            b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
-        });
-        let window = GridWindow::around(engine.grid(), Point2::new(1.2, 0.9), 0.2);
-        c.bench_function(windowed_name, |b| {
-            b.iter(|| black_box(engine.evaluate_windowed(black_box(&ms), &window).argmax()))
-        });
-        engine.set_simd_mode(SimdMode::Scalar);
-        c.bench_function(scalar_name, |b| {
-            b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
-        });
-    }
+/// The set-up work of a tracking service: `TrackerTemplate::build()` on
+/// the serving template's region, which builds the prototype tracker's
+/// coarse and fine f64 vote tables serially. Every later session clones
+/// the prototype and shares its tables, so this is the server-side cost
+/// a service pays once, when its first session opens.
+fn bench_template_build(c: &mut Criterion) {
+    use rfidraw::serve::TrackerTemplate;
+    let template =
+        TrackerTemplate::paper_default(Rect::new(Point2::new(-0.2, 0.0), Point2::new(3.2, 2.2)));
+    c.bench_function("template_build", |b| b.iter(|| black_box(template.build())));
 }
 
 fn bench_multires_locate(c: &mut Criterion) {
@@ -448,7 +425,8 @@ fn bench_recognizer(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
-    targets = bench_vote_grid, bench_vote_reference, bench_vote_engine, bench_multires_locate,
+    targets = bench_vote_grid, bench_vote_reference, bench_vote_engine, bench_template_build,
+              bench_multires_locate,
               bench_trace_steps, bench_baseline_locate, bench_serve_ingest, bench_serve_wire,
               bench_serve_block_one_slow_session,
               bench_trace_overhead, bench_recognizer

@@ -1,15 +1,15 @@
-//! Paper-metric regression suite: the accuracy gate for the f32 vote
-//! tables and for accidental pipeline drift.
+//! Paper-metric regression suite: the accuracy gate for the quantized i16
+//! vote tables and for accidental pipeline drift.
 //!
 //! Re-runs the fig. 11 trajectory-error CDF and the fig. 12
 //! initial-position-error CDF at reduced scale (5 words per scenario on a
-//! 2 cm fine grid — the full pipeline, not a toy), under the f64, f32,
-//! and quantized-i16 table precisions, and fails when:
+//! 2 cm fine grid — the full pipeline, not a toy), under the f64 and
+//! quantized-i16 table precisions, and fails when:
 //!
 //! * the f64 median or p90 of either CDF drifts more than 2% from the
 //!   committed baselines in `results/paper_metrics_baseline.txt`, or
-//! * the f32 or i16 median or p90 of either CDF degrades more than 2%
-//!   versus the f64 run of the same scenario.
+//! * the i16 median or p90 of either CDF degrades more than 2% versus
+//!   the f64 run of the same scenario.
 //!
 //! The pipeline is deterministic per `(word, user, seed)`, so on an
 //! unchanged tree the f64 metrics reproduce the baselines exactly; the 2%
@@ -30,14 +30,11 @@ const USERS: u64 = 5;
 const SEED: u64 = 2014;
 /// Relative drift allowed between an f64 run and its committed baseline.
 const F64_DRIFT: f64 = 0.02;
-/// Relative degradation allowed for a reduced precision (f32 or the
-/// quantized i16 tables) versus f64 on the same scenario.
+/// Relative degradation allowed for a reduced precision (the quantized
+/// i16 tables) versus f64 on the same scenario.
 const REDUCED_DEGRADATION: f64 = 0.02;
-/// The reduced precisions gated against the f64 run. i8 is deliberately
-/// absent: at 2⁻⁸ turns per quantum its derived vote-error bound is wide
-/// enough that the paper-accuracy contract is the coarse stage's job, not
-/// this gate's (the engine-level proptests still bound it exactly).
-const REDUCED: [TablePrecision; 2] = [TablePrecision::F32, TablePrecision::I16];
+/// The reduced precisions gated against the f64 run.
+const REDUCED: [TablePrecision; 1] = [TablePrecision::I16];
 
 const BASELINE_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/paper_metrics_baseline.txt");

@@ -147,116 +147,6 @@ impl Grid2 {
     }
 }
 
-/// An axis-aligned, inclusive sub-rectangle of a [`Grid2`]'s index space.
-///
-/// Windows restrict vote-map evaluation to the cells a tracker actually
-/// cares about (the neighbourhood of its last estimate). Every in-window
-/// cell is computed with exactly the same floating-point operations as a
-/// full-grid evaluation, so restricting the window never changes the value
-/// of a cell it keeps — only which cells are `-inf`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GridWindow {
-    /// First column (inclusive).
-    pub ix0: usize,
-    /// Last column (inclusive).
-    pub ix1: usize,
-    /// First row (inclusive).
-    pub iz0: usize,
-    /// Last row (inclusive).
-    pub iz1: usize,
-}
-
-impl GridWindow {
-    /// The window covering the whole grid.
-    pub fn full(grid: &Grid2) -> Self {
-        Self {
-            ix0: 0,
-            ix1: grid.nx() - 1,
-            iz0: 0,
-            iz1: grid.nz() - 1,
-        }
-    }
-
-    /// The window of cells within `half_extent` metres of `center` along
-    /// each axis, clamped to the grid (never empty: at minimum the cell
-    /// nearest `center`).
-    ///
-    /// # Panics
-    /// Panics unless `half_extent` is finite and positive.
-    pub fn around(grid: &Grid2, center: Point2, half_extent: f64) -> Self {
-        assert!(
-            half_extent.is_finite() && half_extent > 0.0,
-            "window half-extent must be positive, got {half_extent}"
-        );
-        let (cx, cz) = grid.nearest(center);
-        let r = (half_extent / grid.resolution()).floor() as usize;
-        Self {
-            ix0: cx.saturating_sub(r),
-            ix1: (cx + r).min(grid.nx() - 1),
-            iz0: cz.saturating_sub(r),
-            iz1: (cz + r).min(grid.nz() - 1),
-        }
-    }
-
-    /// Whether the window covers the whole grid.
-    pub fn is_full(&self, grid: &Grid2) -> bool {
-        *self == Self::full(grid)
-    }
-
-    /// Whether cell `(ix, iz)` is inside the window.
-    pub fn contains(&self, ix: usize, iz: usize) -> bool {
-        (self.ix0..=self.ix1).contains(&ix) && (self.iz0..=self.iz1).contains(&iz)
-    }
-
-    /// Number of cells in the window.
-    pub fn len(&self) -> usize {
-        (self.ix1 - self.ix0 + 1) * (self.iz1 - self.iz0 + 1)
-    }
-
-    /// True only for a window with no cells (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `p`'s nearest cell sits at least `margin_cells` cells away
-    /// from every window edge that is not also a grid edge.
-    ///
-    /// This is the trust test for window-restricted evaluation: a peak
-    /// hugging an interior window border may be the clipped flank of a
-    /// better peak just outside, so the caller should fall back to the
-    /// full grid. Borders that coincide with the grid boundary clip
-    /// nothing and are exempt.
-    pub fn well_inside(&self, grid: &Grid2, p: Point2, margin_cells: usize) -> bool {
-        let (ix, iz) = grid.nearest(p);
-        if !self.contains(ix, iz) {
-            return false;
-        }
-        let ok_lo_x = self.ix0 == 0 || ix - self.ix0 >= margin_cells;
-        let ok_hi_x = self.ix1 == grid.nx() - 1 || self.ix1 - ix >= margin_cells;
-        let ok_lo_z = self.iz0 == 0 || iz - self.iz0 >= margin_cells;
-        let ok_hi_z = self.iz1 == grid.nz() - 1 || self.iz1 - iz >= margin_cells;
-        ok_lo_x && ok_hi_x && ok_lo_z && ok_hi_z
-    }
-
-    /// Asserts the window's bounds are ordered and inside `grid`.
-    pub(crate) fn validate(&self, grid: &Grid2) {
-        assert!(
-            self.ix0 <= self.ix1 && self.ix1 < grid.nx(),
-            "window columns {}..={} out of range for a {}-column grid",
-            self.ix0,
-            self.ix1,
-            grid.nx()
-        );
-        assert!(
-            self.iz0 <= self.iz1 && self.iz1 < grid.nz(),
-            "window rows {}..={} out of range for a {}-row grid",
-            self.iz0,
-            self.iz1,
-            grid.nz()
-        );
-    }
-}
-
 /// Per-cell total votes over a [`Grid2`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VoteMap {
@@ -536,36 +426,6 @@ mod tests {
         let (best, _) = map.argmax();
         let (ix, iz) = map.grid().nearest(best);
         assert!(mask[map.grid().flat(ix, iz)]);
-    }
-
-    #[test]
-    fn window_around_clamps_and_contains_center() {
-        let g = Grid2::new(region(), 0.1);
-        let w = GridWindow::around(&g, Point2::new(0.0, 0.0), 0.25);
-        assert_eq!((w.ix0, w.iz0), (0, 0));
-        assert_eq!((w.ix1, w.iz1), (2, 2));
-        let (cx, cz) = g.nearest(Point2::new(1.5, 1.0));
-        let w = GridWindow::around(&g, Point2::new(1.5, 1.0), 0.35);
-        assert!(w.contains(cx, cz));
-        assert_eq!(w.len(), 7 * 7);
-        assert!(!w.is_full(&g));
-        assert!(GridWindow::full(&g).is_full(&g));
-        assert!(GridWindow::around(&g, Point2::new(1.5, 1.0), 100.0).is_full(&g));
-    }
-
-    #[test]
-    fn window_well_inside_exempts_grid_edges() {
-        let g = Grid2::new(region(), 0.1);
-        let w = GridWindow::around(&g, Point2::new(0.0, 0.0), 0.4);
-        // The grid corner is on the window border, but that border is also
-        // the grid border — nothing was clipped there.
-        assert!(w.well_inside(&g, Point2::new(0.0, 0.0), 2));
-        // A point hugging the interior (high-x) border is not trusted.
-        assert!(!w.well_inside(&g, Point2::new(0.4, 0.0), 2));
-        // Far outside the window: not trusted either.
-        assert!(!w.well_inside(&g, Point2::new(2.0, 1.0), 2));
-        // Comfortably interior points pass.
-        assert!(w.well_inside(&g, Point2::new(0.1, 0.1), 2));
     }
 
     #[test]

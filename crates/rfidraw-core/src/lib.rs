@@ -77,8 +77,8 @@ pub use engine::{TablePrecision, VoteEngine};
 pub use exec::Parallelism;
 pub use rfidraw_simd::SimdMode;
 pub use geom::{Plane, Point2, Point3};
-pub use grid::{Grid2, GridWindow, VoteMap};
+pub use grid::{Grid2, VoteMap};
 pub use phase::{Wavelength, SPEED_OF_LIGHT};
-pub use position::{Candidate, MultiResConfig, MultiResPositioner, WindowedLocate};
+pub use position::{Candidate, MultiResConfig, MultiResPositioner};
 pub use stream::{PairSnapshot, PhaseRead, SnapshotBuilder};
 pub use trace::{TraceConfig, TraceResult, TrajectoryTracer};

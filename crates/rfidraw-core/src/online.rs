@@ -23,7 +23,7 @@ use crate::geom::{Plane, Point2};
 #[cfg(feature = "trace")]
 use crate::obs::{self, Stage, TraceKind};
 use crate::phase::{unwrap_step, wrap_pi, wrap_tau};
-use crate::position::{Candidate, MultiResConfig, MultiResPositioner};
+use crate::position::{MultiResConfig, MultiResPositioner};
 use crate::stream::{PairSnapshot, PhaseRead};
 use crate::trace::{TraceConfig, TrajectoryTracer};
 use crate::vote::PairMeasurement;
@@ -60,32 +60,11 @@ pub struct OnlineConfig {
     /// [`OnlineConfig::dropout_after`]. Guards against a flapping antenna
     /// oscillating the pair set (and thrashing lobe re-locks) every read.
     pub readmit_after: f64,
-    /// Optional windowed re-acquisition: when set and the tracker holds a
-    /// trusted last estimate, re-acquisition (see
-    /// [`OnlineTracker::reacquire`]) confines the §5.1 grid work to a
-    /// window of this half-extent around that estimate instead of
-    /// re-scoring the full plane. Falls back to the full grid whenever the
-    /// estimate cannot be trusted: after a stale reset, while any antenna
-    /// is dropped (a Degraded relock re-seeds lobes from uncertain state),
-    /// or when the windowed pass reports its best peak clipped at a window
-    /// border. `None` (the default) disables windowing entirely — the
-    /// tracker then behaves exactly as if the feature did not exist.
-    pub window: Option<TrackWindow>,
 }
 
 /// How many distinct antennas one [`OnlineTracker::is_quiet`] call
 /// follows; a batch touching more is judged not quiet.
 const QUIET_ANTENNAS: usize = 16;
-
-/// Window settings for [`OnlineConfig::window`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrackWindow {
-    /// Half-extent of the re-acquisition window along each axis (m).
-    /// Should comfortably exceed how far the tag can move between the
-    /// last trusted estimate and the re-acquisition (plus the candidate
-    /// separation, so runner-up candidates near the tag survive too).
-    pub half_extent: f64,
-}
 
 impl Default for OnlineConfig {
     fn default() -> Self {
@@ -96,7 +75,6 @@ impl Default for OnlineConfig {
             max_read_gap: None,
             dropout_after: None,
             readmit_after: 0.2,
-            window: None,
         }
     }
 }
@@ -239,14 +217,6 @@ pub struct OnlineTracker {
     ticks_done: usize,
     last_read_t: Option<f64>,
     first_read_t: Option<f64>,
-    /// The last emitted estimate, kept as the window center for the next
-    /// re-acquisition. Cleared on [`OnlineTracker::reset`] (a stale unwrap
-    /// cannot vouch for where the tag was), never used unless
-    /// [`OnlineConfig::window`] is set.
-    window_hint: Option<Point2>,
-    /// How many acquisitions ran window-restricted (never reset; a
-    /// telemetry counter).
-    windowed_evals: u64,
     #[cfg(feature = "trace")]
     sink: Option<crate::obs::SharedSink>,
     #[cfg(feature = "trace")]
@@ -314,8 +284,6 @@ impl OnlineTracker {
             ticks_done: 0,
             last_read_t: None,
             first_read_t: None,
-            window_hint: None,
-            windowed_evals: 0,
             #[cfg(feature = "trace")]
             sink: None,
             #[cfg(feature = "trace")]
@@ -360,39 +328,12 @@ impl OnlineTracker {
         self.ticks_done = 0;
         self.last_read_t = None;
         self.first_read_t = None;
-        // A stale unwrap cannot vouch for the tag's last position, so the
-        // next acquisition is full-grid even with windowing enabled.
-        self.window_hint = None;
         #[cfg(feature = "trace")]
         {
             // A best-candidate change across a reset is re-acquisition, not
             // a vote flip.
             self.last_best = None;
         }
-    }
-
-    /// Drops the candidate traces (forcing the next snapshot to
-    /// re-acquire) while keeping the per-antenna unwrap state *and* the
-    /// last estimate. This is the cheap lifecycle hook for periodically
-    /// re-anchoring a long-lived session against slow lobe drift: unlike
-    /// [`OnlineTracker::reset`], the phase stream stays continuous, and
-    /// with [`OnlineConfig::window`] enabled the re-acquisition is
-    /// confined to a window around the last estimate (full-grid
-    /// otherwise, or whenever the windowed pass cannot be trusted — see
-    /// the fallback rules on [`OnlineConfig::window`]).
-    pub fn reacquire(&mut self) {
-        self.traces.clear();
-        self.ticks_done = 0;
-        #[cfg(feature = "trace")]
-        {
-            self.last_best = None;
-        }
-    }
-
-    /// How many acquisitions ran window-restricted so far (monotonic, not
-    /// cleared by resets). Zero unless [`OnlineConfig::window`] is set.
-    pub fn windowed_evals(&self) -> u64 {
-        self.windowed_evals
     }
 
     /// The acquisition positioner. Clones of a tracker share its vote
@@ -825,18 +766,13 @@ impl OnlineTracker {
             // Acquisition on the first snapshot.
             #[cfg(feature = "trace")]
             let lock_stage = if self.had_acquired { Stage::LobeRelock } else { Stage::LobeLock };
-            // The span timer must not borrow `self.sink` directly: it lives
-            // across `acquire_candidates(&mut self)` below. Cloning the Arc'd
-            // sink handle keeps the timing identical and the borrow local.
-            #[cfg(feature = "trace")]
-            let _acq_sink = self.sink.clone();
             #[cfg(feature = "trace")]
             let _acq_span =
-                obs::SpanTimer::start(_acq_sink.as_ref(), self.session, Stage::Acquire, 0.0);
+                obs::SpanTimer::start(self.sink.as_ref(), self.session, Stage::Acquire, 0.0);
             // A degraded snapshot can fall below the positioning floor (no
             // coarse or no wide measurement at all); skip and retry on the
             // next tick rather than acquire from an under-constrained vote.
-            let Some(candidates): Option<Vec<Candidate>> = self.acquire_candidates(&snap) else {
+            let Some(candidates) = self.positioner.try_locate(&snap.wrapped) else {
                 return events;
             };
             for (_ci, c) in candidates.iter().enumerate() {
@@ -868,7 +804,6 @@ impl OnlineTracker {
                 candidates: self.traces.len(),
             });
             if let Some(pos) = self.current_estimate() {
-                self.window_hint = Some(pos);
                 events.push(OnlineEvent::Position { t: snap.t, pos });
             }
             return events;
@@ -973,41 +908,9 @@ impl OnlineTracker {
         }
 
         if let Some(pos) = self.current_estimate() {
-            self.window_hint = Some(pos);
             events.push(OnlineEvent::Position { t: snap.t, pos });
         }
         events
-    }
-
-    /// Positions `snap` for acquisition, window-restricted when allowed.
-    ///
-    /// The windowed path runs only when *all* of these hold:
-    /// [`OnlineConfig::window`] is set, a last estimate survives (cleared
-    /// by stale resets), and no antenna is dropped (a Degraded relock must
-    /// not inherit a window from healthier times). Even then, a windowed
-    /// pass whose best peak clips an interior window border is discarded
-    /// and the full grid is evaluated instead — so a tag that truly moved
-    /// away is found, at full-grid cost, rather than lost.
-    fn acquire_candidates(&mut self, snap: &PairSnapshot) -> Option<Vec<Candidate>> {
-        let (Some(window), Some(center)) = (self.cfg.window, self.window_hint) else {
-            return self.positioner.try_locate(&snap.wrapped);
-        };
-        if self.is_degraded() {
-            return self.positioner.try_locate(&snap.wrapped);
-        }
-        match self
-            .positioner
-            .try_locate_windowed(&snap.wrapped, center, window.half_extent)
-        {
-            Some(located) if !located.clipped => {
-                self.windowed_evals += 1;
-                Some(located.candidates)
-            }
-            // Clipped (or empty) windowed result: fall back to the full
-            // grid. `None` (degraded below the positioning floor) also
-            // lands here and stays `None` through the full-grid retry.
-            _ => self.positioner.try_locate(&snap.wrapped),
-        }
     }
 }
 
@@ -1015,6 +918,7 @@ impl OnlineTracker {
 mod tests {
     use super::*;
     use crate::geom::Rect;
+    use crate::position::Candidate;
     use crate::trace::ideal_snapshots;
 
     fn setup() -> (Deployment, Plane, OnlineTracker) {

@@ -155,34 +155,6 @@ pub fn frac_dist_to_integer(x: f64) -> f64 {
     (x - r).abs()
 }
 
-/// Single-precision [`frac_dist_to_integer`]: distance from `x` to the
-/// nearest integer, computed entirely in `f32`.
-///
-/// The nearest integer is found with the classic magic-number trick,
-/// `(x + 1.5·2²³) − 1.5·2²³`, instead of `f32::round`: on the baseline
-/// x86-64 target `round` lowers to a libm call, which blocks
-/// autovectorization of the hot vote sweep, while the add/sub pair is two
-/// SIMD instructions. For `|x| ≤ 2²²` the trick is **exact**: `x + M` lands
-/// in `[2²³, 2²⁴)` where the f32 lattice spacing is exactly 1, so the add
-/// rounds `x + M` to the nearest integer (ties to even), and the subtract
-/// of `M` is exact (both operands are integers and the difference fits the
-/// mantissa). `x − r` with `r` the nearest integer to `x` is also exact
-/// (`r` is a multiple of `ulp(x)` whenever `|x| < 2²⁴`, so the difference
-/// is representable). The only divergence from `|x − x.round()|` is the
-/// tie-break at exact half-integers — `round` goes away from zero, the
-/// trick goes to even — and both choices are at distance exactly 0.5, so
-/// the returned value is bit-identical to `(x - x.round()).abs()` for the
-/// whole supported domain.
-///
-/// Callers must keep `|x| ≤ 2²²` (≈ 4.2 M turns — over a megametre of
-/// path difference; every physical deployment is orders of magnitude
-/// below it). Outside that envelope the result is unspecified but finite.
-pub fn frac_dist_to_integer_f32(x: f32) -> f32 {
-    const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
-    let r = (x + MAGIC) - MAGIC;
-    (x - r).abs()
-}
-
 /// Quantizes a value in turns to two's-complement fixed point with 2¹⁶
 /// quanta per turn — the i16 vote-table representation.
 ///
@@ -198,19 +170,12 @@ pub fn frac_dist_to_integer_f32(x: f32) -> f32 {
 ///
 /// The wrap means the stored value is `x·2¹⁶ mod 2¹⁶` reinterpreted
 /// signed — integer turns vanish, exactly as the triangle wave requires.
-/// Callers must keep `|x| ≤ 2²²` (the same envelope as
-/// [`frac_dist_to_integer_f32`]) so the intermediate product stays well
-/// inside `i64`.
+/// Callers must keep `|x| ≤ 2²²` turns (≈ 4.2 M turns — over a
+/// megametre of path difference; every physical deployment is orders of
+/// magnitude below it) so the intermediate product stays well inside
+/// `i64`.
 pub fn quantize_turns_i16(x: f64) -> i16 {
     ((x * 65_536.0).round() as i64) as i16
-}
-
-/// The i8 sibling of [`quantize_turns_i16`]: 2⁸ quanta per turn, one byte
-/// per table entry, quantization step `2⁻⁸` turns (half-quantum rounding
-/// error `2⁻⁹`). Same full-width-scale rationale: the i8 wrap *is* the
-/// mod-1-turn fold.
-pub fn quantize_turns_i8(x: f64) -> i8 {
-    ((x * 256.0).round() as i64) as i8
 }
 
 /// The nearest integer `k` to `x` — the index of the closest grating lobe.
@@ -323,40 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn frac_dist_to_integer_f32_is_bit_identical_to_round_form() {
-        // The magic-number form must equal |x − round(x)| bit-for-bit over
-        // the supported envelope, including exact half-integer ties (where
-        // the chosen integers differ but the distances are both 0.5) and
-        // a dense sweep of irregular values.
-        let mut probes: Vec<f32> = vec![
-            0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1234.5, -1234.5,
-            0.25, -0.25, 3.75, 1e-30, -1e-30, 4194304.0, -4194304.0,
-        ];
-        for i in 0..4000 {
-            let x = (i as f32) * 0.2471 - 494.2;
-            probes.push(x);
-            probes.push(x * 997.0);
-        }
-        for x in probes {
-            let trick = frac_dist_to_integer_f32(x);
-            let libm = (x - x.round()).abs();
-            assert_eq!(trick.to_bits(), libm.to_bits(), "x = {x}");
-        }
-    }
-
-    #[test]
-    fn frac_dist_to_integer_f32_tracks_f64_form() {
-        // Sanity that the f32 helper is the same triangle wave as the f64
-        // one, up to input quantization.
-        for i in 0..1000 {
-            let x = (i as f64) * 0.013 - 6.5;
-            let d64 = frac_dist_to_integer(x);
-            let d32 = f64::from(frac_dist_to_integer_f32(x as f32));
-            assert!((d64 - d32).abs() < 1e-6, "x = {x}: {d64} vs {d32}");
-        }
-    }
-
-    #[test]
     fn quantize_turns_wraps_integer_turns_away() {
         assert_eq!(quantize_turns_i16(0.25), 16_384);
         assert_eq!(quantize_turns_i16(-0.25), -16_384);
@@ -366,9 +297,6 @@ mod tests {
         // Exactly half a turn lands on the type minimum (distance 0.5
         // either way, like the tie in the float triangle wave).
         assert_eq!(quantize_turns_i16(0.5), i16::MIN);
-        assert_eq!(quantize_turns_i8(0.5), i8::MIN);
-        assert_eq!(quantize_turns_i8(2.5), i8::MIN);
-        assert_eq!(quantize_turns_i8(1.25), 64);
     }
 
     #[test]
@@ -382,9 +310,6 @@ mod tests {
             let d16 = quantize_turns_i16(t).wrapping_sub(quantize_turns_i16(m));
             let g16 = f64::from(i32::from(d16).abs()) / 65_536.0;
             assert!((g16 - g).abs() <= 1.0 / 65_536.0, "i16: t={t} m={m} {g16} vs {g}");
-            let d8 = quantize_turns_i8(t).wrapping_sub(quantize_turns_i8(m));
-            let g8 = f64::from(i32::from(d8).abs()) / 256.0;
-            assert!((g8 - g).abs() <= 1.0 / 256.0, "i8: t={t} m={m} {g8} vs {g}");
         }
     }
 

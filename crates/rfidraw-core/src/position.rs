@@ -16,7 +16,7 @@ use crate::array::Deployment;
 use crate::engine::{TablePrecision, VoteEngine};
 use crate::exec::Parallelism;
 use crate::geom::{Plane, Point2, Rect};
-use crate::grid::{Grid2, GridWindow, VoteMap};
+use crate::grid::{Grid2, VoteMap};
 #[cfg(feature = "trace")]
 use crate::obs::{self, SharedSink, Stage, TraceKind};
 use crate::vote::PairMeasurement;
@@ -43,9 +43,9 @@ pub struct MultiResConfig {
     /// any result (see [`crate::exec`]), only wall-clock time.
     pub parallelism: Parallelism,
     /// Numeric representation of both engines' vote tables. `F64` (the
-    /// default) is bit-exact; `F32` halves table bytes and bandwidth, and
-    /// the fixed-point `I16`/`I8` reach 4×/8× compression — each with a
-    /// derived, test-asserted vote-error bound (see [`crate::engine`]).
+    /// default) is bit-exact; the fixed-point `I16` reaches 4× compression
+    /// with a derived, test-asserted vote-error bound (see
+    /// [`crate::engine`]).
     pub precision: TablePrecision,
 }
 
@@ -89,20 +89,6 @@ pub struct Candidate {
     pub position: Point2,
     /// Total vote from all antenna pairs at that position.
     pub vote: f64,
-}
-
-/// The result of a window-restricted positioning pass (see
-/// [`MultiResPositioner::try_locate_windowed`]).
-#[derive(Debug, Clone)]
-pub struct WindowedLocate {
-    /// Ranked candidates found inside the window.
-    pub candidates: Vec<Candidate>,
-    /// The coarse-grid window that was evaluated.
-    pub window: GridWindow,
-    /// True when there is no best candidate or it sits too close to an
-    /// interior window border to be trusted — the caller should redo the
-    /// positioning on the full grid.
-    pub clipped: bool,
 }
 
 /// Intermediate products of one positioning pass, exposed for the Fig. 6
@@ -273,7 +259,7 @@ impl MultiResPositioner {
             !wide_ms.is_empty(),
             "no wide-pair measurements supplied to locate()"
         );
-        self.stages_from(coarse_ms, wide_ms, None)
+        self.stages_from(coarse_ms, wide_ms)
     }
 
     /// Fallible variant of [`MultiResPositioner::locate_with_stages`]:
@@ -286,66 +272,18 @@ impl MultiResPositioner {
         if coarse_ms.is_empty() || wide_ms.is_empty() {
             return None;
         }
-        Some(self.stages_from(coarse_ms, wide_ms, None))
-    }
-
-    /// Window-restricted positioning: both stages confined to the cells
-    /// within `half_extent` metres of `center` along each axis.
-    ///
-    /// Every evaluated cell is computed with exactly the per-cell
-    /// operations of the full-grid path, so when the tag truly is near
-    /// `center` the winning candidate is the same grid point with the same
-    /// vote bits as full-grid positioning would produce. What *can* differ
-    /// is the candidate list's tail: the stage-1 filter keeps the top
-    /// fraction of the *window* rather than of the whole plane, so far-away
-    /// grating-lobe candidates are absent. The [`WindowedLocate::clipped`]
-    /// flag tells the caller when the best peak hugs an interior window
-    /// border — the signature of a better peak just outside — so it can
-    /// fall back to the full grid (see `OnlineTracker`'s fallback rules).
-    ///
-    /// Returns `None` under the same degraded-subset conditions as
-    /// [`MultiResPositioner::try_locate`].
-    pub fn try_locate_windowed(
-        &self,
-        measurements: &[PairMeasurement],
-        center: Point2,
-        half_extent: f64,
-    ) -> Option<WindowedLocate> {
-        let (coarse_ms, wide_ms) = self.split(measurements);
-        if coarse_ms.is_empty() || wide_ms.is_empty() {
-            return None;
-        }
-        let window = GridWindow::around(self.coarse_engine.grid(), center, half_extent);
-        let stages = self.stages_from(coarse_ms, wide_ms, Some(&window));
-        // Trust margin: two coarse cells. A best peak closer than that to
-        // an interior window edge may be the clipped flank of a stronger
-        // peak outside the window.
-        let clipped = match stages.candidates.first() {
-            Some(best) => !window.well_inside(self.coarse_engine.grid(), best.position, 2),
-            None => true,
-        };
-        Some(WindowedLocate {
-            candidates: stages.candidates,
-            window,
-            clipped,
-        })
+        Some(self.stages_from(coarse_ms, wide_ms))
     }
 
     fn stages_from(
         &self,
         coarse_ms: Vec<PairMeasurement>,
         wide_ms: Vec<PairMeasurement>,
-        window: Option<&GridWindow>,
     ) -> PositioningStages {
         // Stage 1: coarse spatial filter (Fig. 6b–c), evaluated through the
         // engine so the coarse distance table is computed once per
-        // positioner rather than once per call. A window confines the scan
-        // (and therefore the filter's kept fraction) to the cells inside
-        // it; out-of-window cells are -inf and never survive the mask.
-        let coarse_map = match window {
-            Some(w) => self.coarse_engine.evaluate_windowed(&coarse_ms, w),
-            None => self.coarse_engine.evaluate(&coarse_ms),
-        };
+        // positioner rather than once per call.
+        let coarse_map = self.coarse_engine.evaluate(&coarse_ms);
         let coarse_mask = coarse_map.mask_top_fraction(self.config.coarse_keep_fraction);
 
         // Lift the mask onto the fine grid.
@@ -533,41 +471,21 @@ mod tests {
     }
 
     #[test]
-    fn f32_precision_locates_the_same_point_noise_free() {
+    fn quantized_precisions_locate_the_same_point_noise_free() {
         let truth = Point2::new(1.2, 0.9);
         let (pos64, ms) = setup(truth);
+        let best64 = pos64.locate(&ms)[0];
         let dep = Deployment::paper_default();
         let plane = Plane::at_depth(2.0);
         let region = Rect::new(Point2::new(0.0, 0.0), Point2::new(3.0, 2.0));
         let mut config = MultiResConfig::for_region(region);
         config.fine_resolution = 0.02;
-        config.precision = TablePrecision::F32;
-        let pos32 = MultiResPositioner::new(dep, plane, config);
-        let best64 = pos64.locate(&ms)[0];
-        let best32 = pos32.locate(&ms)[0];
-        // Noise-free, well-separated peak: the winning grid cell is the
-        // same at both precisions (the vote gap dwarfs the f32 bound).
-        assert_eq!(best64.position, best32.position);
-    }
-
-    #[test]
-    fn quantized_precisions_locate_the_same_point_noise_free() {
-        let truth = Point2::new(1.2, 0.9);
-        let (pos64, ms) = setup(truth);
-        let best64 = pos64.locate(&ms)[0];
-        for precision in [TablePrecision::I16, TablePrecision::I8] {
-            let dep = Deployment::paper_default();
-            let plane = Plane::at_depth(2.0);
-            let region = Rect::new(Point2::new(0.0, 0.0), Point2::new(3.0, 2.0));
-            let mut config = MultiResConfig::for_region(region);
-            config.fine_resolution = 0.02;
-            config.precision = precision;
-            let pos = MultiResPositioner::new(dep, plane, config);
-            let best = pos.locate(&ms)[0];
-            // Noise-free, well-separated peak: the vote gap dwarfs even
-            // the i8 quantization bound on this scene.
-            assert_eq!(best64.position, best.position, "{precision:?}");
-        }
+        config.precision = TablePrecision::I16;
+        let pos = MultiResPositioner::new(dep, plane, config);
+        let best = pos.locate(&ms)[0];
+        // Noise-free, well-separated peak: the vote gap dwarfs the i16
+        // quantization bound on this scene.
+        assert_eq!(best64.position, best.position);
     }
 
     #[test]

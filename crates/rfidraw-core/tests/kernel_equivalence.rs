@@ -1,6 +1,6 @@
 //! Property tests pinning the pair-major engine to the reference
 //! [`VoteMap`] path bit-for-bit: random grids, measurement subsets, masks,
-//! windows, and thread counts. These are the determinism contract of the
+//! and thread counts. These are the determinism contract of the
 //! engine's layout change — any divergence, even in the last mantissa bit,
 //! fails here. The same contract covers the tracer's tick kernel (pinned
 //! to a one-point-at-a-time, per-pair reference step) and the libm-free
@@ -11,7 +11,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use rfidraw_core::array::{AntennaPair, Deployment};
 use rfidraw_core::exec::Parallelism;
 use rfidraw_core::geom::{Plane, Point2, Point3, Rect};
-use rfidraw_core::grid::{Grid2, GridWindow, VoteMap};
+use rfidraw_core::grid::{Grid2, VoteMap};
 use rfidraw_core::phase::frac_dist_to_integer;
 use rfidraw_core::position::Candidate;
 use rfidraw_core::stream::PairSnapshot;
@@ -19,9 +19,6 @@ use rfidraw_core::trace::{ideal_snapshots, moving_average, TraceConfig, Trajecto
 use rfidraw_core::vote::{ideal_measurements, PairMeasurement};
 use rfidraw_core::{SimdMode, TablePrecision, VoteEngine};
 use std::hint::black_box;
-
-/// The two fixed-point precisions, indexable from a proptest strategy.
-const QUANTIZED: [TablePrecision; 2] = [TablePrecision::I16, TablePrecision::I8];
 
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -74,10 +71,9 @@ fn parallelism(idx: usize) -> Parallelism {
 
 proptest! {
     /// Full-grid evaluation of any measurement subset equals the reference
-    /// path bit-for-bit under every execution policy, and a full-grid
-    /// window equals the unwindowed evaluation.
+    /// path bit-for-bit under every execution policy.
     #[test]
-    fn engine_and_windowed_full_match_reference(
+    fn engine_full_grid_matches_reference(
         depth in 1.0f64..4.0,
         x0 in -0.5f64..1.0,
         z0 in -0.5f64..1.0,
@@ -103,9 +99,6 @@ proptest! {
         let engine = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx));
         let evaluated = engine.evaluate(&ms);
         prop_assert_eq!(bits(reference.values()), bits(evaluated.values()));
-
-        let windowed = engine.evaluate_windowed(&ms, &GridWindow::full(engine.grid()));
-        prop_assert_eq!(bits(evaluated.values()), bits(windowed.values()));
     }
 
     /// Masked evaluation (both the lazy and the table-backed path) equals
@@ -141,144 +134,8 @@ proptest! {
         prop_assert_eq!(bits(reference.values()), bits(tabled.values()));
     }
 
-    /// The f32 engine's accuracy contract over random deployments, grids,
-    /// and measurement subsets: every cell's vote differs from the f64
-    /// kernel by at most the *derived* worst-case bound
-    /// ([`VoteEngine::f32_vote_error_bound`]), and the argmax cell is
-    /// provably identical whenever the f64 best/runner-up gap exceeds
-    /// twice that bound. When the gap is smaller than the guarantee the
-    /// f32 pick must still be within `2·bound` of the f64 optimum.
-    #[test]
-    fn f32_votes_stay_bounded_and_argmax_agrees(
-        depth in 1.0f64..4.0,
-        x0 in -0.5f64..1.0,
-        z0 in -0.5f64..1.0,
-        w in 0.4f64..1.6,
-        h in 0.4f64..1.6,
-        res in 0.03f64..0.12,
-        tag_fx in 0.1f64..0.9,
-        tag_fz in 0.1f64..0.9,
-        subset_mask in 0u32..255,
-        par_idx in 0usize..5,
-    ) {
-        let (dep, plane, grid, all_ms) = scene(depth, x0, z0, w, h, res, tag_fx, tag_fz);
-        let ms: Vec<PairMeasurement> = all_ms
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| subset_mask & (1 << (i % 8)) != 0 || subset_mask == 0)
-            .map(|(_, &m)| m)
-            .collect();
-        prop_assume!(!ms.is_empty());
-
-        let engine64 =
-            VoteEngine::for_deployment(&dep, plane, grid.clone(), parallelism(par_idx));
-        let mut engine32 = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx));
-        engine32.set_precision(TablePrecision::F32);
-
-        let bound = engine64.f32_vote_error_bound(&ms);
-        let m64 = engine64.evaluate(&ms);
-        let m32 = engine32.evaluate(&ms);
-
-        let mut worst = 0.0f64;
-        for (&a, &b) in m64.values().iter().zip(m32.values()) {
-            worst = worst.max((a - b).abs());
-        }
-        prop_assert!(
-            worst <= bound,
-            "worst |Δvote| {} exceeds the derived bound {}",
-            worst,
-            bound
-        );
-
-        let best64 = argmax(m64.values());
-        let best32 = argmax(m32.values());
-        let runner_up = m64
-            .values()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != best64)
-            .map(|(_, &v)| v)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let gap = m64.values()[best64] - runner_up;
-        if gap > 2.0 * bound {
-            prop_assert_eq!(best64, best32, "separated argmax must be identical");
-        } else {
-            prop_assert!(
-                m64.values()[best64] - m64.values()[best32] <= 2.0 * bound,
-                "f32 pick is more than 2·bound below the f64 optimum"
-            );
-        }
-    }
-
-    /// The f32 paths keep the determinism contract of the f64 ones: the
-    /// full map is bit-identical across execution policies, windowed
-    /// evaluation matches the full map cellwise (`-inf` outside), and the
-    /// masked path (lazy and table-backed) matches the full map on kept
-    /// cells for any pseudo-random mask.
-    #[test]
-    fn f32_windowed_and_masked_match_full_f32_map(
-        depth in 1.0f64..4.0,
-        res in 0.04f64..0.12,
-        tag_fx in 0.1f64..0.9,
-        tag_fz in 0.1f64..0.9,
-        center_fx in 0.0f64..1.0,
-        center_fz in 0.0f64..1.0,
-        half_extent in 0.02f64..0.8,
-        mask_seed in any::<u64>(),
-        keep_mod in 2usize..7,
-        par_idx in 0usize..5,
-        par_idx2 in 0usize..5,
-    ) {
-        let (dep, plane, grid, ms) = scene(depth, 0.2, 0.1, 1.2, 0.9, res, tag_fx, tag_fz);
-        let mut engine = VoteEngine::for_deployment(
-            &dep,
-            plane,
-            grid.clone(),
-            parallelism(par_idx),
-        );
-        engine.set_precision(TablePrecision::F32);
-        let mut other = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx2));
-        other.set_precision(TablePrecision::F32);
-
-        let full = engine.evaluate(&ms);
-        prop_assert_eq!(bits(full.values()), bits(other.evaluate(&ms).values()));
-
-        let center = Point2::new(0.2 + center_fx * 1.2, 0.1 + center_fz * 0.9);
-        let window = GridWindow::around(engine.grid(), center, half_extent);
-        let windowed = engine.evaluate_windowed(&ms, &window);
-        for (c, (&win, &all)) in windowed.values().iter().zip(full.values()).enumerate() {
-            let (ix, iz) = engine.grid().unflat(c);
-            if window.contains(ix, iz) {
-                prop_assert_eq!(win.to_bits(), all.to_bits(), "window cell {}", c);
-            } else {
-                prop_assert_eq!(win, f64::NEG_INFINITY, "outside cell {}", c);
-            }
-        }
-
-        let mut state = mask_seed | 1;
-        let mask: Vec<bool> = (0..engine.grid().len())
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state as usize) % keep_mod == 0
-            })
-            .collect();
-        let lazy = engine.evaluate_masked(&ms, &mask);
-        engine.build_table_f32();
-        let tabled = engine.evaluate_masked(&ms, &mask);
-        prop_assert_eq!(bits(lazy.values()), bits(tabled.values()));
-        for (c, (&got, &all)) in lazy.values().iter().zip(full.values()).enumerate() {
-            if mask[c] {
-                prop_assert_eq!(got.to_bits(), all.to_bits(), "masked cell {}", c);
-            } else {
-                prop_assert_eq!(got, f64::NEG_INFINITY, "dropped cell {}", c);
-            }
-        }
-    }
-
-    /// The quantized engines' accuracy contract over random deployments,
-    /// grids, and measurement subsets — for both i16 and i8: every cell's
+    /// The quantized engine's accuracy contract over random deployments,
+    /// grids, and measurement subsets: every cell's
     /// vote differs from the f64 kernel by at most the *derived* bound
     /// ([`VoteEngine::vote_error_bound`]), and the argmax-identity theorem
     /// holds — whenever the f64 best/runner-up gap exceeds twice the
@@ -295,7 +152,6 @@ proptest! {
         tag_fx in 0.1f64..0.9,
         tag_fz in 0.1f64..0.9,
         subset_mask in 0u32..255,
-        prec_idx in 0usize..2,
         par_idx in 0usize..5,
     ) {
         let (dep, plane, grid, all_ms) = scene(depth, x0, z0, w, h, res, tag_fx, tag_fz);
@@ -306,7 +162,7 @@ proptest! {
             .map(|(_, &m)| m)
             .collect();
         prop_assume!(!ms.is_empty());
-        let precision = QUANTIZED[prec_idx];
+        let precision = TablePrecision::I16;
 
         let engine64 =
             VoteEngine::for_deployment(&dep, plane, grid.clone(), parallelism(par_idx));
@@ -353,31 +209,26 @@ proptest! {
         }
     }
 
-    /// The quantized paths keep the engine's determinism contract, for
-    /// both i16 and i8: the full map is bit-identical across execution
-    /// policies *and* across SIMD dispatch (`Auto` vs forced `Scalar` —
-    /// integer accumulation is exact, so this is by construction, and
-    /// this test pins it on whatever ISA the host offers), windowed
-    /// evaluation matches the full map cellwise (`-inf` outside), and the
-    /// masked path (lazy quantize-on-the-fly and table-backed) matches
-    /// the full map on kept cells for any pseudo-random mask.
+    /// The quantized paths keep the engine's determinism contract: the
+    /// full map is bit-identical across execution policies *and* across
+    /// SIMD dispatch (`Auto` vs forced `Scalar` — every kernel runs the
+    /// same per-cell sequence, so this is by construction, and this test
+    /// pins it on whatever ISA the host offers), and the masked path
+    /// (lazy quantize-on-the-fly and table-backed) matches the full map
+    /// on kept cells for any pseudo-random mask.
     #[test]
-    fn quantized_windowed_and_masked_match_full_quantized_map(
+    fn quantized_masked_matches_full_quantized_map(
         depth in 1.0f64..4.0,
         res in 0.04f64..0.12,
         tag_fx in 0.1f64..0.9,
         tag_fz in 0.1f64..0.9,
-        center_fx in 0.0f64..1.0,
-        center_fz in 0.0f64..1.0,
-        half_extent in 0.02f64..0.8,
         mask_seed in any::<u64>(),
         keep_mod in 2usize..7,
-        prec_idx in 0usize..2,
         par_idx in 0usize..5,
         par_idx2 in 0usize..5,
     ) {
         let (dep, plane, grid, ms) = scene(depth, 0.2, 0.1, 1.2, 0.9, res, tag_fx, tag_fz);
-        let precision = QUANTIZED[prec_idx];
+        let precision = TablePrecision::I16;
         let mut engine = VoteEngine::for_deployment(
             &dep,
             plane,
@@ -395,18 +246,6 @@ proptest! {
             bits(scalar.evaluate(&ms).values()),
             "SIMD dispatch and thread count must not change a single bit"
         );
-
-        let center = Point2::new(0.2 + center_fx * 1.2, 0.1 + center_fz * 0.9);
-        let window = GridWindow::around(engine.grid(), center, half_extent);
-        let windowed = engine.evaluate_windowed(&ms, &window);
-        for (c, (&win, &all)) in windowed.values().iter().zip(full.values()).enumerate() {
-            let (ix, iz) = engine.grid().unflat(c);
-            if window.contains(ix, iz) {
-                prop_assert_eq!(win.to_bits(), all.to_bits(), "window cell {}", c);
-            } else {
-                prop_assert_eq!(win, f64::NEG_INFINITY, "outside cell {}", c);
-            }
-        }
 
         let mut state = mask_seed | 1;
         let mask: Vec<bool> = (0..engine.grid().len())
@@ -426,35 +265,6 @@ proptest! {
                 prop_assert_eq!(got.to_bits(), all.to_bits(), "masked cell {}", c);
             } else {
                 prop_assert_eq!(got, f64::NEG_INFINITY, "dropped cell {}", c);
-            }
-        }
-    }
-
-    /// Any valid window: in-window cells are bit-identical to the full
-    /// map, out-of-window cells are exactly `-inf`.
-    #[test]
-    fn arbitrary_windows_match_full_map_cellwise(
-        depth in 1.0f64..4.0,
-        res in 0.03f64..0.10,
-        tag_fx in 0.1f64..0.9,
-        tag_fz in 0.1f64..0.9,
-        center_fx in 0.0f64..1.0,
-        center_fz in 0.0f64..1.0,
-        half_extent in 0.02f64..0.8,
-        par_idx in 0usize..5,
-    ) {
-        let (dep, plane, grid, ms) = scene(depth, 0.2, 0.1, 1.4, 1.0, res, tag_fx, tag_fz);
-        let center = Point2::new(0.2 + center_fx * 1.4, 0.1 + center_fz * 1.0);
-        let engine = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx));
-        let window = GridWindow::around(engine.grid(), center, half_extent);
-        let full = engine.evaluate(&ms);
-        let map = engine.evaluate_windowed(&ms, &window);
-        for (c, (&win, &all)) in map.values().iter().zip(full.values()).enumerate() {
-            let (ix, iz) = engine.grid().unflat(c);
-            if window.contains(ix, iz) {
-                prop_assert_eq!(win.to_bits(), all.to_bits(), "cell {}", c);
-            } else {
-                prop_assert_eq!(win, f64::NEG_INFINITY, "cell {}", c);
             }
         }
     }

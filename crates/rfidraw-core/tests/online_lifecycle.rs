@@ -201,7 +201,6 @@ fn antenna_dropout_degrades_then_recovers() {
         max_read_gap: None,
         dropout_after: Some(0.1),
         readmit_after: 0.2,
-        window: None,
     });
     let p = Point2::new(1.2, 1.0);
     let victim = AntennaId(1); // a corner of the wide square
@@ -278,7 +277,6 @@ fn dropout_detection_is_inert_on_a_clean_stream() {
         max_read_gap: None,
         dropout_after: Some(0.1),
         readmit_after: 0.2,
-        window: None,
     });
     for r in static_reads(&dep, plane, Point2::new(1.4, 1.1), 0.0, 2.0) {
         let a = plain.push(r).unwrap();
@@ -318,7 +316,6 @@ proptest! {
                 max_read_gap: Some(0.5),
                 dropout_after: Some(0.1),
                 readmit_after: 0.2,
-                window: None,
             },
         );
         let antennas: Vec<AntennaId> = dep.antennas().iter().map(|a| a.id).collect();

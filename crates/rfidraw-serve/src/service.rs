@@ -246,7 +246,6 @@ impl ServiceInner {
             positions: self.global.positions.get(),
             stale_resets: self.global.stale_resets.get(),
             degraded_events: self.global.degraded.get(),
-            windowed_evals: self.global.windowed.get(),
             parked_reads: self.global.parked_reads.get(),
             readmissions: self.global.readmissions.get(),
             parked_rejected: self.global.parked_rejected.get(),

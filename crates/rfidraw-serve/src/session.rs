@@ -592,16 +592,6 @@ impl SessionShared {
                     global.latency.observe(qr.enqueued.elapsed());
                 }
             }
-            // The tracker's windowed-acquisition count is monotonic, so the
-            // session counter mirrors it exactly and the global counter
-            // receives the per-batch delta (only the holder of the
-            // `scheduled` flag drains the session, so the delta cannot race).
-            let windowed = engine.tracker.windowed_evals();
-            let delta = windowed.saturating_sub(self.metrics.windowed.get());
-            if delta > 0 {
-                self.metrics.windowed.add(delta);
-                global.windowed.add(delta);
-            }
         }
         let compute = compute_start.elapsed();
         global.compute.observe(compute);
@@ -695,7 +685,6 @@ impl SessionShared {
             stale_resets: self.metrics.stale_resets.get(),
             reads_invalid: self.metrics.invalid.get(),
             degraded_events: self.metrics.degraded.get(),
-            windowed_evals: self.metrics.windowed.get(),
             queue_depth: self.queue_depth() as u64,
             tracking,
             degraded,

@@ -74,10 +74,6 @@ pub(crate) struct SessionMetrics {
     /// Changes of the tracker's missing-pair set (antenna dropout or
     /// re-admission).
     pub degraded: Counter,
-    /// Window-restricted acquisitions the tracker performed. Mirrors the
-    /// tracker's own monotonic count (drained as deltas), so it equals
-    /// `OnlineTracker::windowed_evals` at every snapshot.
-    pub windowed: Counter,
 }
 
 /// Live service-wide counters.
@@ -94,8 +90,6 @@ pub(crate) struct GlobalMetrics {
     pub stale_resets: Counter,
     pub invalid: Counter,
     pub degraded: Counter,
-    /// Window-restricted acquisitions, service-wide.
-    pub windowed: Counter,
     /// Reads stashed by a parked reactor connection (counted once, when
     /// the stash forms). See the module docs for the conservation law.
     pub parked_reads: Counter,
@@ -139,7 +133,6 @@ impl GlobalMetrics {
             stale_resets: Counter::new(),
             invalid: Counter::new(),
             degraded: Counter::new(),
-            windowed: Counter::new(),
             parked_reads: Counter::new(),
             readmissions: Counter::new(),
             parked_rejected: Counter::new(),
@@ -181,11 +174,6 @@ pub struct SessionTelemetry {
     pub reads_invalid: u64,
     /// Missing-pair-set changes (antenna dropout / re-admission).
     pub degraded_events: u64,
-    /// Window-restricted acquisitions this session's tracker performed
-    /// (0 unless [`OnlineConfig::window`] is configured).
-    ///
-    /// [`OnlineConfig::window`]: rfidraw_core::online::OnlineConfig::window
-    pub windowed_evals: u64,
     /// Reads currently waiting in the queue.
     pub queue_depth: u64,
     /// Whether the tracker has acquired and is producing estimates.
@@ -316,9 +304,6 @@ pub struct TelemetryReport {
     pub reads_invalid: u64,
     /// Missing-pair-set changes, service-wide.
     pub degraded_events: u64,
-    /// Window-restricted acquisitions, service-wide (the sum of every
-    /// session's `windowed_evals`).
-    pub windowed_evals: u64,
     /// Reads stashed by parked reactor connections (`Block` backpressure).
     /// Conservation: `parked_reads = readmissions + parked_rejected +
     /// parked_discarded + currently stashed` (see the module docs).
@@ -384,11 +369,10 @@ impl TelemetryReport {
             self.positions, self.stale_resets, self.degraded_events,
         ));
         out.push_str(&format!(
-            "tables:   {} cache hits / {} misses, {} bytes resident, {} windowed evals\n",
+            "tables:   {} cache hits / {} misses, {} bytes resident\n",
             self.table_cache_hits,
             self.table_cache_misses,
             self.table_cache_bytes,
-            self.windowed_evals,
         ));
         out.push_str(&format!(
             "net:      {} conns accepted / {} closed / {} open / {} rejected, \
@@ -462,7 +446,6 @@ impl TelemetryReport {
         p.counter("rfidraw_stale_resets_total", "Stale-gap tracker resets.", &[], self.stale_resets);
         p.counter("rfidraw_reads_invalid_total", "Reads refused as hostile or inconsistent.", &[], self.reads_invalid);
         p.counter("rfidraw_degraded_total", "Missing-pair-set changes (antenna dropout or re-admission).", &[], self.degraded_events);
-        p.counter("rfidraw_windowed_evals_total", "Window-restricted acquisitions.", &[], self.windowed_evals);
         p.counter("rfidraw_parked_reads_total", "Reads stashed by parked reactor connections.", &[], self.parked_reads);
         p.counter("rfidraw_readmissions_total", "Stashed reads admitted after a drain signal.", &[], self.readmissions);
         p.counter("rfidraw_parked_rejected_total", "Stashed reads refused at retry (session closed).", &[], self.parked_rejected);
@@ -515,7 +498,6 @@ impl TelemetryReport {
             p.counter("rfidraw_session_stale_resets_total", "Per-session stale resets.", &labels, s.stale_resets);
             p.counter("rfidraw_session_reads_invalid_total", "Per-session reads refused as invalid.", &labels, s.reads_invalid);
             p.counter("rfidraw_session_degraded_total", "Per-session missing-pair-set changes.", &labels, s.degraded_events);
-            p.counter("rfidraw_session_windowed_evals_total", "Per-session window-restricted acquisitions.", &labels, s.windowed_evals);
             p.gauge("rfidraw_session_queue_depth", "Per-session queued reads.", &labels, s.queue_depth as f64);
             p.gauge(
                 "rfidraw_session_tracking",
@@ -557,7 +539,6 @@ mod tests {
             stale_resets: 1,
             reads_invalid: 2,
             degraded_events: 1,
-            windowed_evals: 4,
             parked_reads: 16,
             readmissions: 13,
             parked_rejected: 2,
@@ -615,7 +596,6 @@ mod tests {
                 stale_resets: 1,
                 reads_invalid: 2,
                 degraded_events: 1,
-                windowed_evals: 4,
                 queue_depth: 5,
                 tracking: true,
                 degraded: false,
@@ -641,7 +621,7 @@ mod tests {
         assert!(text.contains("latency:"));
         assert!(text.contains("queue:"));
         assert!(text.contains("stage engine_evaluate"));
-        assert!(text.contains("2 cache hits / 2 misses, 4096 bytes resident, 4 windowed evals"));
+        assert!(text.contains("2 cache hits / 2 misses, 4096 bytes resident"));
         assert!(text.contains("9 conns accepted"));
         assert!(text.contains("50 json + 70 binary frames in"));
         assert!(text.contains("12 partial resumes"));
@@ -664,7 +644,6 @@ mod tests {
         assert!(text.contains("rfidraw_reads_invalid_total 2"));
         assert!(text.contains("rfidraw_reads_inline_total 70"));
         assert!(text.contains("rfidraw_degraded_total 1"));
-        assert!(text.contains("rfidraw_windowed_evals_total 4"));
         assert!(text.contains("rfidraw_table_cache_hits_total 2"));
         assert!(text.contains("rfidraw_table_cache_misses_total 2"));
         assert!(text.contains("rfidraw_table_cache_resident_bytes 4096"));
@@ -681,7 +660,6 @@ mod tests {
         assert!(text.contains("rfidraw_net_reregister_failures_total 0"));
         assert!(text.contains("rfidraw_shard_reads_drained_total{shard=\"0\"} 60"));
         assert!(text.contains("rfidraw_shard_sessions{shard=\"1\"} 0"));
-        assert!(text.contains("rfidraw_session_windowed_evals_total{epc="));
         assert!(text.contains("rfidraw_session_positions_total{epc="));
         // HELP/TYPE declared once per family despite per-session repeats.
         assert_eq!(text.matches("# TYPE rfidraw_stage_us histogram").count(), 1);

@@ -86,7 +86,6 @@ fn eight_sessions_share_exactly_two_tables_bit_identically() {
     assert_eq!(report.table_cache_misses, 2, "exactly one coarse and one fine table built");
     assert_eq!(report.table_cache_hits, 14, "7 later sessions × 2 tables each");
     assert_eq!(report.table_cache_bytes, template.build().positioner().table_bytes());
-    assert_eq!(report.windowed_evals, 0, "no windowed tracking configured");
     let prom = report.to_prometheus();
     assert!(prom.contains("rfidraw_table_cache_hits_total 14"));
     assert!(prom.contains("rfidraw_table_cache_misses_total 2"));

@@ -5,40 +5,27 @@
 //! per-cell accumulator tile. On the baseline x86-64 target that inner
 //! loop vectorizes only if LLVM's autovectorizer cooperates — a property
 //! that has silently regressed across compiler versions before. This
-//! crate makes the wide path explicit: one sweep function per table
-//! precision, each with an AVX2 kernel, an SSE4.1 kernel, and a scalar
-//! kernel, selected **at runtime** from CPUID (detected once, cached).
+//! crate makes the wide path of the i16 table explicit: an AVX2+FMA
+//! kernel and a scalar kernel, selected **at runtime** from CPUID.
 //!
 //! ## Bit-identity
 //!
 //! Every kernel is bit-identical to the scalar sweep, by construction:
-//!
-//! * **f32** — SIMD lanes map to *distinct cells*, and each cell's
-//!   accumulator still receives its `−f²` terms one measurement at a
-//!   time, in measurement order. Per lane the instruction sequence is
-//!   exactly the scalar one (`sub`, magic-number `add`/`sub`, `sub`,
-//!   `mul`, `sub` — no FMA contraction, which would change rounding), and
-//!   IEEE-754 arithmetic is deterministic per lane, so vector width never
-//!   changes a bit.
-//! * **i16** — the wrapping subtract and the `i16 → f32` widening are
-//!   exact (|d| ≤ 2¹⁵ < 2²⁴), and the square-and-subtract is *always
-//!   fused*: one `a − d·d` with a single rounding per term, in
-//!   measurement order, with no cross-lane reduction. The scalar form is
-//!   [`f32::mul_add`], whose contract is the same single rounding, so
-//!   vector width never changes a bit. Fusing is not just speed — it
-//!   makes the exact product `d²` (≤ 2³⁰, wider than an f32 mantissa)
-//!   enter the accumulator unrounded, which tightens the engine's
-//!   derived vote-error bound to the accumulation series alone. (An
-//!   earlier revision widened to i64 instead; exact, but the extra
-//!   widening ops and the 8-byte accumulator traffic erased the
-//!   bandwidth win over f32.)
-//! * **i8** — the quantized sweep is pure integer arithmetic (wrapping
-//!   subtract, widen, square, widened add), which is exact and
-//!   associative; there is nothing rounding-order-dependent to preserve.
+//! the wrapping subtract and the `i16 → f32` widening are exact
+//! (|d| ≤ 2¹⁵ < 2²⁴), and the square-and-subtract is *always fused*: one
+//! `a − d·d` with a single rounding per term, in measurement order, with
+//! no cross-lane reduction. The scalar form is [`f32::mul_add`], whose
+//! contract is the same single rounding, so vector width never changes a
+//! bit. Fusing is not just speed — it makes the exact product `d²`
+//! (≤ 2³⁰, wider than an f32 mantissa) enter the accumulator unrounded,
+//! which tightens the engine's derived vote-error bound to the
+//! accumulation series alone. (An earlier revision widened to i64
+//! instead; exact, but the extra widening ops and the 8-byte accumulator
+//! traffic erased the bandwidth win of the narrow table.)
 //!
 //! The dispatch is therefore *invisible* except in wall-clock; the
 //! kernel-equivalence suites in `rfidraw-core` pin [`SimdMode::Auto`] to
-//! [`SimdMode::Scalar`] bit-for-bit on every precision.
+//! [`SimdMode::Scalar`] bit-for-bit.
 //!
 //! ## Unsafe surface
 //!
@@ -52,14 +39,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 /// Which accumulation kernel a sweep call may use.
 ///
-/// `Auto` picks the widest instruction set the CPU reports (AVX2, then
-/// SSE4.1, then scalar); `Scalar` forces the scalar kernel. Results are
-/// bit-identical either way — the knob exists so benches can measure the
-/// explicit-SIMD margin and tests can assert the bit-identity.
+/// `Auto` runs the AVX2 kernel when the CPU reports AVX2 and FMA, the
+/// scalar kernel otherwise; `Scalar` forces the scalar kernel. Results
+/// are bit-identical either way — the knob exists so benches can measure
+/// the explicit-SIMD margin and tests can assert the bit-identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimdMode {
     /// Runtime-dispatch to the widest available kernel (the default).
@@ -69,103 +54,23 @@ pub enum SimdMode {
     Scalar,
 }
 
-/// The magic constant of the branch-free nearest-integer trick:
-/// `(x + 1.5·2²³) − 1.5·2²³` rounds an `f32` with `|x| ≤ 2²²` to the
-/// nearest integer (ties to even) in two additions. Must match
-/// `rfidraw_core::phase::frac_dist_to_integer_f32`.
-const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
-
-const LEVEL_UNKNOWN: u8 = 0;
-const LEVEL_SCALAR: u8 = 1;
-const LEVEL_SSE41: u8 = 2;
-const LEVEL_AVX2: u8 = 3;
-
-static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNKNOWN);
-
-/// The CPU's kernel tier, detected once and cached.
-fn level() -> u8 {
-    match LEVEL.load(Ordering::Relaxed) {
-        LEVEL_UNKNOWN => {
-            let l = detect();
-            LEVEL.store(l, Ordering::Relaxed);
-            l
-        }
-        l => l,
-    }
-}
-
+/// Whether the CPU runs the AVX2 kernels: they need AVX2 and FMA (the
+/// fused subtract); every AVX2 part ships FMA. `std` caches the CPUID
+/// probe, so each call is a load.
 #[cfg(target_arch = "x86_64")]
-fn detect() -> u8 {
-    // The AVX2 tier also requires FMA (the i16 kernel's fused
-    // subtract); every AVX2 part ships FMA, so the pairing costs
-    // nothing in practice.
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        LEVEL_AVX2
-    } else if std::arch::is_x86_feature_detected!("sse4.1") {
-        LEVEL_SSE41
-    } else {
-        LEVEL_SCALAR
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect() -> u8 {
-    LEVEL_SCALAR
+fn has_avx2_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
 /// The instruction set [`SimdMode::Auto`] resolves to on this machine:
-/// `"avx2"`, `"sse4.1"`, or `"scalar"`. Observability only (bench
-/// snapshots record it); never changes a result.
+/// `"avx2"` or `"scalar"`. Observability only; never changes a result.
 pub fn active_kernel() -> &'static str {
-    match level() {
-        LEVEL_AVX2 => "avx2",
-        LEVEL_SSE41 => "sse4.1",
-        _ => "scalar",
-    }
-}
-
-// ---------------------------------------------------------------------
-// f32: one measurement's `a -= frac(t - m)²` over an accumulator tile.
-// ---------------------------------------------------------------------
-
-/// Subtracts `frac_dist_to_integer_f32(column[c] − measured)²` from
-/// `acc[c]` for every cell of the tile — one measurement's contribution
-/// to an f32 accumulator tile, the inner sweep of the engine's f32
-/// kernel. Bit-identical for every [`SimdMode`] and vector width.
-///
-/// # Panics
-/// Panics if `acc` and `column` lengths differ.
-pub fn sweep_f32(acc: &mut [f32], column: &[f32], measured: f32, mode: SimdMode) {
-    assert_eq!(acc.len(), column.len(), "tile and column must be the same length");
     #[cfg(target_arch = "x86_64")]
-    if mode == SimdMode::Auto {
-        match level() {
-            // SAFETY: the matching CPUID feature was detected at runtime.
-            LEVEL_AVX2 => return unsafe { x86::sweep_f32_avx2(acc, column, measured) },
-            LEVEL_SSE41 => return unsafe { x86::sweep_f32_sse41(acc, column, measured) },
-            _ => {}
-        }
+    if has_avx2_fma() {
+        return "avx2";
     }
-    let _ = mode;
-    sweep_f32_scalar(acc, column, measured);
+    "scalar"
 }
-
-/// The scalar f32 sweep: exactly the per-cell float sequence of
-/// `VoteEngine`'s reference accumulation (`f = |d − nearest_int(d)|`,
-/// `a -= f·f`; squaring makes the `abs` a no-op bitwise, so it is
-/// omitted).
-fn sweep_f32_scalar(acc: &mut [f32], column: &[f32], measured: f32) {
-    for (a, &turns) in acc.iter_mut().zip(column) {
-        let d = turns - measured;
-        let r = (d + MAGIC) - MAGIC;
-        let f = d - r;
-        *a -= f * f;
-    }
-}
-
-// ---------------------------------------------------------------------
-// i16: one measurement's `a -= (wrap(q − qm) as f32)²` over an f32 tile.
-// ---------------------------------------------------------------------
 
 /// Subtracts `(column[c].wrapping_sub(measured) as f32)²` from `acc[c]`
 /// for every cell — one measurement's contribution to an i16-quantized
@@ -180,16 +85,16 @@ fn sweep_f32_scalar(acc: &mut [f32], column: &[f32], measured: f32) {
 /// per 16 cells and the accumulator at 4 bytes per cell — the whole
 /// point of the narrow table.
 ///
-/// The SSE4.1 tier has no fused multiply-add, so on pre-AVX2 hardware
-/// this sweep runs the scalar kernel (whose [`f32::mul_add`] honors the
-/// same single-rounding contract through libm).
+/// Without AVX2+FMA this sweep runs the scalar kernel, whose
+/// [`f32::mul_add`] honors the same single-rounding contract through
+/// libm.
 ///
 /// # Panics
 /// Panics if `acc` and `column` lengths differ.
 pub fn sweep_i16(acc: &mut [f32], column: &[i16], measured: i16, mode: SimdMode) {
     assert_eq!(acc.len(), column.len(), "tile and column must be the same length");
     #[cfg(target_arch = "x86_64")]
-    if mode == SimdMode::Auto && level() == LEVEL_AVX2 {
+    if mode == SimdMode::Auto && has_avx2_fma() {
         // SAFETY: avx2 + fma were detected at runtime.
         return unsafe { x86::sweep_i16_avx2(acc, column, measured) };
     }
@@ -212,8 +117,8 @@ fn sweep_i16_scalar(acc: &mut [f32], column: &[i16], measured: i16) {
 /// `a − d²` terms in that order — but the accumulator tile is loaded
 /// and stored once instead of twice, which matters in a kernel this
 /// short. The engine's full-grid sweep feeds measurement pairs through
-/// here; windowed and masked paths keep the single-column form and
-/// still match bit-for-bit.
+/// here; the odd measurement out keeps the single-column form and still
+/// matches bit-for-bit.
 ///
 /// # Panics
 /// Panics if the three slice lengths differ.
@@ -228,7 +133,7 @@ pub fn sweep_i16_dual(
     assert_eq!(acc.len(), col_a.len(), "tile and column must be the same length");
     assert_eq!(acc.len(), col_b.len(), "tile and column must be the same length");
     #[cfg(target_arch = "x86_64")]
-    if mode == SimdMode::Auto && level() == LEVEL_AVX2 {
+    if mode == SimdMode::Auto && has_avx2_fma() {
         // SAFETY: avx2 + fma were detected at runtime.
         return unsafe { x86::sweep_i16_dual_avx2(acc, col_a, ma, col_b, mb) };
     }
@@ -245,39 +150,6 @@ fn sweep_i16_dual_scalar(acc: &mut [f32], col_a: &[i16], ma: i16, col_b: &[i16],
     }
 }
 
-// ---------------------------------------------------------------------
-// i8: one measurement's `a += wrap(q − qm)²` over an i32 tile.
-// ---------------------------------------------------------------------
-
-/// Adds `(column[c].wrapping_sub(measured) as i16)²` to `acc[c]` for
-/// every cell — the i8-quantized sibling of [`sweep_i16`]. Terms are at
-/// most `2¹⁴`, so the i32 accumulation is exact for up to `2¹⁷`
-/// measurements (the engine asserts the envelope).
-///
-/// # Panics
-/// Panics if `acc` and `column` lengths differ.
-pub fn sweep_i8(acc: &mut [i32], column: &[i8], measured: i8, mode: SimdMode) {
-    assert_eq!(acc.len(), column.len(), "tile and column must be the same length");
-    #[cfg(target_arch = "x86_64")]
-    if mode == SimdMode::Auto {
-        match level() {
-            // SAFETY: the matching CPUID feature was detected at runtime.
-            LEVEL_AVX2 => return unsafe { x86::sweep_i8_avx2(acc, column, measured) },
-            LEVEL_SSE41 => return unsafe { x86::sweep_i8_sse41(acc, column, measured) },
-            _ => {}
-        }
-    }
-    let _ = mode;
-    sweep_i8_scalar(acc, column, measured);
-}
-
-fn sweep_i8_scalar(acc: &mut [i32], column: &[i8], measured: i8) {
-    for (a, &q) in acc.iter_mut().zip(column) {
-        let d = i32::from(q.wrapping_sub(measured));
-        *a += d * d;
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The `std::arch` kernels. Every function is gated on a
@@ -285,57 +157,13 @@ mod x86 {
     //! pointer it dereferences lies within a caller-provided slice
     //! (`head` full vectors, then the scalar tail).
 
-    use super::{sweep_f32_scalar, sweep_i16_dual_scalar, sweep_i16_scalar, sweep_i8_scalar, MAGIC};
+    use super::{sweep_i16_dual_scalar, sweep_i16_scalar};
     use std::arch::x86_64::*;
 
     /// Largest multiple of `lanes` that fits `len`.
     #[inline]
     fn head(len: usize, lanes: usize) -> usize {
         len - len % lanes
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sweep_f32_avx2(acc: &mut [f32], column: &[f32], measured: f32) {
-        let n = head(acc.len(), 8);
-        let m = _mm256_set1_ps(measured);
-        let magic = _mm256_set1_ps(MAGIC);
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 8 <= n <= len for both slices.
-            unsafe {
-                let t = _mm256_loadu_ps(column.as_ptr().add(i));
-                let d = _mm256_sub_ps(t, m);
-                let r = _mm256_sub_ps(_mm256_add_ps(d, magic), magic);
-                let f = _mm256_sub_ps(d, r);
-                let a = _mm256_loadu_ps(acc.as_ptr().add(i));
-                let a = _mm256_sub_ps(a, _mm256_mul_ps(f, f));
-                _mm256_storeu_ps(acc.as_mut_ptr().add(i), a);
-            }
-            i += 8;
-        }
-        sweep_f32_scalar(&mut acc[n..], &column[n..], measured);
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn sweep_f32_sse41(acc: &mut [f32], column: &[f32], measured: f32) {
-        let n = head(acc.len(), 4);
-        let m = _mm_set1_ps(measured);
-        let magic = _mm_set1_ps(MAGIC);
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 4 <= n <= len for both slices.
-            unsafe {
-                let t = _mm_loadu_ps(column.as_ptr().add(i));
-                let d = _mm_sub_ps(t, m);
-                let r = _mm_sub_ps(_mm_add_ps(d, magic), magic);
-                let f = _mm_sub_ps(d, r);
-                let a = _mm_loadu_ps(acc.as_ptr().add(i));
-                let a = _mm_sub_ps(a, _mm_mul_ps(f, f));
-                _mm_storeu_ps(acc.as_mut_ptr().add(i), a);
-            }
-            i += 4;
-        }
-        sweep_f32_scalar(&mut acc[n..], &column[n..], measured);
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -399,58 +227,6 @@ mod x86 {
         }
         sweep_i16_dual_scalar(&mut acc[n..], &col_a[n..], ma, &col_b[n..], mb);
     }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sweep_i8_avx2(acc: &mut [i32], column: &[i8], measured: i8) {
-        let n = head(acc.len(), 16);
-        let m = _mm_set1_epi8(measured);
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 16 <= n <= len for both slices.
-            unsafe {
-                let q = _mm_loadu_si128(column.as_ptr().add(i).cast());
-                let d = _mm_sub_epi8(q, m); // wrapping: the mod-1 fold
-                let d16 = _mm256_cvtepi8_epi16(d);
-                // d² ≤ 2¹⁴ fits i16 exactly (including d = −128).
-                let sq = _mm256_mullo_epi16(d16, d16);
-                let lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(sq));
-                let hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(sq, 1));
-                let base = acc.as_mut_ptr().add(i);
-                let a0 = _mm256_loadu_si256(base.cast());
-                let a1 = _mm256_loadu_si256(base.add(8).cast());
-                _mm256_storeu_si256(base.cast(), _mm256_add_epi32(a0, lo));
-                _mm256_storeu_si256(base.add(8).cast(), _mm256_add_epi32(a1, hi));
-            }
-            i += 16;
-        }
-        sweep_i8_scalar(&mut acc[n..], &column[n..], measured);
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn sweep_i8_sse41(acc: &mut [i32], column: &[i8], measured: i8) {
-        let n = head(acc.len(), 8);
-        let m = _mm_set1_epi8(measured);
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 8 <= n <= len for both slices; the 64-bit load
-            // reads exactly column[i..i+8].
-            unsafe {
-                let q = _mm_loadl_epi64(column.as_ptr().add(i).cast());
-                let d = _mm_sub_epi8(q, m);
-                let d16 = _mm_cvtepi8_epi16(d);
-                let sq = _mm_mullo_epi16(d16, d16);
-                let lo = _mm_cvtepi16_epi32(sq);
-                let hi = _mm_cvtepi16_epi32(_mm_srli_si128(sq, 8));
-                let base = acc.as_mut_ptr().add(i);
-                let a0 = _mm_loadu_si128(base.cast());
-                let a1 = _mm_loadu_si128(base.add(4).cast());
-                _mm_storeu_si128(base.cast(), _mm_add_epi32(a0, lo));
-                _mm_storeu_si128(base.add(4).cast(), _mm_add_epi32(a1, hi));
-            }
-            i += 8;
-        }
-        sweep_i8_scalar(&mut acc[n..], &column[n..], measured);
-    }
 }
 
 #[cfg(test)]
@@ -466,32 +242,12 @@ mod tests {
             self.0 ^= self.0 << 17;
             self.0
         }
-        fn f32_turns(&mut self) -> f32 {
-            // Turns in roughly ±40 — the physical envelope of the tables.
-            (self.next() % 80_000) as f32 / 1000.0 - 40.0
-        }
     }
 
     /// Every tile length from empty through several vectors plus a tail,
     /// so each kernel's head loop and scalar tail are both exercised.
     fn lengths() -> impl Iterator<Item = usize> {
         (0..40).chain([63, 64, 100, 1000])
-    }
-
-    #[test]
-    fn f32_auto_matches_scalar_bitwise() {
-        let mut rng = Rng(0x5eed);
-        for len in lengths() {
-            let column: Vec<f32> = (0..len).map(|_| rng.f32_turns()).collect();
-            let measured = rng.f32_turns();
-            let mut auto: Vec<f32> = (0..len).map(|i| -(i as f32) * 0.125).collect();
-            let mut scalar = auto.clone();
-            sweep_f32(&mut auto, &column, measured, SimdMode::Auto);
-            sweep_f32(&mut scalar, &column, measured, SimdMode::Scalar);
-            let a: Vec<u32> = auto.iter().map(|v| v.to_bits()).collect();
-            let s: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, s, "len {len} (kernel {})", active_kernel());
-        }
     }
 
     #[test]
@@ -532,25 +288,9 @@ mod tests {
     }
 
     #[test]
-    fn i8_auto_matches_scalar_exactly() {
-        let mut rng = Rng(0xcafe);
-        for len in lengths() {
-            let column: Vec<i8> = (0..len).map(|_| rng.next() as i8).collect();
-            let measured = rng.next() as i8;
-            let mut auto: Vec<i32> = (0..len).map(|i| i as i32 * 3).collect();
-            let mut scalar = auto.clone();
-            sweep_i8(&mut auto, &column, measured, SimdMode::Auto);
-            sweep_i8(&mut scalar, &column, measured, SimdMode::Scalar);
-            assert_eq!(auto, scalar, "len {len}");
-        }
-    }
-
-    #[test]
     fn extreme_quanta_square_without_overflow() {
         // d = −32768 (exactly −0.5 turns) squares to 2³⁰ — exact in f32,
-        // a power of two; d = −128 in the i8 path squares to 2¹⁴ — the
-        // overflow edge of the widened integer arithmetic. Both hit
-        // through both kernels.
+        // a power of two — through both kernels.
         let column16 = vec![i16::MIN; 33];
         let mut auto16 = vec![0f32; 33];
         let mut scalar16 = vec![0f32; 33];
@@ -561,14 +301,6 @@ mod tests {
             scalar16.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
         assert!(auto16.iter().all(|&a| a == -((1u32 << 30) as f32)));
-
-        let column8 = vec![i8::MIN; 33];
-        let mut auto8 = vec![0i32; 33];
-        let mut scalar8 = vec![0i32; 33];
-        sweep_i8(&mut auto8, &column8, 0, SimdMode::Auto);
-        sweep_i8(&mut scalar8, &column8, 0, SimdMode::Scalar);
-        assert_eq!(auto8, scalar8);
-        assert!(auto8.iter().all(|&a| a == 1 << 14));
     }
 
     #[test]
@@ -587,7 +319,7 @@ mod tests {
     #[test]
     fn active_kernel_is_stable_and_named() {
         let first = active_kernel();
-        assert!(["avx2", "sse4.1", "scalar"].contains(&first));
+        assert!(["avx2", "scalar"].contains(&first));
         assert_eq!(first, active_kernel());
     }
 }

@@ -17,7 +17,7 @@ use rfidraw_core::baseline::BaselineArrays;
 use rfidraw_core::engine::TablePrecision;
 use rfidraw_core::exec::Parallelism;
 use rfidraw_core::geom::{Plane, Point2, Rect};
-use rfidraw_core::online::{OnlineConfig, TrackWindow};
+use rfidraw_core::online::OnlineConfig;
 use rfidraw_core::position::{Candidate, MultiResConfig, MultiResPositioner};
 use rfidraw_core::stream::{PairSnapshot, SnapshotBuilder, StreamError};
 use rfidraw_core::trace::{TraceConfig, TraceResult, TrajectoryTracer};
@@ -67,15 +67,9 @@ pub struct PipelineConfig {
     /// Results are bit-identical for every setting (see
     /// `rfidraw_core::exec`); only wall-clock time changes.
     pub parallelism: Parallelism,
-    /// Half-extent (m) of the window-restricted re-acquisition pass used by
-    /// online trackers derived from this configuration (see
-    /// [`rfidraw_core::online::TrackWindow`]). `None` — the default — keeps
-    /// every acquisition on the full grid; the offline [`run_word`] pipeline
-    /// ignores this knob entirely, so it is provably inert there.
-    pub track_window: Option<f64>,
-    /// Floating-point width of the positioning engines' vote tables.
+    /// Numeric width of the positioning engines' vote tables.
     /// [`TablePrecision::F64`] (the default) is bit-exact versus the
-    /// reference kernel; [`TablePrecision::F32`] halves table bytes and
+    /// reference kernel; [`TablePrecision::I16`] quarters table bytes and
     /// memory bandwidth with a derived vote-error bound, and the
     /// paper-metric regression suite gates its fig11/fig12 accuracy to
     /// within 2% of the f64 baselines.
@@ -102,7 +96,6 @@ impl PipelineConfig {
             fault: FaultConfig::default(),
             hampel: None,
             parallelism: Parallelism::Auto,
-            track_window: None,
             precision: TablePrecision::F64,
             seed: 1,
         }
@@ -146,14 +139,10 @@ impl PipelineConfig {
     }
 
     /// The [`OnlineConfig`] a live tracker over this pipeline's scene should
-    /// use: the pipeline tick, plus the windowed re-acquisition knob when
-    /// [`PipelineConfig::track_window`] is set.
+    /// use: the pipeline tick.
     pub fn online_config(&self) -> OnlineConfig {
         OnlineConfig {
             tick: self.tick,
-            window: self
-                .track_window
-                .map(|half_extent| TrackWindow { half_extent }),
             ..OnlineConfig::default()
         }
     }

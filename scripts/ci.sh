@@ -48,44 +48,41 @@ cargo test --release --offline -q -p rfidraw-core --test quiet_reads \
 cargo test --release --offline -q -p rfidraw-core --test quiet_reads \
     clean_stream_is_mostly_quiet
 
-echo "== paper-metric regression gate (fig11/fig12, f64 vs f32 vs i16) =="
+echo "== paper-metric regression gate (fig11/fig12, f64 vs i16) =="
 # Re-runs the fig. 11 trajectory CDF and fig. 12 initial-position CDF at
-# reduced scale under the f64, f32, and quantized-i16 table precisions.
+# reduced scale under the f64 and quantized-i16 table precisions.
 # Fails when the f64 median/p90 drifts >2% from
-# results/paper_metrics_baseline.txt or a reduced precision's median/p90
-# degrades >2% versus the f64 run.
+# results/paper_metrics_baseline.txt or the i16 median/p90 degrades >2%
+# versus the f64 run.
 cargo test --release --offline -q -p rfidraw-bench --test paper_metrics
 
 echo "== bench smoke (kernels, --test mode) =="
 cargo bench --offline --bench kernels -- --test
 
-echo "== perf sanity: pair-major engine vs reference path, f32 vs f64, i16 vs f32 =="
-# Three gates on the dense 1 cm grid: (a) the pair-major table kernel must
+echo "== perf sanity: pair-major engine vs reference path, i16 vs f64 =="
+# Two gates on the dense 1 cm grid: (a) the pair-major table kernel must
 # not be slower than the table-free reference evaluation (the engine is
 # ~2.5x faster in steady state; the generous 1.1x allowance only trips on
-# a real regression, not on noise), (b) the f32 kernel must beat the
-# f64 serial engine by at least 1.2x — the point of halving the table
-# bytes is bandwidth, so losing that margin is a regression — and (c) the
-# quantized i16 kernel must beat f32 by at least 1.3x: the narrow table
-# plus the fused dual-column sweep is the point of quantizing at all
-# (measured ~1.45-1.6x; see BENCH_09.json).
+# a real regression, not on noise), and (b) the quantized i16 kernel must
+# beat the f64 serial engine by at least 1.56x: the quarter-width table
+# plus the fused dual-column sweep is the point of quantizing at all.
+# 1.56 is the product of the two gates it replaces (f32 >= 1.2x f64 and
+# i16 >= 1.3x f32), so it is no looser; BENCH_15 measured 3.3x.
 perf_out=$(cargo bench --offline --bench kernels -- 1cm 2>/dev/null | grep ' median ')
 echo "$perf_out"
 echo "$perf_out" | awk -f scripts/median_ns.awk | awk '
     { m[$1] = $2 }
     END {
         if (!("vote_reference_1cm" in m) || !("engine_1cm_serial" in m) \
-            || !("engine_1cm_f32" in m) || !("engine_1cm_i16" in m)) {
+            || !("engine_1cm_i16" in m)) {
             print "perf sanity: expected benches missing from output" > "/dev/stderr"
             exit 1
         }
         ratio = m["engine_1cm_serial"] / m["vote_reference_1cm"]
         printf "perf sanity: engine/reference time ratio %.2f (must be < 1.10)\n", ratio
-        f32 = m["engine_1cm_serial"] / m["engine_1cm_f32"]
-        printf "perf sanity: f32/f64 engine speedup %.2fx (must be >= 1.20)\n", f32
-        i16 = m["engine_1cm_f32"] / m["engine_1cm_i16"]
-        printf "perf sanity: i16/f32 engine speedup %.2fx (must be >= 1.30)\n", i16
-        exit (ratio < 1.10 && f32 >= 1.20 && i16 >= 1.30) ? 0 : 1
+        i16 = m["engine_1cm_serial"] / m["engine_1cm_i16"]
+        printf "perf sanity: i16/f64 engine speedup %.2fx (must be >= 1.56)\n", i16
+        exit (ratio < 1.10 && i16 >= 1.56) ? 0 : 1
     }
 '
 
