@@ -372,45 +372,36 @@ fn bench_serve_block_one_slow_session(c: &mut Criterion) {
     feeder.join().expect("feeder");
 }
 
-/// Instrumented-vs-uninstrumented vote-engine throughput. On the default
-/// build the emit sites don't exist, so `engine_1cm_trace_off` IS the
-/// uninstrumented kernel; with `--features trace` the same name measures
-/// the compiled-but-unarmed cost (sink = `None`, the "<3% when disabled"
-/// budget that `trace_overhead` gates in CI) and two extra benches
-/// measure a live recorder at full and 1-in-64 sampling.
-fn bench_trace_overhead(c: &mut Criterion) {
+/// The cost of a live trace recorder on the serial 1 cm vote-engine
+/// evaluation: `engine_1cm_trace_recorder` keeps every event and
+/// `engine_1cm_trace_sampled_64` keeps 1 in 64. Compare them with
+/// `engine_1cm_serial`, the same evaluation with no sink installed, where
+/// each emit site costs one branch.
+fn bench_trace_recorder(c: &mut Criterion) {
+    use rfidraw::core::obs::SharedSink;
+    use rfidraw::metrics::{TraceRecorder, TraceSettings};
+    use std::sync::Arc;
+
     let dep = Deployment::paper_default();
     let plane = Plane::at_depth(2.0);
     let tag = plane.lift(Point2::new(1.2, 0.9));
     let ms = ideal_measurements(&dep, dep.all_pairs(), tag);
     let grid = Grid2::new(region(), 0.01);
-
-    let engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
-    engine.build_table();
-    c.bench_function("engine_1cm_trace_off", |b| {
-        b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
-    });
-
-    #[cfg(feature = "trace")]
+    for (name, sample_every) in
+        [("engine_1cm_trace_recorder", 1u32), ("engine_1cm_trace_sampled_64", 64)]
     {
-        use rfidraw::metrics::{TraceRecorder, TraceSettings};
-        use std::sync::Arc;
-        for (name, sample_every) in
-            [("engine_1cm_trace_recorder", 1u32), ("engine_1cm_trace_sampled_64", 64)]
-        {
-            let rec = Arc::new(TraceRecorder::new(TraceSettings {
-                sample_every,
-                ..TraceSettings::default()
-            }));
-            let sink: rfidraw::core::obs::SharedSink = Arc::clone(&rec) as _;
-            let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
-            engine.set_trace_sink(Some(sink), 1);
-            engine.build_table();
-            c.bench_function(name, |b| {
-                b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
-            });
-            black_box(rec.events_seen());
-        }
+        let rec = Arc::new(TraceRecorder::new(TraceSettings {
+            sample_every,
+            ..TraceSettings::default()
+        }));
+        let sink: SharedSink = Arc::clone(&rec) as _;
+        let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
+        engine.set_trace_sink(Some(sink), 1);
+        engine.build_table();
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
+        });
+        black_box(rec.events_seen());
     }
 }
 
@@ -429,6 +420,6 @@ criterion_group! {
               bench_multires_locate,
               bench_trace_steps, bench_baseline_locate, bench_serve_ingest, bench_serve_wire,
               bench_serve_block_one_slow_session,
-              bench_trace_overhead, bench_recognizer
+              bench_trace_recorder, bench_recognizer
 }
 criterion_main!(kernels);

@@ -70,7 +70,6 @@ use crate::array::{AntennaPair, Deployment};
 use crate::exec::Parallelism;
 use crate::geom::{Plane, Point3};
 use crate::grid::{Grid2, VoteMap};
-#[cfg(feature = "trace")]
 use crate::obs::{self, SharedSink, Stage};
 use crate::phase::{frac_dist_to_integer, quantize_turns_i16};
 use crate::vote::PairMeasurement;
@@ -165,9 +164,9 @@ pub struct VoteEngine {
     /// Which accumulation kernels the i16 sweeps may use. Results are
     /// bit-identical either way; `Auto` unless pinned.
     simd: SimdMode,
-    #[cfg(feature = "trace")]
+    /// Where evaluation spans go, tagged with `session`; `None` (the
+    /// default) makes every emit site one branch (see [`crate::obs`]).
     sink: Option<SharedSink>,
-    #[cfg(feature = "trace")]
     session: u64,
 }
 
@@ -211,9 +210,7 @@ impl VoteEngine {
             table_i16: Arc::new(OnceLock::new()),
             precision: TablePrecision::default(),
             simd: SimdMode::Auto,
-            #[cfg(feature = "trace")]
             sink: None,
-            #[cfg(feature = "trace")]
             session: 0,
         }
     }
@@ -290,7 +287,6 @@ impl VoteEngine {
     /// Installs (or removes) a trace sink; evaluation spans and per-shard
     /// timings are emitted to it tagged with `session`. Observability only:
     /// never changes any computed value (see [`crate::obs`]).
-    #[cfg(feature = "trace")]
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>, session: u64) {
         self.sink = sink;
         self.session = session;
@@ -345,7 +341,6 @@ impl VoteEngine {
     where
         T: Copy + Default + Send,
     {
-        #[cfg(feature = "trace")]
         let _span =
             obs::SpanTimer::start(self.sink.as_ref(), self.session, Stage::EngineTable, 0.0);
         let n_cells = self.grid.len();
@@ -426,7 +421,6 @@ impl VoteEngine {
         let table = self.build_table();
         let n_cells = self.grid.len();
         let mut values = vec![0.0; n_cells];
-        #[cfg(feature = "trace")]
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
@@ -434,7 +428,6 @@ impl VoteEngine {
             measurements.len() as f64,
         );
         self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-            #[cfg(feature = "trace")]
             let _shard_span = obs::SpanTimer::start(
                 self.sink.as_ref(),
                 self.session,
@@ -476,7 +469,6 @@ impl VoteEngine {
         let n_cells = self.grid.len();
         let mut values = vec![0.0f64; n_cells];
         let simd = self.simd;
-        #[cfg(feature = "trace")]
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
@@ -484,7 +476,6 @@ impl VoteEngine {
             measurements.len() as f64,
         );
         self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-            #[cfg(feature = "trace")]
             let _shard_span = obs::SpanTimer::start(
                 self.sink.as_ref(),
                 self.session,
@@ -540,7 +531,6 @@ impl VoteEngine {
         let cols = self.columns(measurements);
         let n_cells = self.grid.len();
         let mut values = vec![0.0; n_cells];
-        #[cfg(feature = "trace")]
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
@@ -557,7 +547,6 @@ impl VoteEngine {
             let kept: Vec<usize> = (0..n_cells).filter(|&c| mask[c]).collect();
             let mut acc = vec![0.0; kept.len()];
             self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                #[cfg(feature = "trace")]
                 let _shard_span = obs::SpanTimer::start(
                     self.sink.as_ref(),
                     self.session,
@@ -582,7 +571,6 @@ impl VoteEngine {
             // Exactly the same per-cell operations as the table path (the
             // table entry *is* `turns`), so the result is bit-identical.
             self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-                #[cfg(feature = "trace")]
                 let _shard_span = obs::SpanTimer::start(
                     self.sink.as_ref(),
                     self.session,
@@ -620,7 +608,6 @@ impl VoteEngine {
         let cols = self.columns_i16(measurements);
         let n_cells = self.grid.len();
         let mut values = vec![f64::NEG_INFINITY; n_cells];
-        #[cfg(feature = "trace")]
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
@@ -631,7 +618,6 @@ impl VoteEngine {
         let mut acc = vec![0.0f32; kept.len()];
         if let Some(table) = self.table_i16.get() {
             self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                #[cfg(feature = "trace")]
                 let _shard_span = obs::SpanTimer::start(
                     self.sink.as_ref(),
                     self.session,
@@ -660,7 +646,6 @@ impl VoteEngine {
             // scalar kernel's own sequence, so the result matches the
             // table path bit-for-bit.
             self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                #[cfg(feature = "trace")]
                 let _shard_span = obs::SpanTimer::start(
                     self.sink.as_ref(),
                     self.session,

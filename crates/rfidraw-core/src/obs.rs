@@ -9,15 +9,18 @@
 //! ring-buffer recorder and flight recorder live in
 //! `rfidraw-metrics::trace`; this crate only emits.
 //!
-//! ## Zero cost when disabled
+//! ## One branch per site when no sink is installed
 //!
-//! The types here are always compiled (so downstream crates can implement
-//! [`TraceSink`] unconditionally), but every *emit site* in the hot path is
-//! gated behind the `trace` cargo feature. Without the feature the
-//! instrumented structs do not even carry a sink field; with the feature but
-//! no sink installed, each site costs one `Option` branch. Either way the
-//! positions computed are bit-identical: instrumentation only observes, it
-//! never participates in the arithmetic.
+//! Every instrumented component (the vote engine, the positioner, the
+//! tracer and the online tracker) carries an `Option<SharedSink>` that is
+//! `None` until `set_trace_sink` installs one. [`emit`] and
+//! [`SpanTimer::start`] check it before they read a clock, so with no sink
+//! an emit site costs one branch. The few values computed only to be
+//! emitted (per-candidate vote masses, the best candidate for vote-flip
+//! detection, the coarse filter's coverage, the per-read unwrap-step test)
+//! sit behind the same check. With or without a sink the positions
+//! computed are bit-identical: instrumentation only observes, it never
+//! participates in the arithmetic.
 //!
 //! ## Determinism
 //!

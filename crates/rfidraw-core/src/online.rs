@@ -20,8 +20,7 @@
 
 use crate::array::{AntennaId, AntennaPair, Deployment};
 use crate::geom::{Plane, Point2};
-#[cfg(feature = "trace")]
-use crate::obs::{self, Stage, TraceKind};
+use crate::obs::{self, SharedSink, Stage, TraceKind};
 use crate::phase::{unwrap_step, wrap_pi, wrap_tau};
 use crate::position::{MultiResConfig, MultiResPositioner};
 use crate::stream::{PairSnapshot, PhaseRead};
@@ -217,16 +216,15 @@ pub struct OnlineTracker {
     ticks_done: usize,
     last_read_t: Option<f64>,
     first_read_t: Option<f64>,
-    #[cfg(feature = "trace")]
-    sink: Option<crate::obs::SharedSink>,
-    #[cfg(feature = "trace")]
+    /// Where this tracker's events go, tagged with `session`; `None` (the
+    /// default) makes every emit site one branch (see [`crate::obs`]).
+    sink: Option<SharedSink>,
     session: u64,
     /// Best candidate after the previous tick, for vote-flip detection.
-    #[cfg(feature = "trace")]
+    /// Kept only while a sink is installed.
     last_best: Option<usize>,
     /// Whether acquisition has ever completed — distinguishes the first
     /// lobe lock from a re-lock after a stale reset.
-    #[cfg(feature = "trace")]
     had_acquired: bool,
 }
 
@@ -284,13 +282,9 @@ impl OnlineTracker {
             ticks_done: 0,
             last_read_t: None,
             first_read_t: None,
-            #[cfg(feature = "trace")]
             sink: None,
-            #[cfg(feature = "trace")]
             session: 0,
-            #[cfg(feature = "trace")]
             last_best: None,
-            #[cfg(feature = "trace")]
             had_acquired: false,
         }
     }
@@ -299,12 +293,13 @@ impl OnlineTracker {
     /// positioner, its engines, and the tracer), tagging all events with
     /// `session`. Observability only — tracked positions are bit-identical
     /// with or without a sink (see [`crate::obs`]).
-    #[cfg(feature = "trace")]
-    pub fn set_trace_sink(&mut self, sink: Option<crate::obs::SharedSink>, session: u64) {
+    pub fn set_trace_sink(&mut self, sink: Option<SharedSink>, session: u64) {
         self.positioner.set_trace_sink(sink.clone(), session);
         self.tracer.set_trace_sink(sink.clone(), session);
         self.sink = sink;
         self.session = session;
+        // Untracked while no sink was installed; the next tick sets it.
+        self.last_best = None;
     }
 
     /// Drops all tracking state — per-antenna unwrap history, the tick
@@ -328,12 +323,9 @@ impl OnlineTracker {
         self.ticks_done = 0;
         self.last_read_t = None;
         self.first_read_t = None;
-        #[cfg(feature = "trace")]
-        {
-            // A best-candidate change across a reset is re-acquisition, not
-            // a vote flip.
-            self.last_best = None;
-        }
+        // A best-candidate change across a reset is re-acquisition, not a
+        // vote flip.
+        self.last_best = None;
     }
 
     /// The acquisition positioner. Clones of a tracker share its vote
@@ -530,7 +522,6 @@ impl OnlineTracker {
                 let gap = read.t - last;
                 let was_degraded = self.is_degraded();
                 self.reset();
-                #[cfg(feature = "trace")]
                 obs::emit(
                     self.sink.as_ref(),
                     self.session,
@@ -543,6 +534,14 @@ impl OnlineTracker {
                 if was_degraded {
                     // The reset re-admitted every antenna; close out the
                     // degradation episode for subscribers.
+                    obs::emit(
+                        self.sink.as_ref(),
+                        self.session,
+                        Stage::Degraded,
+                        TraceKind::Anomaly,
+                        0.0,
+                        read.t,
+                    );
                     events.push(OnlineEvent::Degraded {
                         missing_pairs: Vec::new(),
                     });
@@ -581,18 +580,19 @@ impl OnlineTracker {
             // An unwrap step near ±π is at the ambiguity horizon: one more
             // radian of motion between reads and the unwrap would pick the
             // wrong branch. Worth surfacing before it corrupts the trace.
-            #[cfg(feature = "trace")]
-            if let Some((_, prev_phase)) = state.last {
-                let step = (unwrapped - prev_phase).abs();
-                if step > 0.9 * std::f64::consts::PI {
-                    obs::emit(
-                        self.sink.as_ref(),
-                        self.session,
-                        Stage::UnwrapHorizon,
-                        TraceKind::Instant,
-                        step,
-                        read.antenna.0 as f64,
-                    );
+            if self.sink.is_some() {
+                if let Some((_, prev_phase)) = state.last {
+                    let step = (unwrapped - prev_phase).abs();
+                    if step > 0.9 * std::f64::consts::PI {
+                        obs::emit(
+                            self.sink.as_ref(),
+                            self.session,
+                            Stage::UnwrapHorizon,
+                            TraceKind::Instant,
+                            step,
+                            read.antenna.0 as f64,
+                        );
+                    }
                 }
             }
             state.prev = state.last;
@@ -707,7 +707,6 @@ impl OnlineTracker {
             self.next_tick = None;
         }
         let missing = self.missing_pairs();
-        #[cfg(feature = "trace")]
         obs::emit(
             self.sink.as_ref(),
             self.session,
@@ -764,9 +763,7 @@ impl OnlineTracker {
         let mut events = Vec::new();
         if self.traces.is_empty() {
             // Acquisition on the first snapshot.
-            #[cfg(feature = "trace")]
             let lock_stage = if self.had_acquired { Stage::LobeRelock } else { Stage::LobeLock };
-            #[cfg(feature = "trace")]
             let _acq_span =
                 obs::SpanTimer::start(self.sink.as_ref(), self.session, Stage::Acquire, 0.0);
             // A degraded snapshot can fall below the positioning floor (no
@@ -775,9 +772,8 @@ impl OnlineTracker {
             let Some(candidates) = self.positioner.try_locate(&snap.wrapped) else {
                 return events;
             };
-            for (_ci, c) in candidates.iter().enumerate() {
+            for (ci, c) in candidates.iter().enumerate() {
                 let locked = self.tracer.try_lock_lobes(&snap, c.position);
-                #[cfg(feature = "trace")]
                 for &(_, k) in &locked {
                     obs::emit(
                         self.sink.as_ref(),
@@ -785,7 +781,7 @@ impl OnlineTracker {
                         lock_stage,
                         TraceKind::Instant,
                         k as f64,
-                        _ci as f64,
+                        ci as f64,
                     );
                 }
                 self.traces.push(CandidateTrace {
@@ -795,9 +791,8 @@ impl OnlineTracker {
                     alive: true,
                 });
             }
-            #[cfg(feature = "trace")]
-            {
-                self.had_acquired = true;
+            self.had_acquired = true;
+            if self.sink.is_some() {
                 self.last_best = self.best_index();
             }
             events.push(OnlineEvent::Acquired {
@@ -828,7 +823,6 @@ impl OnlineTracker {
                 };
                 let k = self.tracer.lock_pair(wp, turns, at);
                 trace.locked.push((wp, k));
-                #[cfg(feature = "trace")]
                 obs::emit(
                     self.sink.as_ref(),
                     self.session,
@@ -877,8 +871,7 @@ impl OnlineTracker {
         // Per-tick vote masses and best-candidate identity: the §5.2
         // disambiguation signal. A vote flip means the trajectory the live
         // estimate follows just changed — an anomaly worth a flight dump.
-        #[cfg(feature = "trace")]
-        {
+        if self.sink.is_some() {
             for (i, t) in self.traces.iter().enumerate() {
                 if t.alive {
                     obs::emit(

@@ -17,7 +17,6 @@ use crate::engine::{TablePrecision, VoteEngine};
 use crate::exec::Parallelism;
 use crate::geom::{Plane, Point2, Rect};
 use crate::grid::{Grid2, VoteMap};
-#[cfg(feature = "trace")]
 use crate::obs::{self, SharedSink, Stage, TraceKind};
 use crate::vote::PairMeasurement;
 use serde::{Deserialize, Serialize};
@@ -119,9 +118,9 @@ pub struct MultiResPositioner {
     /// on-the-fly distances are cheaper than a full-grid table (see
     /// [`crate::engine`]).
     fine_engine: VoteEngine,
-    #[cfg(feature = "trace")]
+    /// Where this component's events go, tagged with `session`; `None` (the
+    /// default) makes every emit site one branch (see [`crate::obs`]).
     sink: Option<SharedSink>,
-    #[cfg(feature = "trace")]
     session: u64,
 }
 
@@ -155,9 +154,7 @@ impl MultiResPositioner {
             config,
             coarse_engine,
             fine_engine,
-            #[cfg(feature = "trace")]
             sink: None,
-            #[cfg(feature = "trace")]
             session: 0,
         }
     }
@@ -165,7 +162,6 @@ impl MultiResPositioner {
     /// Installs a trace sink on the positioner and both its engines
     /// (filter/peak outcome events plus evaluation spans). Observability
     /// only — never changes the candidates (see [`crate::obs`]).
-    #[cfg(feature = "trace")]
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>, session: u64) {
         self.coarse_engine.set_trace_sink(sink.clone(), session);
         self.fine_engine.set_trace_sink(sink.clone(), session);
@@ -291,15 +287,16 @@ impl MultiResPositioner {
             .fine_engine
             .grid()
             .lift_mask(coarse_map.grid(), &coarse_mask);
-        #[cfg(feature = "trace")]
-        obs::emit(
-            self.sink.as_ref(),
-            self.session,
-            Stage::CoarseFilter,
-            TraceKind::Instant,
-            VoteMap::mask_coverage(&fine_mask),
-            0.0,
-        );
+        if self.sink.is_some() {
+            obs::emit(
+                self.sink.as_ref(),
+                self.session,
+                Stage::CoarseFilter,
+                TraceKind::Instant,
+                VoteMap::mask_coverage(&fine_mask),
+                0.0,
+            );
+        }
 
         // Stage 2: all pairs on the filtered fine grid. Using all pairs (not
         // just wide ones) ranks candidates by their total vote, as §5.1
@@ -314,7 +311,6 @@ impl MultiResPositioner {
             .into_iter()
             .map(|(position, vote)| Candidate { position, vote })
             .collect();
-        #[cfg(feature = "trace")]
         obs::emit(
             self.sink.as_ref(),
             self.session,

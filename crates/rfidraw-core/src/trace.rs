@@ -20,6 +20,7 @@
 use crate::array::{AntennaPair, Deployment};
 use crate::exec::Parallelism;
 use crate::geom::{Plane, Point2};
+use crate::obs::{self, SharedSink, Stage, TraceKind};
 use crate::position::Candidate;
 use crate::stream::PairSnapshot;
 use crate::vote::PairMeasurement;
@@ -114,9 +115,9 @@ pub struct TrajectoryTracer {
     coarse_idx: Vec<(AntennaPair, usize, usize)>,
     /// `path_factor / λ`, the distance-difference-to-turns factor.
     turns_factor: f64,
-    #[cfg(feature = "trace")]
-    sink: Option<crate::obs::SharedSink>,
-    #[cfg(feature = "trace")]
+    /// Where this component's events go, tagged with `session`; `None` (the
+    /// default) makes every emit site one branch (see [`crate::obs`]).
+    sink: Option<SharedSink>,
     session: u64,
 }
 
@@ -166,9 +167,7 @@ impl TrajectoryTracer {
             wide_idx,
             coarse_idx,
             turns_factor,
-            #[cfg(feature = "trace")]
             sink: None,
-            #[cfg(feature = "trace")]
             session: 0,
         }
     }
@@ -181,8 +180,7 @@ impl TrajectoryTracer {
     /// Installs a trace sink: batch-tracing spans and per-candidate vote
     /// masses are emitted to it tagged with `session`. Observability only —
     /// never changes a traced point (see [`crate::obs`]).
-    #[cfg(feature = "trace")]
-    pub fn set_trace_sink(&mut self, sink: Option<crate::obs::SharedSink>, session: u64) {
+    pub fn set_trace_sink(&mut self, sink: Option<SharedSink>, session: u64) {
         self.sink = sink;
         self.session = session;
     }
@@ -350,11 +348,10 @@ impl TrajectoryTracer {
         // Candidates trace independently; the ordered map keeps the output
         // order (and therefore the winner tie-break below) identical to a
         // serial loop for every thread count.
-        #[cfg(feature = "trace")]
-        let _span = crate::obs::SpanTimer::start(
+        let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
-            crate::obs::Stage::TraceAdvance,
+            Stage::TraceAdvance,
             candidates.len() as f64,
         );
         let traces: Vec<TraceResult> = self
@@ -363,16 +360,17 @@ impl TrajectoryTracer {
             .map_ordered(candidates, |&c| self.trace_from(c, snapshots));
         // Per-candidate vote mass, emitted in candidate order from this
         // thread so the event sequence is deterministic.
-        #[cfg(feature = "trace")]
-        for (i, t) in traces.iter().enumerate() {
-            crate::obs::emit(
-                self.sink.as_ref(),
-                self.session,
-                crate::obs::Stage::CandidateVote,
-                crate::obs::TraceKind::Instant,
-                t.total_vote,
-                i as f64,
-            );
+        if self.sink.is_some() {
+            for (i, t) in traces.iter().enumerate() {
+                obs::emit(
+                    self.sink.as_ref(),
+                    self.session,
+                    Stage::CandidateVote,
+                    TraceKind::Instant,
+                    t.total_vote,
+                    i as f64,
+                );
+            }
         }
         // `total_cmp` orders like `partial_cmp` for the finite votes the
         // arithmetic produces, without a panic path for hostile input.

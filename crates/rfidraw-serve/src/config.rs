@@ -173,9 +173,11 @@ pub struct ServeConfig {
     /// Optional cursor mode for every session.
     pub cursor: Option<CursorSetup>,
     /// Optional pipeline trace recorder (ring capacity, sampling, flight
-    /// recorder). `Some` always enables the serve-layer spans (queue wait,
-    /// compute, ingest anomalies); core hot-path events additionally
-    /// require building with the `trace` cargo feature.
+    /// recorder). `Some` enables the serve-layer spans (queue wait,
+    /// compute, ingest anomalies) and installs the recorder as every
+    /// session tracker's sink, so the core events (lobe locks, vote-map
+    /// spans, stale resets, degradation, vote flips) reach it too. `None`
+    /// leaves every sink empty.
     pub observability: Option<TraceSettings>,
 }
 

@@ -14,14 +14,16 @@
 //!
 //! With [`ServeConfig::observability`] set, the service owns a shared
 //! [`rfidraw_metrics::TraceRecorder`]: workers record queue-wait and
-//! compute spans per session, backpressure losses and stale resets become
-//! flight-recorder anomalies (each snapshotting the last N events into a
-//! retained [`rfidraw_metrics::TraceDump`]), and — when the crate is built
-//! with the `trace` cargo feature — every per-session tracker additionally
-//! emits core hot-path events (phase-unwrap breaches, lobe lock/relock,
-//! vote-map spans, candidate vote mass) into the same ring, tagged with
-//! the session id. The results surface three ways: per-stage latency
-//! histograms inside [`TelemetryReport`], a Prometheus text exposition
+//! compute spans per session, and every per-session tracker emits its
+//! core events (phase-unwrap breaches, lobe lock/relock, vote-map spans,
+//! candidate vote mass) into the same ring, tagged with the session id.
+//! Anomalies — backpressure losses and invalid reads from the serving
+//! layer; stale resets, degradation changes and vote flips from the
+//! tracker, their one source — each snapshot the last N events into a
+//! retained [`rfidraw_metrics::TraceDump`]. Without a recorder no
+//! tracker holds a sink, and each core emit site costs one branch. The
+//! results surface three ways: per-stage latency histograms inside
+//! [`TelemetryReport`], a Prometheus text exposition
 //! ([`TelemetryReport::to_prometheus`], wire `MetricsRequest`), and raw
 //! dumps over the wire (`TraceQuery`/`TraceDump`). Instrumentation only
 //! observes: positions stay bit-identical with tracing on, off, or

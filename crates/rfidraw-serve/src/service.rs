@@ -123,12 +123,11 @@ impl ServiceInner {
             return Err(ServeError::ShuttingDown);
         }
         let built = self.registry.get_or_insert(epc, self.cfg.max_sessions, || {
-            #[allow(unused_mut)]
             let mut tracker = self.prototype.get_or_init(|| self.cfg.tracker.build()).clone();
-            // With the `trace` feature the per-session tracker emits core
-            // hot-path events (phase unwrap, lobe locking, vote flips)
-            // into the shared recorder, tagged with the session id.
-            #[cfg(feature = "trace")]
+            // The per-session tracker emits core events (phase unwrap, lobe
+            // locking, stale resets, degradation, vote flips) into the
+            // shared recorder, tagged with the session id; the recorder
+            // has no other source of the tracker's anomalies.
             if let Some(rec) = &self.global.trace {
                 let sink: rfidraw_core::obs::SharedSink = Arc::clone(rec) as _;
                 tracker.set_trace_sink(Some(sink), crate::session::session_id(epc));

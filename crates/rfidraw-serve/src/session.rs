@@ -556,18 +556,6 @@ impl SessionShared {
                         OnlineEvent::Degraded { missing_pairs } => {
                             self.metrics.degraded.inc();
                             global.degraded.inc();
-                            // Same single-source rule as StaleReset: with
-                            // the `trace` feature the tracker's sink emitted
-                            // the anomaly already.
-                            #[cfg(not(feature = "trace"))]
-                            if let Some(rec) = recorder {
-                                rec.record_anomaly(
-                                    sid,
-                                    Stage::Degraded,
-                                    missing_pairs.len() as f64,
-                                    qr.read.t,
-                                );
-                            }
                             out_events.push(SessionEvent::Degraded {
                                 epc: self.epc,
                                 missing_pairs: missing_pairs.clone(),
@@ -576,14 +564,6 @@ impl SessionShared {
                         OnlineEvent::Stale { gap } => {
                             self.metrics.stale_resets.inc();
                             global.stale_resets.inc();
-                            // With the `trace` feature the tracker's own
-                            // sink already emitted this anomaly; only
-                            // record it here when the core hot path is
-                            // uninstrumented, so it is never double-counted.
-                            #[cfg(not(feature = "trace"))]
-                            if let Some(rec) = recorder {
-                                rec.record_anomaly(sid, Stage::StaleReset, *gap, qr.read.t);
-                            }
                             out_events.push(SessionEvent::Stale { epc: self.epc, gap: *gap });
                         }
                     }

@@ -1,8 +1,10 @@
 //! Observability tests: tracing must only *observe* — positions stay
 //! bit-identical with the recorder off, on, sampled, or disabled, across
-//! worker counts — and the flight recorder must capture backpressure
-//! anomalies and ship them (plus the Prometheus exposition) over loopback
-//! TCP.
+//! worker counts — each session tracker's core events must reach the
+//! service recorder under the session's id, with every stale reset and
+//! degradation the telemetry counts recorded as exactly one anomaly, and
+//! the flight recorder must capture backpressure anomalies and ship them
+//! (plus the Prometheus exposition) over loopback TCP.
 
 use rfidraw_channel::{Channel, Scenario};
 use rfidraw_core::array::{AntennaId, Deployment};
@@ -139,6 +141,79 @@ fn positions_are_bit_identical_with_tracing_off_on_and_sampled() {
     let stage_names: Vec<&str> = report.stages.iter().map(|s| s.stage.as_str()).collect();
     assert!(stage_names.contains(&"queue_wait"), "stages: {stage_names:?}");
     assert!(stage_names.contains(&"compute"), "stages: {stage_names:?}");
+}
+
+/// One tag's stream from the eight-tag scenario, with antenna 3 blacked
+/// out from 1.0 s to 4.0 s and every read in [2.6 s, 3.8 s) removed: the
+/// blackout outlasts `dropout_after`, so the session degrades, and the
+/// 1.2 s silence outlasts the 1 s stale gap while it is still degraded,
+/// so the stale reset also closes the degradation episode.
+fn gap_and_blackout_stream() -> (Epc, Vec<PhaseRead>) {
+    let (epc, reads) = eight_tag_streams(11, 6.0).into_iter().next().expect("a tag");
+    let reads = reads
+        .into_iter()
+        .filter(|r| !(r.antenna == AntennaId(3) && (1.0..4.0).contains(&r.t)))
+        .filter(|r| !(2.6..3.8).contains(&r.t))
+        .collect();
+    (epc, reads)
+}
+
+/// A manual-pump service whose sessions detect antenna dropout, fed
+/// `stream` through a recorder with the given sampling.
+fn run_recorded(stream: &(Epc, Vec<PhaseRead>), sample_every: u32) -> TrackingService {
+    let mut tpl = template();
+    tpl.online.dropout_after = Some(1.0);
+    tpl.online.readmit_after = 0.3;
+    let mut cfg = ServeConfig::new(tpl);
+    cfg.workers = None;
+    cfg.queue_capacity = 100_000;
+    cfg.observability =
+        Some(TraceSettings { capacity: 1 << 16, sample_every, ..TraceSettings::default() });
+    let service = TrackingService::start(cfg);
+    service.client().ingest(stream.0, &stream.1).expect("ingest");
+    service.quiesce();
+    service
+}
+
+/// Every session's tracker reports into the service's recorder: the core
+/// stages arrive under the same session id as the serve layer's compute
+/// spans, and the recorder's stale-reset and degradation anomalies come
+/// from the tracker alone, one per event the telemetry counts.
+#[test]
+fn core_events_share_the_session_recorder_and_anomalies_count_once() {
+    let stream = gap_and_blackout_stream();
+
+    let service = run_recorded(&stream, 1);
+    let rec = service.client().trace_recorder().expect("recorder configured");
+    let events = rec.recent(rec.capacity());
+    assert!(events.len() < rec.capacity(), "the ring must hold the whole run");
+    let sessions_of = |stage: &str| -> Vec<u64> {
+        let mut ids: Vec<u64> =
+            events.iter().filter(|e| e.stage == stage).map(|e| e.session).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    };
+    let compute = sessions_of("compute");
+    assert_eq!(compute.len(), 1, "one session drained: {compute:?}");
+    for stage in ["lobe_lock", "acquire", "candidate_vote", "lobe_relock", "engine_evaluate"] {
+        assert_eq!(sessions_of(stage), compute, "{stage} events under the session's id");
+    }
+    assert!(
+        events.iter().any(|e| e.stage == "acquire" && e.kind == "span"),
+        "acquisition is timed as a span"
+    );
+
+    let service = run_recorded(&stream, 0);
+    let rec = service.client().trace_recorder().expect("recorder configured");
+    let anomalies = rec.recent(rec.capacity());
+    assert!(anomalies.iter().all(|e| e.kind == "anomaly"), "sample_every 0 keeps anomalies only");
+    let count = |stage: &str| anomalies.iter().filter(|e| e.stage == stage).count() as u64;
+    let report = service.telemetry();
+    assert_eq!(report.stale_resets, 1, "the 1.2 s silence resets the session once");
+    assert!(report.degraded_events >= 2, "dropout, then the reset's close-out");
+    assert_eq!(count("stale_reset"), report.stale_resets);
+    assert_eq!(count("degraded"), report.degraded_events);
 }
 
 fn synth_reads(n: usize, t0: f64) -> Vec<PhaseRead> {

@@ -14,9 +14,9 @@
 # BENCH_NN.json snapshot by default.
 #
 # The vendored criterion stub prints one line per bench:
-#     <name padded to 40>  median <value> <unit>
-# with unit one of ns / µs / ms / s; scripts/median_ns.awk normalizes
-# everything to nanoseconds.
+#     <name padded to 40>  median <value> <unit>  min …  mad …  n <samples>
+# with unit one of ns / µs / ms / s; scripts/median_ns.awk reads the
+# median from the first four fields and normalizes it to nanoseconds.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

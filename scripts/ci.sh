@@ -119,6 +119,12 @@ cargo test --release --offline -q -p rfidraw-serve
 # The shared-table guarantee, by name: 8 concurrent sessions over one
 # deployment build exactly one coarse and one fine vote table between them.
 cargo test --release --offline -q -p rfidraw-serve --test table_cache
+# The suite that runs the core emit sites with a sink installed, by name:
+# positions stay bit-identical with tracing off, on and sampled across
+# worker counts; core events reach the service recorder under their
+# session's id; and each stale reset and degradation the telemetry
+# counts is recorded as exactly one anomaly.
+cargo test --release --offline -q -p rfidraw-serve --test trace_observability
 cargo run --release --offline -p rfidraw --example live_service > /dev/null
 
 echo "== tier 2: fault injection =="
@@ -183,41 +189,5 @@ cargo test --release --offline -q -p rfidraw-serve --test reactor_service \
 cargo test --release --offline -q -p rfidraw-serve --test service_local \
     one_read_ingests_apply_quiet_reads_inline
 cargo test --release --offline -q -p rfidraw-serve --lib session::tests::drain_quiet_
-
-echo "== tier 2: observability (--features trace) =="
-# The same serving-layer suite with the core hot-path emit sites compiled
-# in: the trace_observability tests assert positions stay bit-identical
-# with tracing off, on, and sampled, across worker counts.
-cargo test --release --offline -q -p rfidraw-serve --features trace
-cargo test --release --offline -q -p rfidraw-core --features trace
-
-echo "== tier 2: trace-disabled overhead gate =="
-# The instrumented build with no sink installed must not cost more than
-# 10% over the build with no emit sites at all, on the serial 1 cm
-# vote-engine evaluation. The true overhead of the disabled-sink null
-# check is within run-to-run noise; the 10% margin absorbs the code
-# *layout* jitter between two separately compiled binaries, which
-# interleaved A/B runs show can swing either binary by several percent
-# on its own. Each binary is kept aside (the second build overwrites
-# the target path), runs are interleaved, and the per-binary minimum is
-# compared so a slow scheduler tick cannot fail the gate.
-overhead_dir=$(mktemp -d)
-trap 'rm -rf "$overhead_dir"' EXIT
-cargo build --release --offline -q -p rfidraw-bench --bin trace_overhead
-cp target/release/trace_overhead "$overhead_dir/base"
-cargo build --release --offline -q -p rfidraw-bench --features trace --bin trace_overhead
-cp target/release/trace_overhead "$overhead_dir/inst"
-base=""; inst=""
-for _ in 1 2 3; do
-    b=$("$overhead_dir/base" --iters 20 --rounds 5 | awk '/^ns_per_eval:/{print $2}')
-    i=$("$overhead_dir/inst" --iters 20 --rounds 5 | awk '/^ns_per_eval:/{print $2}')
-    if [ -z "$base" ] || [ "$b" -lt "$base" ]; then base=$b; fi
-    if [ -z "$inst" ] || [ "$i" -lt "$inst" ]; then inst=$i; fi
-done
-awk -v b="$base" -v i="$inst" 'BEGIN {
-    pct = (i - b) / b * 100.0;
-    printf "trace-disabled overhead: baseline %d ns, instrumented %d ns (%+.2f%%)\n", b, i, pct;
-    exit (pct < 10.0) ? 0 : 1;
-}'
 
 echo "CI OK"
