@@ -79,21 +79,13 @@ fn bench_vote_engine(c: &mut Criterion) {
     }
 
     // The quantized i16 kernel on the same grid: a quarter of the f64
-    // table bytes, f32 accumulation, SIMD-dispatched. CI's perf-sanity
-    // gate requires `engine_1cm_i16` to beat `engine_1cm_serial` by at
-    // least 1.56x. `engine_1cm_i16_scalar` forces scalar dispatch so a
-    // snapshot can report the simd-vs-scalar speedup on the same machine
-    // (results are bit-identical either way; only wall-clock moves).
+    // table bytes, f32 accumulation. CI's perf-sanity gate requires
+    // `engine_1cm_i16` to beat `engine_1cm_serial` by at least 1.56x.
     use rfidraw::core::engine::TablePrecision;
-    use rfidraw::core::SimdMode;
     let mut engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
     engine.set_precision(TablePrecision::I16);
     engine.prebuild();
     c.bench_function("engine_1cm_i16", |b| {
-        b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
-    });
-    engine.set_simd_mode(SimdMode::Scalar);
-    c.bench_function("engine_1cm_i16_scalar", |b| {
         b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
     });
 }

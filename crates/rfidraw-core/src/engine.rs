@@ -45,22 +45,24 @@
 //! f32 accumulator through one fused `a − d·d` per term, the sweep's only
 //! rounding. The sweep is *tiled* over the cell dimension (`CELL_TILE`
 //! cells per tile) so the accumulator tile stays in L1 while the pair
-//! columns stream through. Neither tiling, sharding nor SIMD width changes
-//! any per-cell operation sequence, so i16 maps are bit-identical across
-//! every [`Parallelism`] setting, tile boundary and [`SimdMode`]. The
-//! finished accumulator widens to f64 and scales by the exact power of two
-//! `2⁻³²` at write-out. What quantization costs is a *derived*,
-//! per-measurement-set vote-error bound ([`VoteEngine::vote_error_bound`]),
-//! with an argmax-identity theorem: the i16 argmax cell provably matches
-//! the f64 reference whenever the f64 best/runner-up gap exceeds twice the
-//! bound.
+//! columns stream through. Neither tiling, sharding nor vector width
+//! changes any per-cell operation sequence, so i16 maps are bit-identical
+//! across every [`Parallelism`] setting, tile boundary and instruction
+//! set. The finished accumulator widens to f64 and scales by the exact
+//! power of two `2⁻³²` at write-out. What quantization costs is a
+//! *derived*, per-measurement-set vote-error bound
+//! ([`VoteEngine::vote_error_bound`]), with an argmax-identity theorem:
+//! the i16 argmax cell provably matches the f64 reference whenever the f64
+//! best/runner-up gap exceeds twice the bound.
 //!
-//! The i16 inner sweeps run through [`rfidraw_simd`]: an explicit AVX2
-//! kernel selected at runtime, bit-identical to its scalar form (see that
-//! crate's docs for the argument), so the wide path does not depend on the
-//! autovectorizer's mood on the baseline target.
-//! [`VoteEngine::set_simd_mode`] can pin the scalar kernel; results never
-//! change, only wall-clock.
+//! Every loop over a built table, at either precision, is a kernel in
+//! [`rfidraw_simd`]: one safe loop compiled for the baseline target and
+//! for AVX2+FMA, with the copy picked at runtime from CPUID. The copies
+//! are bit-identical by construction (see that crate's docs), so the
+//! instruction set changes only wall-clock. This module keeps what
+//! surrounds the kernels: sharding, the i16 tiling and write-out, the
+//! spans, and the lazy masked paths, which compute each kept cell's
+//! entries on the fly with the kernels' per-cell arithmetic.
 //!
 //! The table slots are `Arc`s, so a cloned engine shares its original's
 //! tables: both score the same grid, and whichever builds a table first
@@ -73,7 +75,6 @@ use crate::grid::{Grid2, VoteMap};
 use crate::obs::{self, SharedSink, Stage};
 use crate::phase::{frac_dist_to_integer, quantize_turns_i16};
 use crate::vote::PairMeasurement;
-use rfidraw_simd::SimdMode;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -113,9 +114,6 @@ impl Default for TablePrecision {
 }
 
 impl TablePrecision {
-    /// Every precision, in byte-cost order.
-    pub const ALL: [TablePrecision; 2] = [TablePrecision::F64, TablePrecision::I16];
-
     /// Bytes per table entry at this precision.
     pub fn entry_bytes(self) -> u64 {
         match self {
@@ -161,9 +159,6 @@ pub struct VoteEngine {
     table_i16: Arc<OnceLock<Vec<i16>>>,
     /// Which table `evaluate*` uses. `F64` unless configured otherwise.
     precision: TablePrecision,
-    /// Which accumulation kernels the i16 sweeps may use. Results are
-    /// bit-identical either way; `Auto` unless pinned.
-    simd: SimdMode,
     /// Where evaluation spans go, tagged with `session`; `None` (the
     /// default) makes every emit site one branch (see [`crate::obs`]).
     sink: Option<SharedSink>,
@@ -209,7 +204,6 @@ impl VoteEngine {
             table: Arc::new(OnceLock::new()),
             table_i16: Arc::new(OnceLock::new()),
             precision: TablePrecision::default(),
-            simd: SimdMode::Auto,
             sink: None,
             session: 0,
         }
@@ -263,19 +257,6 @@ impl VoteEngine {
             self.table = Arc::new(OnceLock::new());
             self.table_i16 = Arc::new(OnceLock::new());
         }
-    }
-
-    /// Which accumulation kernels the i16 sweeps may use.
-    pub fn simd_mode(&self) -> SimdMode {
-        self.simd
-    }
-
-    /// Pins or unpins the explicit-SIMD kernels. Never changes any result
-    /// — every wide kernel is bit-identical to its scalar form (see
-    /// [`rfidraw_simd`]) — only wall-clock; benches use it to measure the
-    /// explicit-SIMD margin and tests to assert the bit-identity.
-    pub fn set_simd_mode(&mut self, simd: SimdMode) {
-        self.simd = simd;
     }
 
     /// The bytes the active-precision table occupies once built (exactly
@@ -440,10 +421,7 @@ impl VoteEngine {
             // accumulation exactly.
             for &(col, measured) in &cols {
                 let column = &table[col * n_cells + first..col * n_cells + first + shard.len()];
-                for (v, &turns) in shard.iter_mut().zip(column) {
-                    let f = frac_dist_to_integer(turns - measured);
-                    *v -= f * f;
-                }
+                rfidraw_simd::sweep_f64(shard, column, measured);
             }
         });
         VoteMap::from_values(self.grid.clone(), values)
@@ -462,13 +440,12 @@ impl VoteEngine {
     /// f64 (exact) and scales by `2⁻³²` (exact: power of two). Every
     /// cell's terms arrive in measurement order through the identical
     /// per-lane instruction sequence, so the map is bit-identical for
-    /// every [`Parallelism`], tile boundary, and [`SimdMode`].
+    /// every [`Parallelism`], tile boundary and instruction set.
     fn evaluate_i16(&self, measurements: &[PairMeasurement]) -> VoteMap {
         let cols = self.columns_i16(measurements);
         let table = self.build_table_i16();
         let n_cells = self.grid.len();
         let mut values = vec![0.0f64; n_cells];
-        let simd = self.simd;
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
@@ -495,11 +472,11 @@ impl VoteEngine {
                     let (col_b, q_b) = pair[1];
                     let a = &table[col_a * n_cells + base..col_a * n_cells + base + len];
                     let b = &table[col_b * n_cells + base..col_b * n_cells + base + len];
-                    rfidraw_simd::sweep_i16_dual(tile, a, q_a, b, q_b, simd);
+                    rfidraw_simd::sweep_i16_dual(tile, a, q_a, b, q_b);
                 }
                 for &(col, q_m) in pairs.remainder() {
                     let column = &table[col * n_cells + base..col * n_cells + base + len];
-                    rfidraw_simd::sweep_i16(tile, column, q_m, simd);
+                    rfidraw_simd::sweep_i16(tile, column, q_m);
                 }
                 for (v, &a) in shard[offset..offset + len].iter_mut().zip(tile.iter()) {
                     *v = f64::from(a) * I16_WRITEOUT;
@@ -556,10 +533,7 @@ impl VoteEngine {
                 let cells = &kept[first..first + shard.len()];
                 for &(col, measured) in &cols {
                     let column = &table[col * n_cells..(col + 1) * n_cells];
-                    for (a, &c) in shard.iter_mut().zip(cells) {
-                        let f = frac_dist_to_integer(column[c] - measured);
-                        *a -= f * f;
-                    }
+                    rfidraw_simd::gather_f64(shard, column, cells, measured);
                 }
             });
             values.fill(f64::NEG_INFINITY);
@@ -599,8 +573,8 @@ impl VoteEngine {
 
     /// Masked sweep at i16. Mirrors the f64 path's two strategies —
     /// gather from the built table, or quantize turns on the fly with the
-    /// exact quantizer the table builder uses — and both run the scalar
-    /// kernel's exact per-cell sequence (wrapping subtract, exact f32
+    /// exact quantizer that fills the table — and both run the i16
+    /// kernels' exact per-cell sequence (wrapping subtract, exact f32
     /// widen, fused square-and-subtract) in measurement order, so both
     /// paths and the full map agree bit-for-bit on kept cells.
     fn evaluate_masked_i16(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
@@ -632,10 +606,7 @@ impl VoteEngine {
                     let tile_cells = &cells[offset..offset + len];
                     for &(col, q_m) in &cols {
                         let column = &table[col * n_cells..(col + 1) * n_cells];
-                        for (a, &c) in tile.iter_mut().zip(tile_cells) {
-                            let d = i32::from(column[c].wrapping_sub(q_m)) as f32;
-                            *a = (-d).mul_add(d, *a);
-                        }
+                        rfidraw_simd::gather_i16(tile, column, tile_cells, q_m);
                     }
                     offset += len;
                 }
@@ -643,8 +614,8 @@ impl VoteEngine {
         } else {
             // No i16 table yet: quantize on-the-fly turns exactly as the
             // table builder would; the arithmetic that follows is the
-            // scalar kernel's own sequence, so the result matches the
-            // table path bit-for-bit.
+            // kernels' own sequence, so the result matches the table path
+            // bit-for-bit.
             self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
                 let _shard_span = obs::SpanTimer::start(
                     self.sink.as_ref(),
@@ -952,22 +923,6 @@ mod tests {
         for par in [Parallelism::Threads(2), Parallelism::Threads(7), Parallelism::Auto] {
             let map = engine_at(&dep, plane, grid.clone(), par, precision).evaluate(&ms);
             assert_eq!(bits(serial.values()), bits(map.values()), "{par:?}");
-        }
-    }
-
-    #[test]
-    fn scalar_kernels_match_auto_simd_bitwise_on_every_precision() {
-        let (dep, plane, grid, ms) = setup();
-        for precision in TablePrecision::ALL {
-            let auto = engine_at(&dep, plane, grid.clone(), Parallelism::Serial, precision);
-            assert_eq!(auto.simd_mode(), SimdMode::Auto);
-            let mut scalar = engine_at(&dep, plane, grid.clone(), Parallelism::Serial, precision);
-            scalar.set_simd_mode(SimdMode::Scalar);
-            assert_eq!(
-                bits(auto.evaluate(&ms).values()),
-                bits(scalar.evaluate(&ms).values()),
-                "{precision:?}"
-            );
         }
     }
 

@@ -75,7 +75,6 @@ pub mod vote;
 pub use array::{Antenna, AntennaId, AntennaPair, Deployment, ReaderId};
 pub use engine::{TablePrecision, VoteEngine};
 pub use exec::Parallelism;
-pub use rfidraw_simd::SimdMode;
 pub use geom::{Plane, Point2, Point3};
 pub use grid::{Grid2, VoteMap};
 pub use phase::{Wavelength, SPEED_OF_LIGHT};

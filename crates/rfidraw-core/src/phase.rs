@@ -121,39 +121,7 @@ pub fn unwrap_series(wrapped: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Distance from `x` to the nearest integer (in turns).
-///
-/// This is the `min_k ‖x − k‖` of Eq. 7: how far a measured
-/// distance-difference (in wavelengths) is from the *nearest* grating lobe.
-///
-/// Returns `|x − x.round()|` **bit for bit for every `f64`** without
-/// calling `round`, which on the baseline x86-64 target is a libm call
-/// that keeps every vote sweep scalar. Here the nearest integer is
-/// `r = copysign((|x| + 2⁵²) − 2⁵², x)` for `|x| < 2⁵²`, else `r = x`: a
-/// compare, a select, and add/sub/bit operations, all of which vectorize.
-///
-/// * `|x| < 2⁵²`: `|x| + 2⁵²` lies in `[2⁵², 2⁵³]`, where the f64 spacing
-///   is 1, so the add rounds to `2⁵² + n` with `n` the integer nearest
-///   `|x|` (ties to even), and subtracting `2⁵²` is exact. `n` equals
-///   `|x|.round()` except at exact half-integers, where both are exactly
-///   ½ away. `x − r` is exact (`|x − r| ≤ ½` and `r` is a multiple of
-///   `ulp(x)`, or `r = ±0`), so `|x − r| = |x − x.round()|`. An integral
-///   `x` (±0 included) gives `r = x` and `x − r = +0`, as `round` does.
-/// * `|x| ≥ 2⁵²`: `x` is already an integer, `x.round() = x = r`, both
-///   give `+0`.
-/// * ±∞ and NaN: `r = x`, and `x − x` is the same NaN `x − x.round()`
-///   produces; `abs` then clears its sign in both.
-#[inline]
-pub fn frac_dist_to_integer(x: f64) -> f64 {
-    const TWO_52: f64 = 4_503_599_627_370_496.0;
-    let a = x.abs();
-    let r = if a < TWO_52 {
-        ((a + TWO_52) - TWO_52).copysign(x)
-    } else {
-        x
-    };
-    (x - r).abs()
-}
+pub use rfidraw_simd::frac_dist_to_integer;
 
 /// Quantizes a value in turns to two's-complement fixed point with 2¹⁶
 /// quanta per turn — the i16 vote-table representation.

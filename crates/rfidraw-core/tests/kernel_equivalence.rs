@@ -17,7 +17,7 @@ use rfidraw_core::position::Candidate;
 use rfidraw_core::stream::PairSnapshot;
 use rfidraw_core::trace::{ideal_snapshots, moving_average, TraceConfig, TrajectoryTracer};
 use rfidraw_core::vote::{ideal_measurements, PairMeasurement};
-use rfidraw_core::{SimdMode, TablePrecision, VoteEngine};
+use rfidraw_core::{TablePrecision, VoteEngine};
 use std::hint::black_box;
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -238,7 +238,6 @@ proptest! {
         engine.set_precision(precision);
         let mut scalar = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx2));
         scalar.set_precision(precision);
-        scalar.set_simd_mode(SimdMode::Scalar);
 
         let full = engine.evaluate(&ms);
         prop_assert_eq!(

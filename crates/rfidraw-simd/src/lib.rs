@@ -1,69 +1,69 @@
-//! Explicit-SIMD accumulation sweeps for the RF-IDraw vote engine.
+//! The vote engine's sweeps over built tables, each compiled twice behind
+//! one CPUID check.
 //!
 //! The vote kernels in `rfidraw-core` are measurement-outer / cell-inner:
-//! each measurement streams one contiguous table column and updates a
-//! per-cell accumulator tile. On the baseline x86-64 target that inner
-//! loop vectorizes only if LLVM's autovectorizer cooperates — a property
-//! that has silently regressed across compiler versions before. This
-//! crate makes the wide path of the i16 table explicit: an AVX2+FMA
-//! kernel and a scalar kernel, selected **at runtime** from CPUID.
+//! each measurement streams one contiguous table column, or gathers the
+//! kept cells from it, and updates a per-cell accumulator. This crate
+//! holds every such loop: [`sweep_f64`] and [`gather_f64`] over the exact
+//! f64 table, [`sweep_i16`], [`sweep_i16_dual`] and [`gather_i16`] over
+//! the 16-bit fixed-point one.
+//!
+//! Each kernel is one safe loop, written once. A macro compiles it into
+//! two copies: one for the baseline x86-64 target (SSE2, no FMA), and one
+//! with `#[target_feature(enable = "avx2,fma")]`, in which LLVM sweeps
+//! four f64 or eight f32 lanes at a time (the gathers stay one cell at a
+//! time) and [`f32::mul_add`] is one `vfnmadd` instead of a libm `fmaf`
+//! call. Each public kernel runs the AVX2 copy when the CPU reports AVX2
+//! and FMA (every AVX2 part ships FMA), the baseline copy otherwise;
+//! [`active_kernel`] names the pick.
 //!
 //! ## Bit-identity
 //!
-//! Every kernel is bit-identical to the scalar sweep, by construction:
-//! the wrapping subtract and the `i16 → f32` widening are exact
-//! (|d| ≤ 2¹⁵ < 2²⁴), and the square-and-subtract is *always fused*: one
-//! `a − d·d` with a single rounding per term, in measurement order, with
-//! no cross-lane reduction. The scalar form is [`f32::mul_add`], whose
-//! contract is the same single rounding, so vector width never changes a
-//! bit. Fusing is not just speed — it makes the exact product `d²`
-//! (≤ 2³⁰, wider than an f32 mantissa) enter the accumulator unrounded,
-//! which tightens the engine's derived vote-error bound to the
-//! accumulation series alone. (An earlier revision widened to i64
-//! instead; exact, but the extra widening ops and the 8-byte accumulator
-//! traffic erased the bandwidth win of the narrow table.)
+//! The two copies of a kernel compute the same bits, by construction.
+//! The source fixes each cell's operation sequence, no kernel reduces
+//! across cells, and neither the lane count nor the target features may
+//! change an operation:
 //!
-//! The dispatch is therefore *invisible* except in wall-clock; the
-//! kernel-equivalence suites in `rfidraw-core` pin [`SimdMode::Auto`] to
-//! [`SimdMode::Scalar`] bit-for-bit.
+//! * The f64 kernels subtract `f·f` with a separate multiply and
+//!   subtract. Rust never contracts a multiply and an add into an FMA,
+//!   even where the target has one, so the AVX2 copy rounds twice per
+//!   term, as the baseline copy and the table-free reference path do.
+//!   The fold [`frac_dist_to_integer`] is exact add, subtract and select
+//!   arithmetic, with no libm call.
+//! * The i16 kernels' wrapping subtract and `i16 → f32` widening are
+//!   exact (|d| ≤ 2¹⁵ < 2²⁴), and the square-and-subtract is always
+//!   fused: one `a − d·d` with a single rounding per term, through
+//!   [`f32::mul_add`] in both copies. Fusing is not just speed: the
+//!   exact product `d²` (≤ 2³⁰, wider than an f32 mantissa) enters the
+//!   accumulator unrounded, which narrows the engine's derived
+//!   vote-error bound to the accumulation series alone. (An earlier
+//!   revision widened to i64 instead; exact, but the extra widening ops
+//!   and the 8-byte accumulator traffic erased the bandwidth win of the
+//!   narrow table.)
+//!
+//! The dispatch is therefore invisible except in wall-clock. The tests
+//! pin each kernel's AVX2 copy to its baseline copy bit for bit.
 //!
 //! ## Unsafe surface
 //!
-//! `rfidraw-core` forbids `unsafe`; this crate is the quarantine for the
-//! `std::arch` intrinsics (the same pattern `rfidraw-net` uses for its
-//! syscall shims). The only unsafe operations are unaligned vector
-//! loads/stores within caller-provided slices (bounds checked by the loop
-//! structure) and calls to `#[target_feature]` functions after the
-//! matching CPUID check.
+//! The kernels are safe, bounds-checked loops, and the crate denies
+//! `unsafe_code`. The one exception is the dispatch the macro stamps for
+//! each kernel: calling a `#[target_feature]` function is unsafe, and it
+//! runs only after a CPUID check confirmed that the CPU executes those
+//! instructions. `rfidraw-core` forbids `unsafe` outright.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_code)]
 
-/// Which accumulation kernel a sweep call may use.
-///
-/// `Auto` runs the AVX2 kernel when the CPU reports AVX2 and FMA, the
-/// scalar kernel otherwise; `Scalar` forces the scalar kernel. Results
-/// are bit-identical either way — the knob exists so benches can measure
-/// the explicit-SIMD margin and tests can assert the bit-identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimdMode {
-    /// Runtime-dispatch to the widest available kernel (the default).
-    #[default]
-    Auto,
-    /// Always run the scalar kernel.
-    Scalar,
-}
-
-/// Whether the CPU runs the AVX2 kernels: they need AVX2 and FMA (the
-/// fused subtract); every AVX2 part ships FMA. `std` caches the CPUID
-/// probe, so each call is a load.
+/// Whether the CPU runs the AVX2 copies: they need AVX2 and FMA (the
+/// fused subtract). `std` caches the CPUID probe, so each call is a load.
 #[cfg(target_arch = "x86_64")]
 fn has_avx2_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
-/// The instruction set [`SimdMode::Auto`] resolves to on this machine:
-/// `"avx2"` or `"scalar"`. Observability only; never changes a result.
+/// The copy every kernel runs on this machine: `"avx2"`, or `"scalar"`
+/// for the baseline copy. Observability only; never changes a result.
 pub fn active_kernel() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if has_avx2_fma() {
@@ -72,160 +72,181 @@ pub fn active_kernel() -> &'static str {
     "scalar"
 }
 
-/// Subtracts `(column[c].wrapping_sub(measured) as f32)²` from `acc[c]`
-/// for every cell — one measurement's contribution to an i16-quantized
-/// accumulator tile, in **quanta²** (the engine scales by `2⁻³²` at
-/// write-out). The wrapping subtract *is* the mod-1 turn reduction (the
-/// table stores fractional turns as two's-complement fixed point), the
-/// `i16 → f32` conversion is exact (`|d| ≤ 2¹⁵ < 2²⁴`), and the
-/// square-and-subtract is one *fused* `a − d·d` — a single rounding per
-/// term, the only rounding in the whole sweep, which the engine's
-/// derived vote-error bound accounts for. Accumulating in f32 instead
-/// of a widened integer keeps the inner loop under a dozen instructions
-/// per 16 cells and the accumulator at 4 bytes per cell — the whole
-/// point of the narrow table.
-///
-/// Without AVX2+FMA this sweep runs the scalar kernel, whose
-/// [`f32::mul_add`] honors the same single-rounding contract through
-/// libm.
-///
-/// # Panics
-/// Panics if `acc` and `column` lengths differ.
-pub fn sweep_i16(acc: &mut [f32], column: &[i16], measured: i16, mode: SimdMode) {
-    assert_eq!(acc.len(), column.len(), "tile and column must be the same length");
-    #[cfg(target_arch = "x86_64")]
-    if mode == SimdMode::Auto && has_avx2_fma() {
-        // SAFETY: avx2 + fma were detected at runtime.
-        return unsafe { x86::sweep_i16_avx2(acc, column, measured) };
-    }
-    let _ = mode;
-    sweep_i16_scalar(acc, column, measured);
-}
-
-fn sweep_i16_scalar(acc: &mut [f32], column: &[i16], measured: i16) {
-    for (a, &q) in acc.iter_mut().zip(column) {
-        // Exact: |d| ≤ 2¹⁵ < 2²⁴, so the conversion never rounds.
-        let d = i32::from(q.wrapping_sub(measured)) as f32;
-        // Fused a − d·d: bit-identical to the AVX2 kernel's vfnmadd.
-        *a = (-d).mul_add(d, *a);
-    }
-}
-
-/// Two measurements' contributions in one pass over the tile:
-/// bit-identical to calling [`sweep_i16`] with `(col_a, ma)` and then
-/// `(col_b, mb)` — per cell the accumulator still receives the fused
-/// `a − d²` terms in that order — but the accumulator tile is loaded
-/// and stored once instead of twice, which matters in a kernel this
-/// short. The engine's full-grid sweep feeds measurement pairs through
-/// here; the odd measurement out keeps the single-column form and still
-/// matches bit-for-bit.
-///
-/// # Panics
-/// Panics if the three slice lengths differ.
-pub fn sweep_i16_dual(
-    acc: &mut [f32],
-    col_a: &[i16],
-    ma: i16,
-    col_b: &[i16],
-    mb: i16,
-    mode: SimdMode,
-) {
-    assert_eq!(acc.len(), col_a.len(), "tile and column must be the same length");
-    assert_eq!(acc.len(), col_b.len(), "tile and column must be the same length");
-    #[cfg(target_arch = "x86_64")]
-    if mode == SimdMode::Auto && has_avx2_fma() {
-        // SAFETY: avx2 + fma were detected at runtime.
-        return unsafe { x86::sweep_i16_dual_avx2(acc, col_a, ma, col_b, mb) };
-    }
-    let _ = mode;
-    sweep_i16_dual_scalar(acc, col_a, ma, col_b, mb);
-}
-
-fn sweep_i16_dual_scalar(acc: &mut [f32], col_a: &[i16], ma: i16, col_b: &[i16], mb: i16) {
-    for ((a, &qa), &qb) in acc.iter_mut().zip(col_a).zip(col_b) {
-        let d1 = i32::from(qa.wrapping_sub(ma)) as f32;
-        let a1 = (-d1).mul_add(d1, *a);
-        let d2 = i32::from(qb.wrapping_sub(mb)) as f32;
-        *a = (-d2).mul_add(d2, a1);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! The `std::arch` kernels. Every function is gated on a
-    //! `#[target_feature]` the dispatcher verified via CPUID, and every
-    //! pointer it dereferences lies within a caller-provided slice
-    //! (`head` full vectors, then the scalar tail).
-
-    use super::{sweep_i16_dual_scalar, sweep_i16_scalar};
-    use std::arch::x86_64::*;
-
-    /// Largest multiple of `lanes` that fits `len`.
-    #[inline]
-    fn head(len: usize, lanes: usize) -> usize {
-        len - len % lanes
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn sweep_i16_avx2(acc: &mut [f32], column: &[i16], measured: i16) {
-        let n = head(acc.len(), 16);
-        let m = _mm256_set1_epi16(measured);
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 16 <= n <= len for both slices; the accumulator
-            // loads/stores cover acc[i..i+16] as two 8×f32 vectors.
-            unsafe {
-                let q = _mm256_loadu_si256(column.as_ptr().add(i).cast());
-                let d = _mm256_sub_epi16(q, m); // wrapping: the mod-1 fold
-                // i16 → i32 → f32 is exact for every lane (|d| ≤ 2¹⁵).
-                let lo = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_castsi256_si128(d)));
-                let hi = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_extracti128_si256(d, 1)));
-                let base = acc.as_mut_ptr().add(i);
-                let a0 = _mm256_loadu_ps(base);
-                let a1 = _mm256_loadu_ps(base.add(8));
-                // Fused −(d·d) + a: the scalar kernel's mul_add rounding.
-                _mm256_storeu_ps(base, _mm256_fnmadd_ps(lo, lo, a0));
-                _mm256_storeu_ps(base.add(8), _mm256_fnmadd_ps(hi, hi, a1));
+/// Stamps each kernel into a public entry point and a private module of
+/// the same name holding its two copies: `baseline`, built for the
+/// crate's target, and `avx2`, which runs the loop built with AVX2 and
+/// FMA enabled and returns whether the CPU let it. The loop itself is an
+/// `#[inline(always)]` function, so each copy is a concrete function with
+/// the whole loop inlined and compiled for its own target features.
+macro_rules! multiversion {
+    ($(
+        $(#[$doc:meta])*
+        pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block
+    )*) => {$(
+        $(#[$doc])*
+        pub fn $name($($arg: $ty),*) {
+            if !$name::avx2($($arg),*) {
+                $name::baseline($($arg),*);
             }
-            i += 16;
         }
-        sweep_i16_scalar(&mut acc[n..], &column[n..], measured);
+
+        mod $name {
+            use super::*;
+
+            #[inline(always)]
+            fn body($($arg: $ty),*) $body
+
+            pub(crate) fn baseline($($arg: $ty),*) {
+                body($($arg),*)
+            }
+
+            #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+            pub(crate) fn avx2($($arg: $ty),*) -> bool {
+                #[cfg(target_arch = "x86_64")]
+                if has_avx2_fma() {
+                    #[target_feature(enable = "avx2,fma")]
+                    fn copy($($arg: $ty),*) {
+                        body($($arg),*)
+                    }
+                    // SAFETY: `copy` is safe code whose only requirement
+                    // is a CPU that executes AVX2 and FMA instructions,
+                    // which `has_avx2_fma` just confirmed.
+                    #[allow(unsafe_code)]
+                    unsafe { copy($($arg),*) };
+                    return true;
+                }
+                false
+            }
+        }
+    )*};
+}
+
+/// Distance from `x` to the nearest integer (in turns).
+///
+/// This is the `min_k ‖x − k‖` of Eq. 7: how far a measured
+/// distance-difference (in wavelengths) is from the *nearest* grating lobe.
+///
+/// Returns `|x − x.round()|` **bit for bit for every `f64`** without
+/// calling `round`, which on the baseline x86-64 target is a libm call
+/// that keeps every vote sweep scalar. Here the nearest integer is
+/// `r = copysign((|x| + 2⁵²) − 2⁵², x)` for `|x| < 2⁵²`, else `r = x`: a
+/// compare, a select, and add/sub/bit operations, all of which vectorize.
+///
+/// * `|x| < 2⁵²`: `|x| + 2⁵²` lies in `[2⁵², 2⁵³]`, where the f64 spacing
+///   is 1, so the add rounds to `2⁵² + n` with `n` the integer nearest
+///   `|x|` (ties to even), and subtracting `2⁵²` is exact. `n` equals
+///   `|x|.round()` except at exact half-integers, where both are exactly
+///   ½ away. `x − r` is exact (`|x − r| ≤ ½` and `r` is a multiple of
+///   `ulp(x)`, or `r = ±0`), so `|x − r| = |x − x.round()|`. An integral
+///   `x` (±0 included) gives `r = x` and `x − r = +0`, as `round` does.
+/// * `|x| ≥ 2⁵²`: `x` is already an integer, `x.round() = x = r`, both
+///   give `+0`.
+/// * ±∞ and NaN: `r = x`, and `x − x` is the same NaN `x − x.round()`
+///   produces; `abs` then clears its sign in both.
+#[inline]
+pub fn frac_dist_to_integer(x: f64) -> f64 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let a = x.abs();
+    let r = if a < TWO_52 {
+        ((a + TWO_52) - TWO_52).copysign(x)
+    } else {
+        x
+    };
+    (x - r).abs()
+}
+
+multiversion! {
+    /// Subtracts `frac_dist_to_integer(column[c] − measured)²` from
+    /// `acc[c]` for every cell: one measurement's contribution to an f64
+    /// vote map, in squared turns. Per cell that is one subtract, the
+    /// exact fold, one multiply and one subtract, each rounded on its own:
+    /// the table-free reference path's sequence.
+    ///
+    /// # Panics
+    /// Panics if `acc` and `column` lengths differ.
+    pub fn sweep_f64(acc: &mut [f64], column: &[f64], measured: f64) {
+        assert_eq!(acc.len(), column.len(), "tile and column must be the same length");
+        for (a, &turns) in acc.iter_mut().zip(column) {
+            let f = frac_dist_to_integer(turns - measured);
+            *a -= f * f;
+        }
     }
 
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn sweep_i16_dual_avx2(
-        acc: &mut [f32],
-        col_a: &[i16],
-        ma: i16,
-        col_b: &[i16],
-        mb: i16,
-    ) {
-        let n = head(acc.len(), 16);
-        let va = _mm256_set1_epi16(ma);
-        let vb = _mm256_set1_epi16(mb);
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 16 <= n <= len for all three slices.
-            unsafe {
-                let da = _mm256_sub_epi16(_mm256_loadu_si256(col_a.as_ptr().add(i).cast()), va);
-                let db = _mm256_sub_epi16(_mm256_loadu_si256(col_b.as_ptr().add(i).cast()), vb);
-                let lo_a = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_castsi256_si128(da)));
-                let hi_a =
-                    _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_extracti128_si256(da, 1)));
-                let lo_b = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_castsi256_si128(db)));
-                let hi_b =
-                    _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_extracti128_si256(db, 1)));
-                let base = acc.as_mut_ptr().add(i);
-                // Measurement a's fused term lands before measurement
-                // b's in each lane — the single-sweep order.
-                let a0 = _mm256_fnmadd_ps(lo_a, lo_a, _mm256_loadu_ps(base));
-                _mm256_storeu_ps(base, _mm256_fnmadd_ps(lo_b, lo_b, a0));
-                let a1 = _mm256_fnmadd_ps(hi_a, hi_a, _mm256_loadu_ps(base.add(8)));
-                _mm256_storeu_ps(base.add(8), _mm256_fnmadd_ps(hi_b, hi_b, a1));
-            }
-            i += 16;
+    /// [`sweep_f64`] over a list of cells: subtracts
+    /// `frac_dist_to_integer(column[cells[i]] − measured)²` from `acc[i]`.
+    /// The masked evaluation compacts its kept cells into `cells` and
+    /// gathers them from each full pair column.
+    ///
+    /// # Panics
+    /// Panics if `acc` and `cells` lengths differ, or if a cell index is
+    /// out of the column's bounds.
+    pub fn gather_f64(acc: &mut [f64], column: &[f64], cells: &[usize], measured: f64) {
+        assert_eq!(acc.len(), cells.len(), "tile and cell list must be the same length");
+        for (a, &c) in acc.iter_mut().zip(cells) {
+            let f = frac_dist_to_integer(column[c] - measured);
+            *a -= f * f;
         }
-        sweep_i16_dual_scalar(&mut acc[n..], &col_a[n..], ma, &col_b[n..], mb);
+    }
+
+    /// Subtracts `(column[c].wrapping_sub(measured) as f32)²` from `acc[c]`
+    /// for every cell: one measurement's contribution to an i16-quantized
+    /// accumulator tile, in **quanta²** (the engine scales by `2⁻³²` at
+    /// write-out). The wrapping subtract *is* the mod-1 turn reduction (the
+    /// table stores fractional turns as two's-complement fixed point), the
+    /// `i16 → f32` conversion is exact (`|d| ≤ 2¹⁵ < 2²⁴`), and the
+    /// square-and-subtract is one *fused* `a − d·d`: a single rounding per
+    /// term, the only rounding in the whole sweep, which the engine's
+    /// derived vote-error bound accounts for. Accumulating in f32 instead
+    /// of a widened integer keeps the inner loop under a dozen instructions
+    /// per 16 cells and the accumulator at 4 bytes per cell: the whole
+    /// point of the narrow table.
+    ///
+    /// # Panics
+    /// Panics if `acc` and `column` lengths differ.
+    pub fn sweep_i16(acc: &mut [f32], column: &[i16], measured: i16) {
+        assert_eq!(acc.len(), column.len(), "tile and column must be the same length");
+        for (a, &q) in acc.iter_mut().zip(column) {
+            // Exact: |d| ≤ 2¹⁵ < 2²⁴, so the conversion never rounds.
+            let d = i32::from(q.wrapping_sub(measured)) as f32;
+            *a = (-d).mul_add(d, *a);
+        }
+    }
+
+    /// Two measurements' contributions in one pass over the tile:
+    /// bit-identical to calling [`sweep_i16`] with `(col_a, ma)` and then
+    /// `(col_b, mb)` (per cell the accumulator still receives the fused
+    /// `a − d²` terms in that order), but the accumulator tile is loaded
+    /// and stored once instead of twice, which matters in a kernel this
+    /// short. The engine's full-grid sweep feeds measurement pairs through
+    /// here; the odd measurement out keeps the single-column form and still
+    /// matches bit for bit.
+    ///
+    /// # Panics
+    /// Panics if the three slice lengths differ.
+    pub fn sweep_i16_dual(acc: &mut [f32], col_a: &[i16], ma: i16, col_b: &[i16], mb: i16) {
+        assert_eq!(acc.len(), col_a.len(), "tile and column must be the same length");
+        assert_eq!(acc.len(), col_b.len(), "tile and column must be the same length");
+        for ((a, &qa), &qb) in acc.iter_mut().zip(col_a).zip(col_b) {
+            let d1 = i32::from(qa.wrapping_sub(ma)) as f32;
+            let a1 = (-d1).mul_add(d1, *a);
+            let d2 = i32::from(qb.wrapping_sub(mb)) as f32;
+            *a = (-d2).mul_add(d2, a1);
+        }
+    }
+
+    /// [`sweep_i16`] over a list of cells: subtracts
+    /// `(column[cells[i]].wrapping_sub(measured) as f32)²`, fused, from
+    /// `acc[i]`. The masked evaluation gathers its kept cells through here.
+    ///
+    /// # Panics
+    /// Panics if `acc` and `cells` lengths differ, or if a cell index is
+    /// out of the column's bounds.
+    pub fn gather_i16(acc: &mut [f32], column: &[i16], cells: &[usize], measured: i16) {
+        assert_eq!(acc.len(), cells.len(), "tile and cell list must be the same length");
+        for (a, &c) in acc.iter_mut().zip(cells) {
+            let d = i32::from(column[c].wrapping_sub(measured)) as f32;
+            *a = (-d).mul_add(d, *a);
+        }
     }
 }
 
@@ -242,27 +263,102 @@ mod tests {
             self.0 ^= self.0 << 17;
             self.0
         }
+
+        /// A value in (−64, 64) turns, as a table entry or measurement.
+        fn turns(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64 * 128.0 - 64.0
+        }
+
+        /// A table entry: random turns, or one of the fold's edge inputs.
+        fn entry(&mut self) -> f64 {
+            match self.next() % 3 {
+                0 => EDGES[self.next() as usize % EDGES.len()],
+                _ => self.turns(),
+            }
+        }
+
+        /// `len` cell indices into a column of `len / 2 + 1` entries:
+        /// unsorted, and repeated from three cells on.
+        fn cells(&mut self, len: usize) -> Vec<usize> {
+            (0..len)
+                .map(|_| self.next() as usize % (len / 2 + 1))
+                .collect()
+        }
     }
 
     /// Every tile length from empty through several vectors plus a tail,
-    /// so each kernel's head loop and scalar tail are both exercised.
+    /// so each copy's vector body and scalar tail are both exercised.
     fn lengths() -> impl Iterator<Item = usize> {
         (0..40).chain([63, 64, 100, 1000])
     }
 
+    /// The fold's edge inputs: signed zeros, exact half-integers, values
+    /// at and past 2⁵² (already integers), infinities and NaN.
+    const EDGES: [f64; 11] = [
+        0.0,
+        -0.0,
+        0.5,
+        -1.5,
+        4_503_599_627_370_495.5,
+        4_503_599_627_370_496.0,
+        -9_007_199_254_740_994.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+
+    /// Runs a kernel's baseline and AVX2 copies on two clones of an
+    /// accumulator and asserts the results agree bit for bit; on a CPU
+    /// without AVX2+FMA, prints a note and compares nothing.
+    macro_rules! assert_copies_agree {
+        ($kernel:ident($acc:expr $(, $arg:expr)*), $($what:tt)+) => {{
+            let (mut base, mut wide) = ($acc.clone(), $acc.clone());
+            $kernel::baseline(&mut base $(, $arg)*);
+            if $kernel::avx2(&mut wide $(, $arg)*) {
+                let base: Vec<_> = base.iter().map(|v| v.to_bits()).collect();
+                let wide: Vec<_> = wide.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(base, wide, $($what)+);
+            } else {
+                let kernel = stringify!($kernel);
+                println!("note: no AVX2+FMA on this CPU; {kernel}'s AVX2 copy not run");
+            }
+        }};
+    }
+
     #[test]
-    fn i16_auto_matches_scalar_bitwise() {
+    fn f64_kernels_avx2_copies_match_baseline_bitwise() {
+        let mut rng = Rng(0xf64f);
+        for len in lengths() {
+            let column: Vec<f64> = (0..len).map(|_| rng.entry()).collect();
+            let table: Vec<f64> = (0..len / 2 + 1).map(|_| rng.entry()).collect();
+            let cells = rng.cells(len);
+            let acc: Vec<f64> = (0..len).map(|_| -rng.turns().abs()).collect();
+            // Both signed zeros and a half-integer, so `turns − measured`
+            // reaches every edge input.
+            for measured in [0.0, -0.0, 0.5, rng.turns()] {
+                assert_copies_agree!(sweep_f64(acc, &column, measured), "len {len} m {measured}");
+                assert_copies_agree!(
+                    gather_f64(acc, &table, &cells, measured),
+                    "len {len} m {measured}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn i16_kernels_avx2_copies_match_baseline_bitwise() {
         let mut rng = Rng(0xbeef);
         for len in lengths() {
-            let column: Vec<i16> = (0..len).map(|_| rng.next() as i16).collect();
-            let measured = rng.next() as i16;
-            let mut auto: Vec<f32> = (0..len).map(|i| -(i as f32) * 1000.5).collect();
-            let mut scalar = auto.clone();
-            sweep_i16(&mut auto, &column, measured, SimdMode::Auto);
-            sweep_i16(&mut scalar, &column, measured, SimdMode::Scalar);
-            let a: Vec<u32> = auto.iter().map(|v| v.to_bits()).collect();
-            let s: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, s, "len {len} (kernel {})", active_kernel());
+            let col_a: Vec<i16> = (0..len).map(|_| rng.next() as i16).collect();
+            let col_b: Vec<i16> = (0..len).map(|_| rng.next() as i16).collect();
+            let (ma, mb) = (rng.next() as i16, rng.next() as i16);
+            let table: Vec<i16> = (0..len / 2 + 1).map(|_| rng.next() as i16).collect();
+            let cells = rng.cells(len);
+            let acc: Vec<f32> = (0..len).map(|i| -(i as f32) * 1000.5).collect();
+            assert_copies_agree!(sweep_i16(acc, &col_a, ma), "len {len}");
+            assert_copies_agree!(sweep_i16_dual(acc, &col_a, ma, &col_b, mb), "len {len}");
+            assert_copies_agree!(gather_i16(acc, &table, &cells, mb), "len {len}");
         }
     }
 
@@ -273,34 +369,26 @@ mod tests {
             let col_a: Vec<i16> = (0..len).map(|_| rng.next() as i16).collect();
             let col_b: Vec<i16> = (0..len).map(|_| rng.next() as i16).collect();
             let (ma, mb) = (rng.next() as i16, rng.next() as i16);
-            let init: Vec<f32> = (0..len).map(|i| -(i as f32) * 17.25).collect();
-            for mode in [SimdMode::Auto, SimdMode::Scalar] {
-                let mut dual = init.clone();
-                sweep_i16_dual(&mut dual, &col_a, ma, &col_b, mb, mode);
-                let mut singles = init.clone();
-                sweep_i16(&mut singles, &col_a, ma, mode);
-                sweep_i16(&mut singles, &col_b, mb, mode);
-                let d: Vec<u32> = dual.iter().map(|v| v.to_bits()).collect();
-                let s: Vec<u32> = singles.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(d, s, "len {len} {mode:?} (kernel {})", active_kernel());
-            }
+            let mut dual: Vec<f32> = (0..len).map(|i| -(i as f32) * 17.25).collect();
+            let mut singles = dual.clone();
+            sweep_i16_dual(&mut dual, &col_a, ma, &col_b, mb);
+            sweep_i16(&mut singles, &col_a, ma);
+            sweep_i16(&mut singles, &col_b, mb);
+            let d: Vec<u32> = dual.iter().map(|v| v.to_bits()).collect();
+            let s: Vec<u32> = singles.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(d, s, "len {len} (kernel {})", active_kernel());
         }
     }
 
     #[test]
     fn extreme_quanta_square_without_overflow() {
-        // d = −32768 (exactly −0.5 turns) squares to 2³⁰ — exact in f32,
-        // a power of two — through both kernels.
-        let column16 = vec![i16::MIN; 33];
-        let mut auto16 = vec![0f32; 33];
-        let mut scalar16 = vec![0f32; 33];
-        sweep_i16(&mut auto16, &column16, 0, SimdMode::Auto);
-        sweep_i16(&mut scalar16, &column16, 0, SimdMode::Scalar);
-        assert_eq!(
-            auto16.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            scalar16.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        assert!(auto16.iter().all(|&a| a == -((1u32 << 30) as f32)));
+        // d = −32768 (exactly −0.5 turns) squares to 2³⁰, exact in f32,
+        // a power of two, through both copies.
+        let column = vec![i16::MIN; 33];
+        let mut acc = vec![0f32; 33];
+        assert_copies_agree!(sweep_i16(acc, &column, 0), "i16::MIN");
+        sweep_i16(&mut acc, &column, 0);
+        assert!(acc.iter().all(|&a| a == -((1u32 << 30) as f32)));
     }
 
     #[test]
@@ -312,7 +400,7 @@ mod tests {
         let stored = i16::MIN; // −0.5 turns
         let measured = 28_672i16; // +0.4375 turns
         let mut acc = vec![0f32; 1];
-        sweep_i16(&mut acc, &[stored], measured, SimdMode::Scalar);
+        sweep_i16::baseline(&mut acc, &[stored], measured);
         assert_eq!(acc[0], -(4096.0f32 * 4096.0));
     }
 

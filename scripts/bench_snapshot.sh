@@ -3,10 +3,10 @@
 # with the output file's name: median ns/iter per kernel plus derived
 # throughput numbers (reads/sec through the serving layer up to 10k
 # sessions, binary vs JSON wire framing, healthy throughput alongside a
-# parked Block connection, engine vs reference, quantized i16 vs f64
-# engine speedup, and the explicit-SIMD vs scalar-kernel speedup).
-# Records nproc: the engine numbers here are serial, but serving-layer
-# numbers depend on core count.
+# parked Block connection, engine vs reference, and quantized i16 vs f64
+# engine speedup). Records nproc, since the engine numbers here are serial
+# but serving-layer numbers depend on core count, and the CPU model, since
+# two snapshots compare only when they come from the same kind of host.
 #
 # Usage: scripts/bench_snapshot.sh <output.json>
 #
@@ -32,8 +32,15 @@ trap 'rm -f "$RAW"' EXIT
 
 cargo bench --offline --bench kernels 2>&1 | tee "$RAW" >&2
 
+# The first "model name" line of /proc/cpuinfo, with the characters a JSON
+# string cannot hold unescaped removed; "unknown" where there is none.
+CPU_MODEL="$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null \
+    | tr -d '"\\' || true)"
+CPU_MODEL="${CPU_MODEL:-unknown}"
+
 awk -f scripts/median_ns.awk "$RAW" \
-    | awk -v nproc="$(nproc 2>/dev/null || echo 1)" -v label="$LABEL" '
+    | awk -v nproc="$(nproc 2>/dev/null || echo 1)" -v cpu_model="$CPU_MODEL" \
+        -v label="$LABEL" '
     $2 >= 0 {
         medians[$1] = $2
         order[n++] = $1
@@ -43,6 +50,7 @@ awk -f scripts/median_ns.awk "$RAW" \
         printf "  \"snapshot\": \"%s\",\n", label
         printf "  \"unit\": \"ns_per_iter_median\",\n"
         printf "  \"nproc\": %d,\n", nproc
+        printf "  \"cpu_model\": \"%s\",\n", cpu_model
         printf "  \"kernels\": {\n"
         for (i = 0; i < n; i++) {
             name = order[i]
@@ -61,14 +69,6 @@ awk -f scripts/median_ns.awk "$RAW" \
         if ("engine_1cm_serial" in medians && "engine_1cm_i16" in medians) {
             printf "%s    \"i16_vs_f64_speedup\": %.2f", sep, \
                 medians["engine_1cm_serial"] / medians["engine_1cm_i16"]
-            sep = ",\n"
-        }
-        # The explicit-SIMD i16 kernel vs its forced-scalar form. The i16
-        # scalar runs its fused subtract through libm fmaf (the baseline
-        # target has no compile-time FMA), so its ratio also prices that.
-        if ("engine_1cm_i16" in medians && "engine_1cm_i16_scalar" in medians) {
-            printf "%s    \"i16_simd_vs_scalar_speedup\": %.2f", sep, \
-                medians["engine_1cm_i16_scalar"] / medians["engine_1cm_i16"]
             sep = ",\n"
         }
         # serve_ingest benches push their named read count per iteration;

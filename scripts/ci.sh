@@ -28,12 +28,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q \
     -p rfidraw-simd -p rfidraw-touch
 
 echo "== core suite in release (vectorized kernels) =="
-# The tracer's blocked tick kernel and the libm-free nearest-integer fold
-# vectorize only at opt-level 3, while the suite above builds at
-# opt-level 1, so the core suite runs again in release. By name: the fold
-# must equal |x - x.round()| bit for bit (edge list + raw-bit proptest),
-# and the tick kernel must pick the same point with the same vote bits as
-# the one-point-at-a-time per-pair reference step.
+# The tracer's blocked tick kernel, the libm-free nearest-integer fold and
+# the vote sweeps' AVX2 copies vectorize only at opt-level 3, while the
+# suite above builds at opt-level 1, so the sweep kernels' suite (each
+# AVX2 copy bit-identical to its baseline copy) and the core suite run
+# again in release. By name: the fold must equal |x - x.round()| bit for
+# bit (edge list + raw-bit proptest), and the tick kernel must pick the
+# same point with the same vote bits as the one-point-at-a-time per-pair
+# reference step.
+cargo test --release --offline -q -p rfidraw-simd
 cargo test --release --offline -q -p rfidraw-core
 cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
     frac_dist_to_integer_matches_round_form
@@ -67,7 +70,9 @@ echo "== perf sanity: pair-major engine vs reference path, i16 vs f64 =="
 # beat the f64 serial engine by at least 1.56x: the quarter-width table
 # plus the fused dual-column sweep is the point of quantizing at all.
 # 1.56 is the product of the two gates it replaces (f32 >= 1.2x f64 and
-# i16 >= 1.3x f32), so it is no looser; BENCH_15 measured 3.3x.
+# i16 >= 1.3x f32), so it is no looser. Since the f64 sweep runs its AVX2
+# copy too, 12 runs on a 2-vCPU VM measured 2.8x (median; 2.0x at the
+# lowest), down from about 5x with the f64 sweep on the baseline target.
 perf_out=$(cargo bench --offline --bench kernels -- 1cm 2>/dev/null | grep ' median ')
 echo "$perf_out"
 echo "$perf_out" | awk -f scripts/median_ns.awk | awk '
