@@ -102,6 +102,8 @@ fn bench_template_build(c: &mut Criterion) {
     c.bench_function("template_build", |b| b.iter(|| black_box(template.build())));
 }
 
+/// `multires_locate` on a standalone positioner, whose fine table stays
+/// lazy: stage 2 computes the kept cells' distances on the fly.
 fn bench_multires_locate(c: &mut Criterion) {
     let dep = Deployment::paper_default();
     let plane = Plane::at_depth(2.0);
@@ -111,6 +113,23 @@ fn bench_multires_locate(c: &mut Criterion) {
     cfg.fine_resolution = 0.02;
     let pos = MultiResPositioner::new(dep, plane, cfg);
     c.bench_function("multires_locate", |b| {
+        b.iter(|| black_box(pos.locate(black_box(&ms))))
+    });
+}
+
+/// Acquisition as a tracking service runs it: the positioner of a
+/// tracker built from the serving template over the serving benchmark's
+/// region, whose coarse and fine tables are prebuilt, so stage 2 gathers
+/// the kept cells from the fine table.
+fn bench_multires_locate_served(c: &mut Criterion) {
+    use rfidraw::serve::TrackerTemplate;
+    let template =
+        TrackerTemplate::paper_default(Rect::new(Point2::new(-0.2, 0.0), Point2::new(3.2, 2.2)));
+    let tracker = template.build();
+    let pos = tracker.positioner();
+    let dep = pos.deployment();
+    let ms = ideal_measurements(dep, dep.all_pairs(), pos.plane().lift(Point2::new(1.2, 0.9)));
+    c.bench_function("multires_locate_served", |b| {
         b.iter(|| black_box(pos.locate(black_box(&ms))))
     });
 }
@@ -409,7 +428,7 @@ criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
     targets = bench_vote_grid, bench_vote_reference, bench_vote_engine, bench_template_build,
-              bench_multires_locate,
+              bench_multires_locate, bench_multires_locate_served,
               bench_trace_steps, bench_baseline_locate, bench_serve_ingest, bench_serve_wire,
               bench_serve_block_one_slow_session,
               bench_trace_recorder, bench_recognizer

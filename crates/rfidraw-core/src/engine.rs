@@ -24,13 +24,16 @@
 //! **bit-identical** to the reference — and bit-identical for every thread
 //! count, since shards write disjoint cell ranges and never combine sums.
 //!
-//! Masked evaluation has two internally-identical paths: if the table is
-//! already built, the kept cells are gathered from the pair columns;
-//! otherwise distances are computed on the fly for unmasked cells only
-//! (the stage-1 filter typically keeps < 10% of the fine grid, so eagerly
-//! building the full fine table would cost more than a one-shot masked
-//! evaluation saves). Both paths compute each kept cell with the same
-//! operations, so which one runs never changes the result.
+//! Stage 2 of the positioner scores only the stage-1 filter's kept cells,
+//! a list of flat indices ([`VoteEngine::evaluate_cells`]), and returns
+//! one vote per listed cell: no dense map, no `−∞` fill. It has two
+//! internally-identical paths: if the table is already built (serving
+//! prebuilds it), each measurement gathers the listed cells from its pair
+//! column; otherwise the listed cells' entries are computed on the fly
+//! (the filter typically keeps < 10% of the fine grid, so building the
+//! full fine table for one evaluation would cost more than it saves).
+//! Both paths compute each cell with the same operations as the full-grid
+//! sweep, so which one runs never changes the result.
 //!
 //! ## Table precision
 //!
@@ -61,7 +64,7 @@
 //! are bit-identical by construction (see that crate's docs), so the
 //! instruction set changes only wall-clock. This module keeps what
 //! surrounds the kernels: sharding, the i16 tiling and write-out, the
-//! spans, and the lazy masked paths, which compute each kept cell's
+//! spans, and the lazy cell-list paths, which compute each listed cell's
 //! entries on the fly with the kernels' per-cell arithmetic.
 //!
 //! The table slots are `Arc`s, so a cloned engine shares its original's
@@ -344,7 +347,7 @@ impl VoteEngine {
 
     /// The exact distance difference in turns of the pair whose antennas
     /// sit at `(pi, pj)`, seen from `p3` — a table entry before its
-    /// per-precision map. The table builder and both lazy masked paths
+    /// per-precision map. The table builder and both lazy cell-list paths
     /// compute entries here, so a cell scored without a table sees exactly
     /// the bits the table would hold.
     fn pair_turns(&self, p3: Point3, (pi, pj): (Point3, Point3)) -> f64 {
@@ -487,156 +490,117 @@ impl VoteEngine {
         VoteMap::from_values(self.grid.clone(), values)
     }
 
-    /// Like [`VoteEngine::evaluate`] but only on cells where `mask` is
-    /// true; masked-out cells get `f64::NEG_INFINITY`. At
-    /// [`TablePrecision::F64`], bit-identical to
-    /// [`VoteMap::evaluate_masked`] on the same inputs; at
-    /// [`TablePrecision::I16`], bit-identical to the i16 full-grid map on
-    /// the kept cells, whether or not the i16 table is built yet.
+    /// The total nearest-lobe vote of `measurements` at each of `cells`
+    /// (flat grid indices), in list order: stage 2 scores the stage-1
+    /// filter's kept cells through here, with no dense map around them.
+    /// Each vote has the bits [`VoteEngine::evaluate`] gives its cell at
+    /// this precision (at [`TablePrecision::F64`] also those of
+    /// [`VoteMap::evaluate`] and [`VoteMap::evaluate_masked`]), whether or
+    /// not the table is built yet, for every [`Parallelism`] setting.
     ///
     /// # Panics
-    /// Panics if the mask length does not match the grid.
-    pub fn evaluate_masked(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
+    /// Panics if a cell index is outside the grid.
+    pub fn evaluate_cells(&self, measurements: &[PairMeasurement], cells: &[usize]) -> Vec<f64> {
+        assert!(
+            cells.iter().all(|&c| c < self.grid.len()),
+            "cell index outside the grid"
+        );
         match self.precision {
-            TablePrecision::F64 => self.evaluate_masked_f64(measurements, mask),
-            TablePrecision::I16 => self.evaluate_masked_i16(measurements, mask),
+            TablePrecision::F64 => self.evaluate_cells_f64(measurements, cells),
+            TablePrecision::I16 => self.evaluate_cells_i16(measurements, cells),
         }
     }
 
-    fn evaluate_masked_f64(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
-        assert_eq!(mask.len(), self.grid.len(), "mask length must match the grid");
+    /// Cell-list evaluation at f64. A built table is gathered from, each
+    /// measurement's pair column in turn; without one, each cell's entries
+    /// are computed on the fly rather than building the table (the stage-1
+    /// filter keeps a few percent of the fine grid, so a one-shot table
+    /// would cost more than it saves). Per cell, both paths subtract the
+    /// `-f²` terms in measurement order with the reference path's
+    /// operations, so which one runs never changes a bit.
+    fn evaluate_cells_f64(&self, measurements: &[PairMeasurement], cells: &[usize]) -> Vec<f64> {
         let cols = self.columns(measurements);
         let n_cells = self.grid.len();
-        let mut values = vec![0.0; n_cells];
+        let table = self.table.get();
+        let mut votes = vec![0.0; cells.len()];
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
             Stage::EngineEvaluate,
             measurements.len() as f64,
         );
-        if let Some(table) = self.table.get() {
-            // Compact the kept cells once, accumulate measurement-outer
-            // over the compact list (gathering from each pair column), and
-            // scatter the sums back. Per kept cell the `-f²` terms arrive
-            // in measurement order — the reference path's exact per-cell
-            // sequence — and masked-out cells are set to `-inf` directly,
-            // also exactly as the reference does.
-            let kept: Vec<usize> = (0..n_cells).filter(|&c| mask[c]).collect();
-            let mut acc = vec![0.0; kept.len()];
-            self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                let cells = &kept[first..first + shard.len()];
+        self.parallelism.run_row_sharded(&mut votes, 1, |first, shard| {
+            let _shard_span = obs::SpanTimer::start(
+                self.sink.as_ref(),
+                self.session,
+                Stage::EngineShard,
+                first as f64,
+            );
+            let cells = &cells[first..first + shard.len()];
+            if let Some(table) = table {
                 for &(col, measured) in &cols {
                     let column = &table[col * n_cells..(col + 1) * n_cells];
                     rfidraw_simd::gather_f64(shard, column, cells, measured);
                 }
-            });
-            values.fill(f64::NEG_INFINITY);
-            for (&c, &a) in kept.iter().zip(&acc) {
-                values[c] = a;
-            }
-        } else {
-            // No table yet: compute distances on the fly for kept cells only.
-            // Exactly the same per-cell operations as the table path (the
-            // table entry *is* `turns`), so the result is bit-identical.
-            self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                for (i, v) in shard.iter_mut().enumerate() {
-                    let c = first + i;
-                    if !mask[c] {
-                        *v = f64::NEG_INFINITY;
-                        continue;
-                    }
+            } else {
+                for (v, &c) in shard.iter_mut().zip(cells) {
                     let p3 = self.cell_point(c);
-                    let mut acc = 0.0;
                     for &(col, measured) in &cols {
                         let turns = self.pair_turns(p3, self.geom[col]);
                         let f = frac_dist_to_integer(turns - measured);
-                        acc -= f * f;
+                        *v -= f * f;
                     }
-                    *v = acc;
                 }
-            });
-        }
-        VoteMap::from_values(self.grid.clone(), values)
+            }
+        });
+        votes
     }
 
-    /// Masked sweep at i16. Mirrors the f64 path's two strategies —
-    /// gather from the built table, or quantize turns on the fly with the
-    /// exact quantizer that fills the table — and both run the i16
-    /// kernels' exact per-cell sequence (wrapping subtract, exact f32
-    /// widen, fused square-and-subtract) in measurement order, so both
-    /// paths and the full map agree bit-for-bit on kept cells.
-    fn evaluate_masked_i16(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
-        assert_eq!(mask.len(), self.grid.len(), "mask length must match the grid");
+    /// Cell-list evaluation at i16, with the f64 path's two strategies: a
+    /// built table is gathered from in tiles of [`CELL_TILE`] cells;
+    /// without one, each cell's turns are quantized on the fly by the
+    /// exact quantizer that fills the table. Both run the i16 kernels'
+    /// per-cell sequence (wrapping subtract, exact f32 widen, fused
+    /// square-and-subtract) in measurement order and the full map's
+    /// write-out, so both match the full i16 map bit for bit.
+    fn evaluate_cells_i16(&self, measurements: &[PairMeasurement], cells: &[usize]) -> Vec<f64> {
         let cols = self.columns_i16(measurements);
         let n_cells = self.grid.len();
-        let mut values = vec![f64::NEG_INFINITY; n_cells];
+        let table = self.table_i16.get();
+        let mut acc = vec![0.0f32; cells.len()];
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
             Stage::EngineEvaluate,
             measurements.len() as f64,
         );
-        let kept: Vec<usize> = (0..n_cells).filter(|&c| mask[c]).collect();
-        let mut acc = vec![0.0f32; kept.len()];
-        if let Some(table) = self.table_i16.get() {
-            self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                let cells = &kept[first..first + shard.len()];
-                let mut offset = 0;
-                while offset < shard.len() {
-                    let len = CELL_TILE.min(shard.len() - offset);
-                    let tile = &mut shard[offset..offset + len];
-                    let tile_cells = &cells[offset..offset + len];
+        self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
+            let _shard_span = obs::SpanTimer::start(
+                self.sink.as_ref(),
+                self.session,
+                Stage::EngineShard,
+                first as f64,
+            );
+            let cells = &cells[first..first + shard.len()];
+            if let Some(table) = table {
+                for (tile, tile_cells) in shard.chunks_mut(CELL_TILE).zip(cells.chunks(CELL_TILE)) {
                     for &(col, q_m) in &cols {
                         let column = &table[col * n_cells..(col + 1) * n_cells];
                         rfidraw_simd::gather_i16(tile, column, tile_cells, q_m);
                     }
-                    offset += len;
                 }
-            });
-        } else {
-            // No i16 table yet: quantize on-the-fly turns exactly as the
-            // table builder would; the arithmetic that follows is the
-            // kernels' own sequence, so the result matches the table path
-            // bit-for-bit.
-            self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                for (i, a) in shard.iter_mut().enumerate() {
-                    let p3 = self.cell_point(kept[first + i]);
+            } else {
+                for (a, &c) in shard.iter_mut().zip(cells) {
+                    let p3 = self.cell_point(c);
                     for &(col, q_m) in &cols {
                         let q = quantize_turns_i16(self.pair_turns(p3, self.geom[col]));
                         let d = i32::from(q.wrapping_sub(q_m)) as f32;
                         *a = (-d).mul_add(d, *a);
                     }
                 }
-            });
-        }
-        for (&c, &a) in kept.iter().zip(&acc) {
-            values[c] = f64::from(a) * I16_WRITEOUT;
-        }
-        VoteMap::from_values(self.grid.clone(), values)
+            }
+        });
+        acc.into_iter().map(|a| f64::from(a) * I16_WRITEOUT).collect()
     }
 
     /// A **derived** worst-case bound on `|vote_p(c) − vote_f64(c)|` over
@@ -761,19 +725,36 @@ mod tests {
         }
     }
 
+    /// The kept cells of `mask`, ascending: the shape of a lifted filter.
+    fn kept(mask: &[bool]) -> Vec<usize> {
+        (0..mask.len()).filter(|&c| mask[c]).collect()
+    }
+
     #[test]
     fn masked_lazy_and_table_paths_agree_with_reference() {
         let (dep, plane, grid, ms) = setup();
         let mask: Vec<bool> = (0..grid.len()).map(|i| i % 3 != 0).collect();
+        let cells = kept(&mask);
         let reference = VoteMap::evaluate_masked(&dep, &ms, plane, grid.clone(), &mask);
+        let want: Vec<f64> = cells.iter().map(|&c| reference.values()[c]).collect();
         let engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Threads(3));
         // Lazy path first (no table yet), then the table-backed path.
         assert!(!engine.is_table_built());
-        let lazy = engine.evaluate_masked(&ms, &mask);
+        let lazy = engine.evaluate_cells(&ms, &cells);
+        assert!(!engine.is_table_built(), "the lazy path must not build the table");
         engine.build_table();
-        let tabled = engine.evaluate_masked(&ms, &mask);
-        assert_eq!(bits(reference.values()), bits(lazy.values()));
-        assert_eq!(bits(reference.values()), bits(tabled.values()));
+        let tabled = engine.evaluate_cells(&ms, &cells);
+        assert_eq!(bits(&want), bits(&lazy));
+        assert_eq!(bits(&want), bits(&tabled));
+    }
+
+    #[test]
+    #[should_panic(expected = "cell index outside the grid")]
+    fn cell_list_rejects_cells_outside_the_grid() {
+        let (dep, plane, grid, ms) = setup();
+        let outside = grid.len();
+        let engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+        let _ = engine.evaluate_cells(&ms, &[0, outside]);
     }
 
     #[test]
@@ -929,23 +910,18 @@ mod tests {
     #[test]
     fn quantized_masked_matches_full_map() {
         let (dep, plane, grid, ms) = setup();
-        let mask: Vec<bool> = (0..grid.len()).map(|i| i % 3 != 0).collect();
+        let cells = kept(&(0..grid.len()).map(|i| i % 3 != 0).collect::<Vec<_>>());
         let engine = engine_at(&dep, plane, grid, Parallelism::Threads(3), TablePrecision::I16);
-        // Lazy masked path first (no table yet), then table-backed.
+        // Lazy cell-list path first (no table yet), then table-backed.
         assert!(!engine.is_table_built());
-        let lazy = engine.evaluate_masked(&ms, &mask);
+        let lazy = engine.evaluate_cells(&ms, &cells);
         engine.prebuild();
         assert!(engine.is_table_built());
-        let tabled = engine.evaluate_masked(&ms, &mask);
-        assert_eq!(bits(lazy.values()), bits(tabled.values()));
+        let tabled = engine.evaluate_cells(&ms, &cells);
+        assert_eq!(bits(&lazy), bits(&tabled));
         let full = engine.evaluate(&ms);
-        for (c, (&m, &f)) in tabled.values().iter().zip(full.values()).enumerate() {
-            if mask[c] {
-                assert_eq!(m.to_bits(), f.to_bits(), "cell {c}");
-            } else {
-                assert_eq!(m, f64::NEG_INFINITY, "cell {c}");
-            }
-        }
+        let want: Vec<f64> = cells.iter().map(|&c| full.values()[c]).collect();
+        assert_eq!(bits(&want), bits(&tabled));
     }
 
     #[test]

@@ -122,28 +122,89 @@ impl Grid2 {
         fz.clamp(0.0, (self.nz - 1) as f64) as usize
     }
 
-    /// Resamples `mask`, given over the cells of `from`, onto this grid:
-    /// each cell takes the value of `from`'s cell nearest to it — the
-    /// coarse-to-fine lift of the stage-1 spatial filter.
+    /// Lifts `mask`, given over the cells of `from`, onto this grid: the
+    /// ascending flat indices of the cells whose nearest `from` cell is
+    /// kept. This is the coarse-to-fine lift of the stage-1 spatial
+    /// filter, and stage 2 scores exactly these cells.
     ///
-    /// Identical to looking up `from.nearest(p)` for every cell `p`, but
-    /// since the nearest column depends only on a cell's `x` and the
+    /// Identical to keeping every cell `p` with `from.nearest(p)` kept,
+    /// but since the nearest column depends only on a cell's `x` and the
     /// nearest row only on its `z`, both are resolved once per column and
-    /// once per row instead of once per cell.
+    /// once per row instead of once per cell, and the rows that share a
+    /// nearest `from` row share one list of kept columns.
     ///
     /// # Panics
     /// Panics if the mask length does not match `from`.
-    pub fn lift_mask(&self, from: &Grid2, mask: &[bool]) -> Vec<bool> {
+    pub fn lift_mask(&self, from: &Grid2, mask: &[bool]) -> Vec<usize> {
         assert_eq!(mask.len(), from.len(), "mask length must match the source grid");
         let columns: Vec<usize> = (0..self.nx)
             .map(|ix| from.nearest_column(self.point(ix, 0).x))
             .collect();
-        let mut out = Vec::with_capacity(self.len());
+        let mut cells = Vec::new();
+        let mut kept_columns = Vec::new();
+        let mut lifted_row = None;
         for iz in 0..self.nz {
-            let row = &mask[from.flat(0, from.nearest_row(self.point(0, iz).z))..][..from.nx];
-            out.extend(columns.iter().map(|&c| row[c]));
+            let row = from.nearest_row(self.point(0, iz).z);
+            if lifted_row != Some(row) {
+                let flags = &mask[from.flat(0, row)..][..from.nx];
+                kept_columns.clear();
+                kept_columns.extend((0..self.nx).filter(|&ix| flags[columns[ix]]));
+                lifted_row = Some(row);
+            }
+            let first = self.flat(0, iz);
+            cells.extend(kept_columns.iter().map(|&ix| first + ix));
         }
-        out
+        cells
+    }
+
+    /// Non-maximum suppression over scored cells: up to `max_peaks`
+    /// `(point, vote)` pairs, best first, no two closer than
+    /// `min_separation` metres. `votes[i]` scores the cell at flat index
+    /// `cells[i]`; a cell with a non-finite vote is never picked.
+    ///
+    /// Each pick is the best vote among the cells neither picked nor within
+    /// `min_separation` of an earlier pick, ties going to the lower cell
+    /// index. Those are the picks, bit for bit, of a stable descending sort
+    /// of the finite cells followed by one greedy pass that keeps each cell
+    /// far enough from the cells kept before it (DESIGN.md §16), found in
+    /// `max_peaks` passes over the cells without the sort.
+    ///
+    /// # Panics
+    /// Panics if `cells` and `votes` differ in length.
+    pub fn pick_peaks(
+        &self,
+        cells: &[usize],
+        votes: &[f64],
+        max_peaks: usize,
+        min_separation: f64,
+    ) -> Vec<(Point2, f64)> {
+        assert_eq!(cells.len(), votes.len(), "one vote per cell");
+        // The cells still open to a pick, as (position in `cells`, point).
+        let mut open: Vec<(usize, Point2)> = cells
+            .iter()
+            .zip(votes)
+            .enumerate()
+            .filter(|(_, (_, v))| v.is_finite())
+            .map(|(i, (&c, _))| {
+                let (ix, iz) = self.unflat(c);
+                (i, self.point(ix, iz))
+            })
+            .collect();
+        let better = |i: usize, than: usize| {
+            votes[i] > votes[than] || (votes[i] == votes[than] && cells[i] < cells[than])
+        };
+        let mut picked = Vec::new();
+        while picked.len() < max_peaks {
+            let Some(&(best, p)) = open.iter().reduce(|b, o| if better(o.0, b.0) { o } else { b })
+            else {
+                break;
+            };
+            picked.push((p, votes[best]));
+            if picked.len() < max_peaks {
+                open.retain(|&(i, q)| i != best && p.dist(q) >= min_separation);
+            }
+        }
+        picked
     }
 }
 
@@ -173,7 +234,10 @@ impl VoteMap {
     }
 
     /// Like [`VoteMap::evaluate`] but only on cells where `mask` is true;
-    /// masked-out cells get `f64::NEG_INFINITY`.
+    /// masked-out cells get `f64::NEG_INFINITY`. The dense reference for
+    /// the engine's cell-list evaluation
+    /// ([`crate::engine::VoteEngine::evaluate_cells`]), which scores only
+    /// the kept cells.
     ///
     /// # Panics
     /// Panics if the mask length does not match the grid.
@@ -269,28 +333,11 @@ impl VoteMap {
 
     /// Local maxima with non-maximum suppression: returns up to `max_peaks`
     /// points, best first, no two closer than `min_separation` metres,
-    /// ignoring `-inf` (masked) cells.
+    /// ignoring `-inf` (masked) cells: [`Grid2::pick_peaks`] over every
+    /// cell of the map.
     pub fn peaks(&self, max_peaks: usize, min_separation: f64) -> Vec<(Point2, f64)> {
-        let mut order: Vec<usize> = (0..self.values.len())
-            .filter(|&i| self.values[i].is_finite())
-            .collect();
-        order.sort_by(|&a, &b| {
-            self.values[b]
-                .partial_cmp(&self.values[a])
-                .expect("finite votes")
-        });
-        let mut picked: Vec<(Point2, f64)> = Vec::new();
-        for idx in order {
-            if picked.len() >= max_peaks {
-                break;
-            }
-            let (ix, iz) = self.grid.unflat(idx);
-            let p = self.grid.point(ix, iz);
-            if picked.iter().all(|(q, _)| q.dist(p) >= min_separation) {
-                picked.push((p, self.values[idx]));
-            }
-        }
-        picked
+        let cells: Vec<usize> = (0..self.values.len()).collect();
+        self.grid.pick_peaks(&cells, &self.values, max_peaks, min_separation)
     }
 
     /// Fraction of cells that survive a mask — a measure of how selective a

@@ -1135,7 +1135,7 @@ mod tests {
         let addrs = |t: &OnlineTracker| t.positioner().f64_tables().map(<[f64]>::as_ptr);
         assert_eq!(addrs(&proto), addrs(&clone), "the clone copied a table");
         // ...and track exactly like a tracker that builds its own, whose
-        // fine table stays lazy (the masked path computes distances).
+        // fine table stays lazy (the cell-list path computes distances).
         let (_, _, mut fresh) = setup();
         for r in reads_for_path(&dep, plane, &circle_path(), 2.0) {
             clone.push(r).unwrap();

@@ -96,10 +96,13 @@ pub struct Candidate {
 pub struct PositioningStages {
     /// Stage-1 vote map from the coarse pairs (Fig. 6c).
     pub coarse_map: VoteMap,
-    /// The spatial-filter mask on the *fine* grid.
-    pub fine_mask: Vec<bool>,
-    /// Stage-2 vote map (all pairs, masked to the filter — Fig. 6d).
-    pub fine_map: VoteMap,
+    /// The spatial filter on the *fine* grid
+    /// ([`MultiResPositioner::fine_grid`]): the ascending flat indices of
+    /// the fine cells it keeps.
+    pub fine_cells: Vec<usize>,
+    /// Stage-2 votes (all pairs) on `fine_cells`, one per cell in the same
+    /// order (Fig. 6d).
+    pub fine_votes: Vec<f64>,
     /// Final ranked candidates.
     pub candidates: Vec<Candidate>,
 }
@@ -113,10 +116,12 @@ pub struct MultiResPositioner {
     /// Stage-1 evaluator: full coarse-grid scans, so its distance table is
     /// built eagerly and amortized across `locate()` calls.
     coarse_engine: VoteEngine,
-    /// Stage-2 evaluator: masked fine-grid scans. Its table stays lazy —
-    /// the stage-1 filter keeps only a few percent of the fine grid, so
-    /// on-the-fly distances are cheaper than a full-grid table (see
-    /// [`crate::engine`]).
+    /// Stage-2 evaluator: scores the fine cells the stage-1 filter keeps.
+    /// A standalone positioner leaves its table lazy, since the filter
+    /// keeps only a few percent of the fine grid and on-the-fly distances
+    /// cost less than one full-grid table; the serving template prebuilds
+    /// it ([`MultiResPositioner::prebuild_tables`]) and every session's
+    /// clone gathers from it (see [`crate::engine`]).
     fine_engine: VoteEngine,
     /// Where this component's events go, tagged with `session`; `None` (the
     /// default) makes every emit site one branch (see [`crate::obs`]).
@@ -189,13 +194,19 @@ impl MultiResPositioner {
         self.coarse_engine.grid()
     }
 
+    /// The stage-2 (fine) grid, which [`PositioningStages::fine_cells`]
+    /// index.
+    pub fn fine_grid(&self) -> &Grid2 {
+        self.fine_engine.grid()
+    }
+
     /// Eagerly builds both distance tables (idempotent). A standalone
     /// positioner leaves the fine table lazy — the stage-1 filter keeps so
     /// little of the fine grid that on-the-fly distances win for a single
     /// user — but clones share the tables (see [`crate::engine`]), so when
     /// many sessions clone one positioner, one eager build is amortized
-    /// over all of them and every masked evaluation takes the faster
-    /// table-backed path. Which path runs never changes any value.
+    /// over all of them and every stage-2 evaluation takes the faster
+    /// table-backed gather. Which path runs never changes any value.
     pub fn prebuild_tables(&self) {
         self.coarse_engine.prebuild();
         self.fine_engine.prebuild();
@@ -282,32 +293,35 @@ impl MultiResPositioner {
         let coarse_map = self.coarse_engine.evaluate(&coarse_ms);
         let coarse_mask = coarse_map.mask_top_fraction(self.config.coarse_keep_fraction);
 
-        // Lift the mask onto the fine grid.
-        let fine_mask = self
-            .fine_engine
-            .grid()
-            .lift_mask(coarse_map.grid(), &coarse_mask);
+        // Lift the mask onto the fine grid: the kept fine cells, ascending.
+        let fine_grid = self.fine_engine.grid();
+        let fine_cells = fine_grid.lift_mask(coarse_map.grid(), &coarse_mask);
         if self.sink.is_some() {
             obs::emit(
                 self.sink.as_ref(),
                 self.session,
                 Stage::CoarseFilter,
                 TraceKind::Instant,
-                VoteMap::mask_coverage(&fine_mask),
+                fine_cells.len() as f64 / fine_grid.len() as f64,
                 0.0,
             );
         }
 
-        // Stage 2: all pairs on the filtered fine grid. Using all pairs (not
+        // Stage 2: all pairs on the kept fine cells. Using all pairs (not
         // just wide ones) ranks candidates by their total vote, as §5.1
         // prescribes; the wide pairs dominate the local structure while the
         // coarse pairs keep penalizing the wrong region.
         let all_ms: Vec<PairMeasurement> =
             wide_ms.iter().chain(coarse_ms.iter()).copied().collect();
-        let fine_map = self.fine_engine.evaluate_masked(&all_ms, &fine_mask);
+        let fine_votes = self.fine_engine.evaluate_cells(&all_ms, &fine_cells);
 
-        let candidates: Vec<Candidate> = fine_map
-            .peaks(self.config.max_candidates, self.config.candidate_separation)
+        let candidates: Vec<Candidate> = fine_grid
+            .pick_peaks(
+                &fine_cells,
+                &fine_votes,
+                self.config.max_candidates,
+                self.config.candidate_separation,
+            )
             .into_iter()
             .map(|(position, vote)| Candidate { position, vote })
             .collect();
@@ -322,8 +336,8 @@ impl MultiResPositioner {
 
         PositioningStages {
             coarse_map,
-            fine_mask,
-            fine_map,
+            fine_cells,
+            fine_votes,
             candidates,
         }
     }
@@ -395,15 +409,16 @@ mod tests {
         let truth = Point2::new(1.0, 1.0);
         let (pos, ms) = setup(truth);
         let stages = pos.locate_with_stages(&ms);
-        let coverage = VoteMap::mask_coverage(&stages.fine_mask);
+        let g = pos.fine_grid();
+        let coverage = stages.fine_cells.len() as f64 / g.len() as f64;
         assert!(
             coverage <= 0.12,
             "coarse filter keeps {coverage:.2} of the plane"
         );
+        assert_eq!(stages.fine_votes.len(), stages.fine_cells.len());
         // And the filter still contains the truth.
-        let g = stages.fine_map.grid().clone();
         let (ix, iz) = g.nearest(truth);
-        assert!(stages.fine_mask[g.flat(ix, iz)]);
+        assert!(stages.fine_cells.binary_search(&g.flat(ix, iz)).is_ok());
     }
 
     #[test]

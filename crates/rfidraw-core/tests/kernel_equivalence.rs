@@ -24,6 +24,11 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// The kept cells of `mask`, ascending: the shape of a lifted filter.
+fn kept(mask: &[bool]) -> Vec<usize> {
+    (0..mask.len()).filter(|&c| mask[c]).collect()
+}
+
 fn argmax(values: &[f64]) -> usize {
     let mut best = 0;
     for (i, &v) in values.iter().enumerate() {
@@ -101,8 +106,9 @@ proptest! {
         prop_assert_eq!(bits(reference.values()), bits(evaluated.values()));
     }
 
-    /// Masked evaluation (both the lazy and the table-backed path) equals
-    /// the reference masked path bit-for-bit for any mask.
+    /// Cell-list evaluation (both the lazy and the table-backed path) of a
+    /// mask's kept cells equals the reference masked path on those cells
+    /// bit-for-bit, for any mask.
     #[test]
     fn masked_paths_match_reference(
         depth in 1.0f64..4.0,
@@ -125,13 +131,15 @@ proptest! {
             })
             .collect();
 
+        let cells = kept(&mask);
         let reference = VoteMap::evaluate_masked(&dep, &ms, plane, grid.clone(), &mask);
+        let want: Vec<f64> = cells.iter().map(|&c| reference.values()[c]).collect();
         let engine = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx));
-        let lazy = engine.evaluate_masked(&ms, &mask);
+        let lazy = engine.evaluate_cells(&ms, &cells);
         engine.build_table();
-        let tabled = engine.evaluate_masked(&ms, &mask);
-        prop_assert_eq!(bits(reference.values()), bits(lazy.values()));
-        prop_assert_eq!(bits(reference.values()), bits(tabled.values()));
+        let tabled = engine.evaluate_cells(&ms, &cells);
+        prop_assert_eq!(bits(&want), bits(&lazy));
+        prop_assert_eq!(bits(&want), bits(&tabled));
     }
 
     /// The quantized engine's accuracy contract over random deployments,
@@ -210,12 +218,11 @@ proptest! {
     }
 
     /// The quantized paths keep the engine's determinism contract: the
-    /// full map is bit-identical across execution policies *and* across
-    /// SIMD dispatch (`Auto` vs forced `Scalar` — every kernel runs the
-    /// same per-cell sequence, so this is by construction, and this test
-    /// pins it on whatever ISA the host offers), and the masked path
-    /// (lazy quantize-on-the-fly and table-backed) matches the full map
-    /// on kept cells for any pseudo-random mask.
+    /// full map is bit-identical across execution policies, and the
+    /// cell-list path (lazy quantize-on-the-fly, built for the baseline
+    /// target in this crate, and table-backed through the dispatched
+    /// gather kernel) matches the full map on a pseudo-random mask's kept
+    /// cells.
     #[test]
     fn quantized_masked_matches_full_quantized_map(
         depth in 1.0f64..4.0,
@@ -255,17 +262,13 @@ proptest! {
                 (state as usize) % keep_mod == 0
             })
             .collect();
-        let lazy = engine.evaluate_masked(&ms, &mask);
+        let cells = kept(&mask);
+        let lazy = engine.evaluate_cells(&ms, &cells);
         engine.prebuild();
-        let tabled = engine.evaluate_masked(&ms, &mask);
-        prop_assert_eq!(bits(lazy.values()), bits(tabled.values()));
-        for (c, (&got, &all)) in lazy.values().iter().zip(full.values()).enumerate() {
-            if mask[c] {
-                prop_assert_eq!(got.to_bits(), all.to_bits(), "masked cell {}", c);
-            } else {
-                prop_assert_eq!(got, f64::NEG_INFINITY, "dropped cell {}", c);
-            }
-        }
+        let tabled = engine.evaluate_cells(&ms, &cells);
+        prop_assert_eq!(bits(&lazy), bits(&tabled));
+        let want: Vec<f64> = cells.iter().map(|&c| full.values()[c]).collect();
+        prop_assert_eq!(bits(&want), bits(&lazy));
     }
 }
 

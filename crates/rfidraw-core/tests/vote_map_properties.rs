@@ -182,7 +182,8 @@ proptest! {
 
     /// The acquisition's two mask steps against their first forms: the
     /// top-fraction threshold picked by a full descending sort, and the
-    /// coarse-to-fine lift looking up `nearest` for every fine cell.
+    /// coarse-to-fine lift (the ascending kept fine cells) looking up
+    /// `nearest` for every fine cell.
     /// Votes are drawn from a small palette (ties, `-0.0` next to `0.0`,
     /// `-inf` cells) mixed with continuous values; the fine grid is also
     /// laid over a shifted rectangle so the lift clamps at the edges.
@@ -227,12 +228,13 @@ proptest! {
         let moved = Point2::new(shift, -shift);
         for fine_rect in [rect, Rect::new(rect.min + moved, rect.max + moved)] {
             let fine = Grid2::new(fine_rect, coarse_res * fine_ratio);
-            let per_cell: Vec<bool> = fine
+            let per_cell: Vec<usize> = fine
                 .iter()
-                .map(|(_, p)| {
+                .filter(|&(_, p)| {
                     let (ix, iz) = coarse.nearest(p);
                     mask[coarse.flat(ix, iz)]
                 })
+                .map(|(i, _)| i)
                 .collect();
             prop_assert_eq!(fine.lift_mask(&coarse, &mask), per_cell);
         }

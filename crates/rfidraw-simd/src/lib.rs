@@ -11,10 +11,11 @@
 //! Each kernel is one safe loop, written once. A macro compiles it into
 //! two copies: one for the baseline x86-64 target (SSE2, no FMA), and one
 //! with `#[target_feature(enable = "avx2,fma")]`, in which LLVM sweeps
-//! four f64 or eight f32 lanes at a time (the gathers stay one cell at a
-//! time) and [`f32::mul_add`] is one `vfnmadd` instead of a libm `fmaf`
-//! call. Each public kernel runs the AVX2 copy when the CPU reports AVX2
-//! and FMA (every AVX2 part ships FMA), the baseline copy otherwise;
+//! four f64 or eight f32 lanes at a time (the gathers four cells at a
+//! time: four scalar loads, then the arithmetic on one vector) and
+//! [`f32::mul_add`] is one `vfnmadd` instead of a libm `fmaf` call. Each
+//! public kernel runs the AVX2 copy when the CPU reports AVX2 and FMA
+//! (every AVX2 part ships FMA), the baseline copy otherwise;
 //! [`active_kernel`] names the pick.
 //!
 //! ## Bit-identity
@@ -54,6 +55,13 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+
+/// Cells a gather loads per step. Bounds-checked loads from a list of
+/// cell indices break a one-cell loop into a compare and branch per cell,
+/// which keeps it scalar; four loads into a four-lane array first leave
+/// the arithmetic a straight-line block over the lanes, which the AVX2
+/// copy runs in one vector register.
+const LANES: usize = 4;
 
 /// Whether the CPU runs the AVX2 copies: they need AVX2 and FMA (the
 /// fused subtract). `std` caches the CPUID probe, so each call is a load.
@@ -174,17 +182,30 @@ multiversion! {
 
     /// [`sweep_f64`] over a list of cells: subtracts
     /// `frac_dist_to_integer(column[cells[i]] − measured)²` from `acc[i]`.
-    /// The masked evaluation compacts its kept cells into `cells` and
-    /// gathers them from each full pair column.
+    /// The engine's cell-list evaluation gathers the stage-1 filter's kept
+    /// cells from each full pair column through here. It loads four cells
+    /// per step and runs the per-cell sequence on the four lanes, so any
+    /// cell list, sorted or not, gets the same bits as a one-cell loop.
     ///
     /// # Panics
     /// Panics if `acc` and `cells` lengths differ, or if a cell index is
     /// out of the column's bounds.
     pub fn gather_f64(acc: &mut [f64], column: &[f64], cells: &[usize], measured: f64) {
         assert_eq!(acc.len(), cells.len(), "tile and cell list must be the same length");
-        for (a, &c) in acc.iter_mut().zip(cells) {
-            let f = frac_dist_to_integer(column[c] - measured);
+        let score = |a: &mut f64, turns: f64| {
+            let f = frac_dist_to_integer(turns - measured);
             *a -= f * f;
+        };
+        let (acc4, acc_tail) = acc.as_chunks_mut::<LANES>();
+        let (cells4, cells_tail) = cells.as_chunks::<LANES>();
+        for (a, c) in acc4.iter_mut().zip(cells4) {
+            let turns = c.map(|c| column[c]);
+            for (a, turns) in a.iter_mut().zip(turns) {
+                score(a, turns);
+            }
+        }
+        for (a, &c) in acc_tail.iter_mut().zip(cells_tail) {
+            score(a, column[c]);
         }
     }
 
@@ -236,16 +257,28 @@ multiversion! {
 
     /// [`sweep_i16`] over a list of cells: subtracts
     /// `(column[cells[i]].wrapping_sub(measured) as f32)²`, fused, from
-    /// `acc[i]`. The masked evaluation gathers its kept cells through here.
+    /// `acc[i]`. The engine's cell-list evaluation gathers its cells
+    /// through here, four per step like [`gather_f64`].
     ///
     /// # Panics
     /// Panics if `acc` and `cells` lengths differ, or if a cell index is
     /// out of the column's bounds.
     pub fn gather_i16(acc: &mut [f32], column: &[i16], cells: &[usize], measured: i16) {
         assert_eq!(acc.len(), cells.len(), "tile and cell list must be the same length");
-        for (a, &c) in acc.iter_mut().zip(cells) {
-            let d = i32::from(column[c].wrapping_sub(measured)) as f32;
+        let score = |a: &mut f32, q: i16| {
+            let d = i32::from(q.wrapping_sub(measured)) as f32;
             *a = (-d).mul_add(d, *a);
+        };
+        let (acc4, acc_tail) = acc.as_chunks_mut::<LANES>();
+        let (cells4, cells_tail) = cells.as_chunks::<LANES>();
+        for (a, c) in acc4.iter_mut().zip(cells4) {
+            let q = c.map(|c| column[c]);
+            for (a, q) in a.iter_mut().zip(q) {
+                score(a, q);
+            }
+        }
+        for (a, &c) in acc_tail.iter_mut().zip(cells_tail) {
+            score(a, column[c]);
         }
     }
 }
@@ -284,6 +317,26 @@ mod tests {
                 .map(|_| self.next() as usize % (len / 2 + 1))
                 .collect()
         }
+
+        /// `len` ascending cell indices in runs of 1–9 consecutive cells
+        /// with gaps of 0–3 between them: the shape of the stage-1
+        /// filter's kept cells, as the engine gathers them.
+        fn runs(&mut self, len: usize) -> Vec<usize> {
+            let mut cells = Vec::with_capacity(len);
+            let mut c = self.next() as usize % 3;
+            while cells.len() < len {
+                let run = (1 + self.next() as usize % 9).min(len - cells.len());
+                cells.extend(c..c + run);
+                c += run + self.next() as usize % 4;
+            }
+            cells
+        }
+    }
+
+    /// The column length a cell list gathers from: one past its largest
+    /// index.
+    fn span(cells: &[usize]) -> usize {
+        cells.iter().max().map_or(0, |&c| c + 1)
     }
 
     /// Every tile length from empty through several vectors plus a tail,
@@ -331,17 +384,21 @@ mod tests {
         let mut rng = Rng(0xf64f);
         for len in lengths() {
             let column: Vec<f64> = (0..len).map(|_| rng.entry()).collect();
-            let table: Vec<f64> = (0..len / 2 + 1).map(|_| rng.entry()).collect();
-            let cells = rng.cells(len);
+            let (cells, runs) = (rng.cells(len), rng.runs(len));
+            let table: Vec<f64> = (0..span(&runs).max(len / 2 + 1))
+                .map(|_| rng.entry())
+                .collect();
             let acc: Vec<f64> = (0..len).map(|_| -rng.turns().abs()).collect();
             // Both signed zeros and a half-integer, so `turns − measured`
             // reaches every edge input.
             for measured in [0.0, -0.0, 0.5, rng.turns()] {
                 assert_copies_agree!(sweep_f64(acc, &column, measured), "len {len} m {measured}");
-                assert_copies_agree!(
-                    gather_f64(acc, &table, &cells, measured),
-                    "len {len} m {measured}"
-                );
+                for cells in [&cells, &runs] {
+                    assert_copies_agree!(
+                        gather_f64(acc, &table, cells, measured),
+                        "len {len} m {measured} cells {cells:?}"
+                    );
+                }
             }
         }
     }
@@ -353,12 +410,51 @@ mod tests {
             let col_a: Vec<i16> = (0..len).map(|_| rng.next() as i16).collect();
             let col_b: Vec<i16> = (0..len).map(|_| rng.next() as i16).collect();
             let (ma, mb) = (rng.next() as i16, rng.next() as i16);
-            let table: Vec<i16> = (0..len / 2 + 1).map(|_| rng.next() as i16).collect();
-            let cells = rng.cells(len);
+            let (cells, runs) = (rng.cells(len), rng.runs(len));
+            let table: Vec<i16> = (0..span(&runs).max(len / 2 + 1))
+                .map(|_| rng.next() as i16)
+                .collect();
             let acc: Vec<f32> = (0..len).map(|i| -(i as f32) * 1000.5).collect();
             assert_copies_agree!(sweep_i16(acc, &col_a, ma), "len {len}");
             assert_copies_agree!(sweep_i16_dual(acc, &col_a, ma, &col_b, mb), "len {len}");
-            assert_copies_agree!(gather_i16(acc, &table, &cells, mb), "len {len}");
+            for cells in [&cells, &runs] {
+                assert_copies_agree!(
+                    gather_i16(acc, &table, cells, mb),
+                    "len {len} cells {cells:?}"
+                );
+            }
+        }
+    }
+
+    /// A gather equals the sweep over the column it gathers, bit for bit:
+    /// four cells per step changes no cell's operations.
+    #[test]
+    fn gathers_match_sweeps_over_the_gathered_column() {
+        let mut rng = Rng(0x6a7e);
+        for len in lengths() {
+            for cells in [rng.cells(len), rng.runs(len)] {
+                let n = span(&cells).max(1);
+                let table: Vec<f64> = (0..n).map(|_| rng.entry()).collect();
+                let table_q: Vec<i16> = (0..n).map(|_| rng.next() as i16).collect();
+                let (measured, measured_q) = (rng.turns(), rng.next() as i16);
+                let mut gathered: Vec<f64> = (0..len).map(|_| -rng.turns().abs()).collect();
+                let mut swept = gathered.clone();
+                gather_f64(&mut gathered, &table, &cells, measured);
+                let column: Vec<f64> = cells.iter().map(|&c| table[c]).collect();
+                sweep_f64(&mut swept, &column, measured);
+                let g: Vec<u64> = gathered.iter().map(|v| v.to_bits()).collect();
+                let s: Vec<u64> = swept.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(g, s, "f64 len {len}");
+
+                let mut gathered: Vec<f32> = (0..len).map(|i| -(i as f32) * 3.75).collect();
+                let mut swept = gathered.clone();
+                gather_i16(&mut gathered, &table_q, &cells, measured_q);
+                let column: Vec<i16> = cells.iter().map(|&c| table_q[c]).collect();
+                sweep_i16(&mut swept, &column, measured_q);
+                let g: Vec<u32> = gathered.iter().map(|v| v.to_bits()).collect();
+                let s: Vec<u32> = swept.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(g, s, "i16 len {len}");
+            }
         }
     }
 

@@ -42,6 +42,13 @@ cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
     frac_dist_to_integer_matches_round_form
 cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
     trace_step_
+# Sparse acquisition, by name: stage 2 scores only the stage-1 filter's
+# kept fine cells (through the gathers' vectorized AVX2 copies when the
+# fine table is built) and picks peaks in k passes, and every kept cell,
+# vote and candidate must equal the dense reference (full masked map plus
+# the sort-based peak pick) bit for bit.
+cargo test --release --offline -q -p rfidraw-core --test sparse_acquisition \
+    sparse_acquisition_matches_dense_reference
 # The quiet-read predicate the serving layer applies reads inline by: a
 # batch it calls quiet must never emit or move the estimate (random
 # hostile streams and batch splits), and it must keep calling most reads
