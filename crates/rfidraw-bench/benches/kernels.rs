@@ -9,10 +9,13 @@ use rfidraw::core::engine::VoteEngine;
 use rfidraw::core::exec::Parallelism;
 use rfidraw::core::geom::{Plane, Point2, Rect};
 use rfidraw::core::grid::{Grid2, VoteMap};
+use rfidraw::core::phase::wrap_pi;
 use rfidraw::core::position::{MultiResConfig, MultiResPositioner};
 use rfidraw::core::trace::{ideal_snapshots, TraceConfig, TrajectoryTracer};
 use rfidraw::core::vote::ideal_measurements;
 use rfidraw::recognition::Recognizer;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::f64::consts::TAU;
 use std::hint::black_box;
 
 fn region() -> Rect {
@@ -148,6 +151,33 @@ fn bench_trace_steps(c: &mut Criterion) {
     };
     c.bench_function("trace_100_ticks", |b| {
         b.iter(|| black_box(tracer.trace_from(start, black_box(&snaps))))
+    });
+
+    // The same path with up to ±0.3 turns of noise per pair and every lobe
+    // lock moved by −1, 0 or +1 (seeded), so votes sit far from zero and
+    // the tick's tile bounds leave about half the tiles to score, where
+    // the noise-free snapshots above let them prune almost every tile.
+    let mut rng = StdRng::seed_from_u64(100);
+    let mut noisy = snaps.clone();
+    for snap in &mut noisy {
+        for (m, (_, turns)) in snap.wrapped.iter_mut().zip(&mut snap.unwrapped_turns) {
+            let noise = rng.gen_range(-0.3..0.3);
+            *turns += noise;
+            m.delta_phi = wrap_pi(m.delta_phi + TAU * noise);
+        }
+    }
+    let mut locked = tracer.lock_lobes(&noisy[0], path[0]);
+    for (_, k) in &mut locked {
+        *k += rng.gen_range(-1i64..2);
+    }
+    c.bench_function("trace_100_ticks_noisy", |b| {
+        b.iter(|| {
+            let mut prev = path[0];
+            for snap in black_box(&noisy) {
+                prev = tracer.advance(prev, snap, &locked).0;
+            }
+            black_box(prev)
+        })
     });
 }
 

@@ -193,6 +193,13 @@ impl Grid2 {
         let better = |i: usize, than: usize| {
             votes[i] > votes[than] || (votes[i] == votes[than] && cells[i] < cells[than])
         };
+        // `p.dist(q)` is `hypot(dx, dz)`, a libm call that errs by at most
+        // 1 ulp and is exactly at least `max(|dx|, |dz|)`. A cell whose
+        // larger offset reaches `keep` therefore passes `dist >=
+        // min_separation` without the call; only the rest make it, so every
+        // cell decides as before (NaN, negative and infinite separations
+        // included, which `keep` inherits).
+        let keep = min_separation * (1.0 + 4.0 * f64::EPSILON) + f64::MIN_POSITIVE;
         let mut picked = Vec::new();
         while picked.len() < max_peaks {
             let Some(&(best, p)) = open.iter().reduce(|b, o| if better(o.0, b.0) { o } else { b })
@@ -201,7 +208,10 @@ impl Grid2 {
             };
             picked.push((p, votes[best]));
             if picked.len() < max_peaks {
-                open.retain(|&(i, q)| i != best && p.dist(q) >= min_separation);
+                open.retain(|&(i, q)| {
+                    let (dx, dz) = (p.x - q.x, p.z - q.z);
+                    i != best && (dx.abs().max(dz.abs()) >= keep || p.dist(q) >= min_separation)
+                });
             }
         }
         picked

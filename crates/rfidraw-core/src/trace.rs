@@ -21,16 +21,318 @@ use crate::array::{AntennaPair, Deployment};
 use crate::exec::Parallelism;
 use crate::geom::{Plane, Point2};
 use crate::obs::{self, SharedSink, Stage, TraceKind};
+use crate::phase::frac_dist_to_integer;
 use crate::position::Candidate;
 use crate::stream::PairSnapshot;
 use crate::vote::PairMeasurement;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
+use std::sync::Arc;
 
-/// Vicinity points per block of the tick kernel ([`TrajectoryTracer`]'s
-/// step). Pure tuning: blocking never changes a point's operations or the
-/// scan order, so no result depends on it.
+/// Lanes per tile of the tick kernel ([`TrajectoryTracer`]'s step), and
+/// tiles per block of its bound pass. Pure tuning: no result depends on
+/// it, since the scan keeps the best vote with ties to the lowest scan
+/// index whatever order the tiles are scored in.
 const STEP_BLOCK: usize = 16;
+
+/// Height, in lattice rows, of the strips the vicinity disc is cut into
+/// before it is chunked into tiles: four rows of a strip walked column by
+/// column give 4×4 squares. Pure tuning, like [`STEP_BLOCK`].
+const STRIP_ROWS: usize = 4;
+
+/// Relative float slack of the tile bound (2⁻⁴⁰): about 2¹² times the
+/// rounding error of the vote terms it covers (DESIGN.md §16, *Pruning*).
+const BOUND_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// The vicinity disc cut into tiles of [`STEP_BLOCK`] lanes, built once
+/// per tracer and shared by its clones.
+#[derive(Debug)]
+struct Tiles {
+    /// Lane offsets, tile-major, [`STEP_BLOCK`] lanes per tile; the last
+    /// tile's padded lanes hold zero offsets and are never scanned.
+    x: Vec<f64>,
+    z: Vec<f64>,
+    /// Each lane's index in the row-major scan of the disc: exact ties go
+    /// to the lowest.
+    scan: Vec<u32>,
+    /// Number of disc points (the unpadded lanes).
+    points: usize,
+    /// Per tile, padded to whole blocks of [`STEP_BLOCK`] tiles: the
+    /// centre offset `c`, the bounding radius `ρ` (no lane lies farther
+    /// from `c`) and the reach `|c| + ρ` (no point of the tile's hull lies
+    /// farther from the previous point).
+    cx: Vec<f64>,
+    cz: Vec<f64>,
+    rho: Vec<f64>,
+    reach: Vec<f64>,
+    /// The largest reach: the disc's reach `R`.
+    max_reach: f64,
+}
+
+impl Tiles {
+    /// Cuts the lattice points of the disc of `radius` at `step` spacing
+    /// into tiles: strips of [`STRIP_ROWS`] rows, bottom to top, each
+    /// walked column by column in the opposite direction of the strip
+    /// below it, chunked into runs of [`STEP_BLOCK`] points.
+    fn new(radius: f64, step: f64) -> Self {
+        const B: usize = STEP_BLOCK;
+        let n = (radius / step).floor() as i64;
+        let side = (2 * n + 1) as usize;
+        // Each lattice point's scan index and offset, `None` outside the
+        // disc, at `row · side + column`.
+        let mut lattice = vec![None; side * side];
+        let mut points = 0;
+        for iz in -n..=n {
+            for ix in -n..=n {
+                let o = Point2::new(ix as f64 * step, iz as f64 * step);
+                if o.norm() <= radius + 1e-12 {
+                    lattice[(iz + n) as usize * side + (ix + n) as usize] = Some((points, o));
+                    points += 1;
+                }
+            }
+        }
+        let mut order = Vec::with_capacity(points);
+        for (strip, first_row) in (0..side).step_by(STRIP_ROWS).enumerate() {
+            let rows = first_row..(first_row + STRIP_ROWS).min(side);
+            for column in 0..side {
+                let column = if strip % 2 == 0 { column } else { side - 1 - column };
+                order.extend(rows.clone().filter_map(|row| lattice[row * side + column]));
+            }
+        }
+        let count = points.div_ceil(B);
+        let padded = count.div_ceil(B) * B;
+        let mut tiles = Self {
+            x: vec![0.0; count * B],
+            z: vec![0.0; count * B],
+            scan: vec![0; count * B],
+            points,
+            cx: vec![0.0; padded],
+            cz: vec![0.0; padded],
+            rho: vec![0.0; padded],
+            reach: vec![0.0; padded],
+            max_reach: 0.0,
+        };
+        for (t, lanes) in order.chunks(B).enumerate() {
+            let (mut lo, mut hi) = (lanes[0].1, lanes[0].1);
+            for (b, &(k, o)) in lanes.iter().enumerate() {
+                tiles.x[t * B + b] = o.x;
+                tiles.z[t * B + b] = o.z;
+                tiles.scan[t * B + b] = u32::try_from(k).expect("vicinity disc fits u32 indices");
+                lo = Point2::new(lo.x.min(o.x), lo.z.min(o.z));
+                hi = Point2::new(hi.x.max(o.x), hi.z.max(o.z));
+            }
+            // The centre of the lanes' bounding box.
+            let c = lo.lerp(hi, 0.5);
+            let rho = lanes.iter().map(|&(_, o)| c.dist(o)).fold(0.0, f64::max);
+            tiles.cx[t] = c.x;
+            tiles.cz[t] = c.z;
+            tiles.rho[t] = rho;
+            tiles.reach[t] = c.norm() + rho;
+            tiles.max_reach = tiles.max_reach.max(tiles.reach[t]);
+        }
+        tiles
+    }
+
+    /// Number of tiles.
+    fn count(&self) -> usize {
+        self.x.len() / STEP_BLOCK
+    }
+
+    /// Number of real lanes of tile `t`: [`STEP_BLOCK`] for all but a
+    /// short last tile.
+    fn lanes(&self, t: usize) -> usize {
+        (self.points - t * STEP_BLOCK).min(STEP_BLOCK)
+    }
+}
+
+/// One tracing step's outcome.
+struct Step {
+    point: Point2,
+    vote: f64,
+    /// Tiles the scan scored; the rest were pruned by their bound. Read
+    /// by the pruning test only.
+    #[cfg_attr(not(test), allow(dead_code))]
+    scored_tiles: usize,
+}
+
+/// One pair's `(i, j, target, gradient, curvature, slack)`: its target and
+/// the constants of its tile bound at the tick's previous point.
+type PairBound = (usize, usize, f64, f64, f64, f64);
+
+/// One tick's kernels and scratch rows, for the targets of one step
+/// around `prev`.
+struct Tick<'a> {
+    tracer: &'a TrajectoryTracer,
+    prev: Point2,
+    wide: &'a [(usize, usize, f64)],
+    coarse: &'a [(usize, usize, f64)],
+    /// The antennas some target references.
+    used: Vec<bool>,
+    /// Row 0 accumulates a block's votes (or bounds); row `1 + a` holds
+    /// antenna `a`'s distances to the block's points.
+    rows: Vec<[f64; STEP_BLOCK]>,
+}
+
+impl<'a> Tick<'a> {
+    fn new(
+        tracer: &'a TrajectoryTracer,
+        prev: Point2,
+        wide: &'a [(usize, usize, f64)],
+        coarse: &'a [(usize, usize, f64)],
+    ) -> Self {
+        let antennas = tracer.dep.antennas().len();
+        let mut used = vec![false; antennas];
+        for &(i, j, _) in wide.iter().chain(coarse) {
+            used[i] = true;
+            used[j] = true;
+        }
+        Self {
+            tracer,
+            prev,
+            wide,
+            coarse,
+            used,
+            rows: vec![[0.0; STEP_BLOCK]; 1 + antennas],
+        }
+    }
+
+    /// Fills each used antenna's row with its distance to every lane's
+    /// point `prev + (ox, oz)` in the plane, one fixed-width loop per
+    /// antenna; returns the vote row, zeroed, and the distance rows.
+    fn distances(
+        &mut self,
+        ox: &[f64],
+        oz: &[f64],
+    ) -> (&mut [f64; STEP_BLOCK], &[[f64; STEP_BLOCK]]) {
+        let (ox, oz) = (&ox[..STEP_BLOCK], &oz[..STEP_BLOCK]);
+        let (prev, plane) = (self.prev, self.tracer.plane);
+        let (v, dist) = self.rows.split_first_mut().expect("vote row");
+        let antennas = self.tracer.dep.antennas();
+        for ((d, ant), _) in dist.iter_mut().zip(antennas).zip(&self.used).filter(|(_, &u)| u) {
+            for (b, db) in d.iter_mut().enumerate() {
+                *db = plane.lift(Point2::new(prev.x + ox[b], prev.z + oz[b])).dist(ant.pos);
+            }
+        }
+        v.fill(0.0);
+        (v, dist)
+    }
+
+    /// The bound pass: an upper bound on every vote each tile's lanes can
+    /// compute, from the tile's centre, [`STEP_BLOCK`] tiles at a time.
+    ///
+    /// Within a tile, a pair's turns `tf·(dᵢ − dⱼ)` move from the
+    /// centre's by at most `δ = tf·ρ·G`, `G` a bound on the gradient of
+    /// `dᵢ − dⱼ` over the tile: its gradient at `prev` plus the distance
+    /// from `prev`, at most `|c| + ρ`, times the Hessian bound
+    /// `1/(dᵢ − R) + 1/(dⱼ − R)` (each distance is 1-Lipschitz with a
+    /// Hessian norm of at most `1/d`), and never more than 2. A lane's
+    /// term is then at least `core − δ − slack`, `core` being `|r|` for
+    /// wide terms and the fold for coarse ones and the slack covering the
+    /// rounding of the distances, the lifted points and the bound itself;
+    /// squared and accumulated in the lanes' order, those floors sum to at
+    /// least the lane's vote, since rounding is monotone.
+    fn bounds(&mut self) -> Vec<f64> {
+        const B: usize = STEP_BLOCK;
+        let tracer = self.tracer;
+        let tiles = &*tracer.tiles;
+        let (prev, tf) = (self.prev, tracer.turns_factor);
+        let reach = tiles.max_reach;
+        let p3 = tracer.plane.lift(prev);
+        // Each antenna's distance and in-plane gradient at `prev`.
+        let at_prev: Vec<(f64, f64, f64)> = tracer
+            .dep
+            .antennas()
+            .iter()
+            .map(|a| {
+                let d = p3.dist(a.pos);
+                (d, (prev.x - a.pos.x) / d, (prev.z - a.pos.z) / d)
+            })
+            .collect();
+        let pair_bound = |&(i, j, target): &(usize, usize, f64)| -> PairBound {
+            let ((di, xi, zi), (dj, xj, zj)) = (at_prev[i], at_prev[j]);
+            let (gradient, curvature) = if di - reach > 0.0 && dj - reach > 0.0 {
+                let g = ((xi - xj) * (xi - xj) + (zi - zj) * (zi - zj)).sqrt();
+                (tf * g, tf * (1.0 / (di - reach) + 1.0 / (dj - reach)))
+            } else {
+                (2.0 * tf, 0.0)
+            };
+            let slack = BOUND_SLACK * tf * (di + dj + prev.x.abs() + prev.z.abs() + 4.0 * reach);
+            (i, j, target, gradient, curvature, slack)
+        };
+        let wide: Vec<PairBound> = self.wide.iter().map(pair_bound).collect();
+        let coarse: Vec<PairBound> = self.coarse.iter().map(pair_bound).collect();
+        let mut bounds = Vec::with_capacity(tiles.cx.len());
+        let centres = tiles.cx.chunks_exact(B).zip(tiles.cz.chunks_exact(B));
+        let spans = tiles.rho.chunks_exact(B).zip(tiles.reach.chunks_exact(B));
+        for ((cx, cz), span) in centres.zip(spans) {
+            let (v, dist) = self.distances(cx, cz);
+            subtract_floors(v, dist, span, tf, &wide, f64::abs);
+            subtract_floors(v, dist, span, tf, &coarse, frac_dist_to_integer);
+            bounds.extend_from_slice(v);
+        }
+        bounds.truncate(tiles.count());
+        bounds
+    }
+
+    /// Tile `t`'s lane votes, by the per-point arithmetic of a
+    /// one-point-at-a-time scan: each used antenna's distance once per
+    /// lane, the same [`crate::geom::Point3::dist`] expression, wide then
+    /// coarse terms in order, `v -= r·r`.
+    fn votes(&mut self, t: usize) -> &[f64; STEP_BLOCK] {
+        const B: usize = STEP_BLOCK;
+        let tracer = self.tracer;
+        let tf = tracer.turns_factor;
+        let lanes = t * B..(t + 1) * B;
+        let (wide, coarse) = (self.wide, self.coarse);
+        let (v, dist) = self.distances(&tracer.tiles.x[lanes.clone()], &tracer.tiles.z[lanes]);
+        for &(i, j, target) in wide {
+            let (di, dj) = (&dist[i], &dist[j]);
+            for b in 0..B {
+                let r = tf * (di[b] - dj[b]) - target;
+                v[b] -= r * r;
+            }
+        }
+        for &(i, j, measured) in coarse {
+            let (di, dj) = (&dist[i], &dist[j]);
+            for b in 0..B {
+                let f = frac_dist_to_integer(tf * (di[b] - dj[b]) - measured);
+                v[b] -= f * f;
+            }
+        }
+        v
+    }
+}
+
+/// Subtracts each of `pairs`' squared term floors from a block of tile
+/// bounds `v`, given the centres' antenna distances `dist` and the tiles'
+/// `(ρ, |c| + ρ)`: `core` is `|r|` for wide terms and the fold for coarse
+/// ones ([`Tick::bounds`]). Generic in `core`, so each kind of term gets
+/// its own vectorizable lane loop.
+fn subtract_floors(
+    v: &mut [f64; STEP_BLOCK],
+    dist: &[[f64; STEP_BLOCK]],
+    (rho, reach): (&[f64], &[f64]),
+    tf: f64,
+    pairs: &[PairBound],
+    core: impl Fn(f64) -> f64,
+) {
+    let (rho, reach) = (&rho[..STEP_BLOCK], &reach[..STEP_BLOCK]);
+    let cap = 2.0 * tf;
+    for &(i, j, target, gradient, curvature, slack) in pairs {
+        let (di, dj) = (&dist[i], &dist[j]);
+        for b in 0..STEP_BLOCK {
+            let x = tf * (di[b] - dj[b]) - target;
+            // The smaller of the two gradient bounds (`cap` if the first
+            // is NaN).
+            let g = gradient + reach[b] * curvature;
+            let delta = rho[b] * if g < cap { g } else { cap };
+            let l = core(x) - delta - (BOUND_SLACK * (x.abs() + delta) + slack);
+            // A NaN floor stays NaN: its tile is never pruned.
+            let l = if l < 0.0 { 0.0 } else { l };
+            v[b] -= l * l;
+        }
+    }
+}
 
 /// Tuning parameters for [`TrajectoryTracer`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -102,11 +404,8 @@ pub struct TrajectoryTracer {
     dep: Deployment,
     plane: Plane,
     config: TraceConfig,
-    /// Precomputed local-search offsets within the vicinity disc, stored
-    /// as separate x and z columns so the tick kernel loads contiguous
-    /// lanes.
-    offsets_x: Vec<f64>,
-    offsets_z: Vec<f64>,
+    /// The vicinity disc's offsets cut into tiles, shared by clones.
+    tiles: Arc<Tiles>,
     /// Pre-resolved wide pairs: `(pair, i, j)` with `i`, `j` indices into
     /// `dep.antennas()` — the tick kernel computes each antenna's distance
     /// once per vicinity point and the pairs index into those.
@@ -130,20 +429,7 @@ impl TrajectoryTracer {
     pub fn new(dep: Deployment, plane: Plane, config: TraceConfig) -> Self {
         config.validate();
         assert!(!dep.wide_pairs().is_empty(), "tracing needs wide pairs");
-        let r = config.vicinity_radius;
-        let s = config.step_resolution;
-        let n = (r / s).floor() as i64;
-        let mut offsets_x = Vec::new();
-        let mut offsets_z = Vec::new();
-        for iz in -n..=n {
-            for ix in -n..=n {
-                let o = Point2::new(ix as f64 * s, iz as f64 * s);
-                if o.norm() <= r + 1e-12 {
-                    offsets_x.push(o.x);
-                    offsets_z.push(o.z);
-                }
-            }
-        }
+        let tiles = Arc::new(Tiles::new(config.vicinity_radius, config.step_resolution));
         let index = |id| {
             dep.antennas()
                 .iter()
@@ -162,8 +448,7 @@ impl TrajectoryTracer {
             dep,
             plane,
             config,
-            offsets_x,
-            offsets_z,
+            tiles,
             wide_idx,
             coarse_idx,
             turns_factor,
@@ -248,15 +533,11 @@ impl TrajectoryTracer {
         locked: &[(AntennaPair, i64)],
     ) -> (Point2, f64) {
         let mut wide_targets = Vec::with_capacity(self.wide_idx.len());
-        for (idx, &(pair, i, j)) in self.wide_idx.iter().enumerate() {
-            let turns = snap
-                .turns_of(pair)
-                .unwrap_or_else(|| panic!("snapshot lacks wide pair {pair:?}"));
-            wide_targets.push((i, j, turns + locked[idx].1 as f64));
-        }
+        self.wide_targets(snap, locked, &mut wide_targets);
         let mut coarse_targets = Vec::new();
         self.coarse_targets(snap, &mut coarse_targets);
-        self.step(prev, &wide_targets, &coarse_targets)
+        let step = self.step(prev, &wide_targets, &coarse_targets);
+        (step.point, step.vote)
     }
 
     /// Degraded-mode counterpart of [`TrajectoryTracer::advance`]: wide
@@ -286,7 +567,8 @@ impl TrajectoryTracer {
         }
         let mut coarse_targets = Vec::new();
         self.coarse_targets(snap, &mut coarse_targets);
-        Some(self.step(prev, &wide_targets, &coarse_targets))
+        let step = self.step(prev, &wide_targets, &coarse_targets);
+        Some((step.point, step.vote))
     }
 
     /// Traces from one initial position through the snapshot sequence.
@@ -308,19 +590,13 @@ impl TrajectoryTracer {
         let mut coarse_targets = Vec::with_capacity(self.coarse_idx.len());
         for snap in snapshots {
             wide_targets.clear();
-            for (idx, &(pair, i, j)) in self.wide_idx.iter().enumerate() {
-                let turns = snap
-                    .turns_of(pair)
-                    .unwrap_or_else(|| panic!("snapshot lacks wide pair {pair:?}"));
-                let k = locked[idx].1;
-                wide_targets.push((i, j, turns + k as f64));
-            }
+            self.wide_targets(snap, &locked, &mut wide_targets);
             coarse_targets.clear();
             self.coarse_targets(snap, &mut coarse_targets);
-            let (best, vote) = self.step(prev, &wide_targets, &coarse_targets);
-            points.push(best);
-            votes.push(vote);
-            prev = best;
+            let step = self.step(prev, &wide_targets, &coarse_targets);
+            points.push(step.point);
+            votes.push(step.vote);
+            prev = step.point;
         }
 
         let smoothed = moving_average(&points, self.config.smooth_window);
@@ -383,6 +659,27 @@ impl TrajectoryTracer {
         (winner, traces)
     }
 
+    /// Appends every wide pair's `(i, j, target_turns)` target, in
+    /// deployment order: the snapshot's unwrapped turns plus the pair's
+    /// locked lobe (`locked` in wide-pair order, as
+    /// [`TrajectoryTracer::lock_lobes`] returns it).
+    ///
+    /// # Panics
+    /// Panics if the snapshot lacks a wide pair.
+    fn wide_targets(
+        &self,
+        snap: &PairSnapshot,
+        locked: &[(AntennaPair, i64)],
+        out: &mut Vec<(usize, usize, f64)>,
+    ) {
+        for (idx, &(pair, i, j)) in self.wide_idx.iter().enumerate() {
+            let turns = snap
+                .turns_of(pair)
+                .unwrap_or_else(|| panic!("snapshot lacks wide pair {pair:?}"));
+            out.push((i, j, turns + locked[idx].1 as f64));
+        }
+    }
+
     /// Appends the coarse pairs' `(i, j, measured_turns)` targets the
     /// snapshot carries, in deployment order (none unless
     /// `include_coarse`).
@@ -397,87 +694,75 @@ impl TrajectoryTracer {
         }
     }
 
-    /// One tracing step: the vicinity point with the best total vote.
+    /// One tracing step: the vicinity point with the best total vote,
+    /// ties to the lowest index in the disc's row-major scan.
     ///
     /// `wide_targets` are `(i, j, target_turns)` — antenna indices into
     /// `dep.antennas()` — with the locked lobe folded into the target
     /// (fixed-lobe quadratic penalty); `coarse_targets` are
     /// `(i, j, measured_turns)` scored against the nearest lobe.
     ///
-    /// The offsets are walked in blocks of [`STEP_BLOCK`] points: each
-    /// referenced antenna's distance is computed once per point (not once
-    /// per pair it belongs to), then every pair's term is applied to the
-    /// whole block. Per point that is exactly the per-pair sequence —
-    /// the same [`crate::geom::Point3::dist`] expression, wide then coarse
-    /// terms in order, `v -= r·r` — and the scan keeps the first strict
-    /// maximum, so the chosen point and its vote are bit-identical to
-    /// scoring one point at a time (DESIGN.md §16). The fixed-width lane
-    /// loops are what the compiler vectorizes.
+    /// A branch-and-bound scan (DESIGN.md §16). The bound pass scores each
+    /// tile's centre, blocks of [`STEP_BLOCK`] tiles at a time, and turns
+    /// it into an upper bound on every vote the tile's lanes can compute.
+    /// Tiles are then scored best bound first, and the scan stops at the
+    /// first tile whose bound is below the best vote found: no lane from
+    /// there on can win or tie. A scored tile runs the per-point
+    /// arithmetic of a one-point-at-a-time scan — each referenced
+    /// antenna's distance once per lane, the same
+    /// [`crate::geom::Point3::dist`] expression, wide then coarse terms in
+    /// order, `v -= r·r` — on its 16 lanes in fixed-width loops the
+    /// compiler vectorizes. Keeping the best vote with ties to the lowest
+    /// scan index, and accepting only votes above `−∞`, gives the point
+    /// and vote bits of the full scan's first strict maximum; a disc with
+    /// no vote above `−∞` returns `prev` with `−∞`.
     fn step(
         &self,
         prev: Point2,
         wide_targets: &[(usize, usize, f64)],
         coarse_targets: &[(usize, usize, f64)],
-    ) -> (Point2, f64) {
+    ) -> Step {
         const B: usize = STEP_BLOCK;
-        let antennas = self.dep.antennas();
-        let mut used = vec![false; antennas.len()];
-        for &(i, j, _) in wide_targets.iter().chain(coarse_targets) {
-            used[i] = true;
-            used[j] = true;
-        }
-        let tf = self.turns_factor;
-        // Row 0 accumulates the block's votes; row `1 + a` holds antenna
-        // `a`'s distances to the block's points.
-        let mut rows = vec![[0.0; B]; 1 + antennas.len()];
-        let (v, dist) = rows.split_first_mut().expect("vote row");
+        let tiles = &*self.tiles;
+        let mut tick = Tick::new(self, prev, wide_targets, coarse_targets);
+        // `(bound, tile)`, best first, a NaN bound read as `+∞` so that it
+        // is never pruned.
+        let mut order: Vec<(f64, usize)> = tick
+            .bounds()
+            .into_iter()
+            .map(|u| if u.is_nan() { f64::INFINITY } else { u })
+            .zip(0..)
+            .collect();
+        order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+
         let mut best = prev;
         let mut best_vote = f64::NEG_INFINITY;
-        let mut score = |ox: &[f64; B], oz: &[f64; B], len: usize| {
-            let point = |b: usize| Point2::new(prev.x + ox[b], prev.z + oz[b]);
-            for ((d, ant), _) in dist.iter_mut().zip(antennas).zip(&used).filter(|(_, &u)| u) {
-                for (b, db) in d.iter_mut().enumerate() {
-                    *db = self.plane.lift(point(b)).dist(ant.pos);
-                }
+        // With `best_vote` at `−∞`, no index ties below 0: only a vote
+        // above `−∞` is accepted.
+        let mut best_scan = 0;
+        let mut scored_tiles = 0;
+        for &(bound, t) in &order {
+            if bound < best_vote {
+                break;
             }
-            v.fill(0.0);
-            for &(i, j, target) in wide_targets {
-                let (di, dj) = (&dist[i], &dist[j]);
-                for b in 0..B {
-                    let r = tf * (di[b] - dj[b]) - target;
-                    v[b] -= r * r;
-                }
-            }
-            for &(i, j, measured) in coarse_targets {
-                let (di, dj) = (&dist[i], &dist[j]);
-                for b in 0..B {
-                    let f = crate::phase::frac_dist_to_integer(tf * (di[b] - dj[b]) - measured);
-                    v[b] -= f * f;
-                }
-            }
-            for (b, &vb) in v[..len].iter().enumerate() {
-                if vb > best_vote {
+            scored_tiles += 1;
+            let votes = tick.votes(t);
+            let lanes = t * B..(t + 1) * B;
+            let scan = &tiles.scan[lanes.clone()];
+            let (ox, oz) = (&tiles.x[lanes.clone()], &tiles.z[lanes]);
+            for (b, (&vb, &idx)) in votes.iter().zip(scan).enumerate().take(tiles.lanes(t)) {
+                if vb > best_vote || (vb == best_vote && idx < best_scan) {
                     best_vote = vb;
-                    best = point(b);
+                    best_scan = idx;
+                    best = Point2::new(prev.x + ox[b], prev.z + oz[b]);
                 }
             }
-        };
-        let xs = self.offsets_x.chunks_exact(B);
-        let zs = self.offsets_z.chunks_exact(B);
-        let (tail_x, tail_z) = (xs.remainder(), zs.remainder());
-        for (ox, oz) in xs.zip(zs) {
-            score(ox.try_into().expect("full block"), oz.try_into().expect("full block"), B);
         }
-        if !tail_x.is_empty() {
-            // The short last block is padded with zero offsets: those lanes
-            // are scored but never scanned.
-            let mut ox = [0.0; B];
-            let mut oz = [0.0; B];
-            ox[..tail_x.len()].copy_from_slice(tail_x);
-            oz[..tail_z.len()].copy_from_slice(tail_z);
-            score(&ox, &oz, tail_x.len());
+        Step {
+            point: best,
+            vote: best_vote,
+            scored_tiles,
         }
-        (best, best_vote)
     }
 }
 
@@ -542,6 +827,7 @@ mod tests {
     use super::*;
     use crate::array::Deployment;
     use crate::geom::Plane;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn letter_q_path() -> Vec<Point2> {
         // A coarse handwritten-'q'-like path: a loop plus a descender,
@@ -702,6 +988,147 @@ mod tests {
         dark.wrapped.retain(|m| !dep.wide_pairs().contains(&m.pair));
         dark.unwrapped_turns.retain(|(p, _)| !dep.wide_pairs().contains(p));
         assert!(tracer.advance_avail(path[0], &dark, &locked).is_none());
+    }
+
+    /// Ideal snapshot of a tag at `at` plus up to ±0.3 turns of noise per
+    /// pair, on the unwrapped and the wrapped turns alike.
+    fn noisy_snapshot(
+        dep: &Deployment,
+        plane: Plane,
+        at: Point2,
+        rng: &mut StdRng,
+    ) -> PairSnapshot {
+        let mut snap = ideal_snapshots(dep, plane, &[at], 0.04).remove(0);
+        for (m, (_, turns)) in snap.wrapped.iter_mut().zip(&mut snap.unwrapped_turns) {
+            let noise = rng.gen_range(-0.3..0.3);
+            *turns += noise;
+            m.delta_phi = crate::phase::wrap_pi(m.delta_phi + TAU * noise);
+        }
+        snap
+    }
+
+    /// Locks the wide pairs at `prev`, each lock moved by −1, 0 or +1.
+    fn off_by_one_locks(
+        tracer: &TrajectoryTracer,
+        snap: &PairSnapshot,
+        prev: Point2,
+        rng: &mut StdRng,
+    ) -> Vec<(AntennaPair, i64)> {
+        let mut locked = tracer.lock_lobes(snap, prev);
+        for (_, k) in &mut locked {
+            *k += rng.gen_range(-1i64..2);
+        }
+        locked
+    }
+
+    /// The step's `(wide, coarse)` targets for a full lock set.
+    type Targets = (Vec<(usize, usize, f64)>, Vec<(usize, usize, f64)>);
+    fn targets(
+        tracer: &TrajectoryTracer,
+        snap: &PairSnapshot,
+        locked: &[(AntennaPair, i64)],
+    ) -> Targets {
+        let (mut wide, mut coarse) = (Vec::new(), Vec::new());
+        tracer.wide_targets(snap, locked, &mut wide);
+        tracer.coarse_targets(snap, &mut coarse);
+        (wide, coarse)
+    }
+
+    /// The bound pass, checked on its own: every lane's vote is at most its
+    /// tile's bound, where the bound is weakest. Shallow planes make the
+    /// distances' curvature large (and put the disc within its reach of an
+    /// antenna, the `d − R ≤ 0` fallback); previous points sit at and
+    /// around antennas and outside the antenna square; and whole-turn
+    /// shifts past 2⁵² round the turns more coarsely than a tile moves
+    /// them. The equivalence suite sees a bound that is too low only when
+    /// it prunes the winner; this test sees it at any lane.
+    #[test]
+    fn tile_bounds_hold_every_lane_vote() {
+        let dep = Deployment::paper_default();
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut lanes = 0;
+        for depth in [0.1, 0.13, 0.17, 0.22, 0.3, 0.5, 2.0] {
+            let plane = Plane::at_depth(depth);
+            for include_coarse in [true, false] {
+                let config = TraceConfig { include_coarse, ..TraceConfig::default() };
+                let tracer = TrajectoryTracer::new(dep.clone(), plane, config);
+                for shift_exp in [0, 12, 40, 52, 53, 54, 56, 60] {
+                    for n in 0..6 {
+                        let mut jitter =
+                            |r: f64| Point2::new(rng.gen_range(-r..r), rng.gen_range(-r..r));
+                        let prev = if n < 4 {
+                            let a = dep.antennas()[n % dep.antennas().len()].pos;
+                            Point2::new(a.x, a.z) + jitter(0.1)
+                        } else {
+                            Point2::new(1.3, 1.3) + jitter(1.9)
+                        };
+                        let at = prev + jitter(0.05);
+                        let mut snap = noisy_snapshot(&dep, plane, at, &mut rng);
+                        let locked = off_by_one_locks(&tracer, &snap, prev, &mut rng);
+                        if shift_exp > 0 {
+                            for (_, turns) in &mut snap.unwrapped_turns {
+                                let whole = rng.gen_range(1u64 << (shift_exp - 1)..1 << shift_exp);
+                                let sign = if rng.gen_range(0.0..1.0) < 0.5 { 1.0 } else { -1.0 };
+                                *turns += sign * whole as f64;
+                            }
+                        }
+                        let (wide, coarse) = targets(&tracer, &snap, &locked);
+                        // The whole target set, and each pair on its own,
+                        // where no other pair's slack can hide its bound.
+                        let mut sets = vec![(wide.clone(), coarse.clone())];
+                        sets.extend(wide.iter().map(|&w| (vec![w], vec![])));
+                        sets.extend(coarse.iter().map(|&c| (vec![], vec![c])));
+                        for (wide, coarse) in &sets {
+                            let mut tick = Tick::new(&tracer, prev, wide, coarse);
+                            let bounds = tick.bounds();
+                            for (t, &bound) in bounds.iter().enumerate() {
+                                let votes = *tick.votes(t);
+                                let real = votes.iter().take(tracer.tiles.lanes(t));
+                                for (b, &vote) in real.enumerate() {
+                                    assert!(
+                                        !(vote > bound),
+                                        "depth {depth}, prev {prev:?}, shift 2^{shift_exp}, \
+                                         {} wide and {} coarse targets, tile {t} lane {b}: \
+                                         vote {vote:e} above bound {bound:e}",
+                                        wide.len(),
+                                        coarse.len()
+                                    );
+                                    lanes += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(lanes, 7 * (13 + 7) * 8 * 6 * 1257);
+    }
+
+    /// The bit-identity suites cannot see a bound that stops pruning, so
+    /// the pruning is pinned as a count: on a seeded noisy stream (±0.3
+    /// turns of noise per pair, locks off by one), the scan must score at
+    /// most a bounded share of the default disc's 79 tiles.
+    #[test]
+    fn noisy_ticks_score_a_bounded_share_of_tiles() {
+        let (dep, plane, tracer) = setup();
+        assert_eq!(tracer.tiles.points, 1257);
+        assert_eq!(tracer.tiles.count(), 79);
+        let mut rng = StdRng::seed_from_u64(28);
+        let path = dense(&letter_q_path(), 3);
+        let (mut scored, mut ticks) = (0, 0);
+        let mut prev = path[0];
+        for &at in &path[1..] {
+            let snap = noisy_snapshot(&dep, plane, at, &mut rng);
+            let locked = off_by_one_locks(&tracer, &snap, prev, &mut rng);
+            let (wide, coarse) = targets(&tracer, &snap, &locked);
+            let step = tracer.step(prev, &wide, &coarse);
+            scored += step.scored_tiles;
+            ticks += 1;
+            prev = step.point;
+        }
+        // Measured: 31.7% of 210 ticks × 79 tiles.
+        let share = scored as f64 / (ticks * tracer.tiles.count()) as f64;
+        assert!(share < 0.36, "scored {share:.3} of the tiles");
     }
 
     #[test]

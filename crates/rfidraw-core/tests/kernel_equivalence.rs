@@ -491,20 +491,83 @@ fn same_step(got: Option<(Point2, f64)>, want: Option<(Point2, f64)>) -> Result<
 /// 10 cm / 5 mm disc), and 317.
 const ODD_VICINITIES: [(f64, f64); 3] = [(0.01, 0.01), (0.10, 0.005), (0.05, 0.005)];
 
+/// A previous point of one of three kinds: inside the antenna square, a
+/// few centimetres from an antenna (where a shallow plane puts the disc
+/// within its reach of the antenna, the bound's `d − R ≤ 0` case), or
+/// outside the antenna square.
+fn previous_point(dep: &Deployment, kind: usize, rng: &mut StdRng) -> Point2 {
+    let (mut lo, mut hi) = (Point2::new(f64::MAX, f64::MAX), Point2::new(f64::MIN, f64::MIN));
+    for a in dep.antennas() {
+        lo = Point2::new(lo.x.min(a.pos.x), lo.z.min(a.pos.z));
+        hi = Point2::new(hi.x.max(a.pos.x), hi.z.max(a.pos.z));
+    }
+    match kind {
+        0 => Point2::new(rng.gen_range(0.3..2.3), rng.gen_range(0.3..2.3)),
+        1 => {
+            let a = dep.antennas()[rng.gen_range(0..dep.antennas().len())].pos;
+            Point2::new(a.x + rng.gen_range(-0.08..0.08), a.z + rng.gen_range(-0.08..0.08))
+        }
+        _ => {
+            let out = rng.gen_range(0.05..1.5);
+            let x = rng.gen_range(lo.x - 1.5..hi.x + 1.5);
+            let z = rng.gen_range(lo.z - 1.5..hi.z + 1.5);
+            match rng.gen_range(0..4) {
+                0 => Point2::new(lo.x - out, z),
+                1 => Point2::new(hi.x + out, z),
+                2 => Point2::new(x, lo.z - out),
+                _ => Point2::new(x, hi.z + out),
+            }
+        }
+    }
+}
+
+/// Moves a locked snapshot's pair turns where the tile bound is weakest:
+/// whole turns, between 2^(`shift_exp` − 1) and 2^`shift_exp`, added to
+/// the unwrapped turns, so that the best vote is very negative and, past
+/// 2⁵², the turns round more coarsely than a tile moves them; and NaN or
+/// ±∞ in some pairs' unwrapped or wrapped turns.
+fn hostile_turns(snap: &mut PairSnapshot, shift_exp: u32, non_finite: bool, rng: &mut StdRng) {
+    if shift_exp > 0 {
+        for (_, turns) in &mut snap.unwrapped_turns {
+            let whole = rng.gen_range(1u64 << (shift_exp - 1)..1 << shift_exp) as f64;
+            *turns += if rng.gen_range(0.0..1.0) < 0.5 { whole } else { -whole };
+        }
+    }
+    if non_finite {
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for (_, turns) in &mut snap.unwrapped_turns {
+            if rng.gen_range(0.0..1.0) < 0.1 {
+                *turns = odd[rng.gen_range(0..3)];
+            }
+        }
+        for m in &mut snap.wrapped {
+            if rng.gen_range(0.0..1.0) < 0.1 {
+                m.delta_phi = odd[rng.gen_range(0..3)];
+            }
+        }
+    }
+}
+
 proptest! {
-    /// Random previous points, lobe locks (some off by one), noisy
-    /// snapshots, degraded pair subsets, `include_coarse` on and off, and
+    /// Random previous points (inside and outside the antenna square and
+    /// next to antennas), plane depths down to 0.1 m, lobe locks (some off
+    /// by one), noisy snapshots, turns off by whole turns and NaN or ±∞
+    /// turns, degraded pair subsets, `include_coarse` on and off, and
     /// vicinity settings: `advance_avail`, `advance` and `trace_from` pick
     /// the same point with the same vote bits as the per-pair reference.
     #[test]
     fn trace_step_matches_per_pair_reference(
         seed in any::<u64>(),
-        depth in 1.0f64..3.5,
+        depth in 0.1f64..3.5,
+        shallow in any::<bool>(),
         radius in 0.004f64..0.12,
         step_frac in 0.04f64..1.0,
         odd_idx in 0usize..6,
         include_coarse in any::<bool>(),
         drop_chance in 0.0f64..0.5,
+        prev_kind in 0usize..3,
+        hostile_idx in 0usize..4,
+        shift_exp in 1u32..63,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (vicinity_radius, step_resolution) = match ODD_VICINITIES.get(odd_idx) {
@@ -518,20 +581,27 @@ proptest! {
             parallelism: Parallelism::Serial,
             ..TraceConfig::default()
         };
+        // Half the cases on a plane within 0.3 m of the antenna wall, where
+        // the distances' curvature is large.
+        let depth = if shallow { 0.1 + (depth - 0.1) * 0.06 } else { depth };
         let dep = Deployment::paper_default();
         let plane = Plane::at_depth(depth);
         let tracer = TrajectoryTracer::new(dep.clone(), plane, config.clone());
         let reference = ReferenceStep::new(dep.clone(), plane, config);
 
-        let mut prev = Point2::new(rng.gen_range(0.3..2.3), rng.gen_range(0.3..2.3));
+        let mut prev = previous_point(&dep, prev_kind, &mut rng);
         let start = prev;
         let mut snaps = Vec::new();
         for _ in 0..4 {
             let at = prev + Point2::new(rng.gen_range(-0.05..0.05), rng.gen_range(-0.05..0.05));
-            let snap = noisy_snapshot(&dep, plane, at, &mut rng);
+            let mut snap = noisy_snapshot(&dep, plane, at, &mut rng);
             let mut locked = tracer.lock_lobes(&snap, prev);
             for (_, k) in &mut locked {
                 *k += rng.gen_range(-1i64..2);
+            }
+            if hostile_idx > 0 {
+                let shift = if hostile_idx & 1 == 1 { shift_exp } else { 0 };
+                hostile_turns(&mut snap, shift, hostile_idx & 2 == 2, &mut rng);
             }
 
             // Full snapshot, full locks: both entry points.

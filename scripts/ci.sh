@@ -33,15 +33,21 @@ echo "== core suite in release (vectorized kernels) =="
 # suite above builds at opt-level 1, so the sweep kernels' suite (each
 # AVX2 copy bit-identical to its baseline copy) and the core suite run
 # again in release. By name: the fold must equal |x - x.round()| bit for
-# bit (edge list + raw-bit proptest), and the tick kernel must pick the
-# same point with the same vote bits as the one-point-at-a-time per-pair
-# reference step.
+# bit (edge list + raw-bit proptest); the tick kernel must pick the same
+# point with the same vote bits as the one-point-at-a-time per-pair
+# reference step; every tile bound of the branch-and-bound tick must hold
+# every lane's vote; and on a seeded noisy stream the tick must score at
+# most its pinned share of the tiles, so a bound that stops pruning fails.
 cargo test --release --offline -q -p rfidraw-simd
 cargo test --release --offline -q -p rfidraw-core
 cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
     frac_dist_to_integer_matches_round_form
 cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
     trace_step_
+cargo test --release --offline -q -p rfidraw-core --lib \
+    trace::tests::tile_bounds_hold_every_lane_vote
+cargo test --release --offline -q -p rfidraw-core --lib \
+    trace::tests::noisy_ticks_score_a_bounded_share_of_tiles
 # Sparse acquisition, by name: stage 2 scores only the stage-1 filter's
 # kept fine cells (through the gathers' vectorized AVX2 copies when the
 # fine table is built) and picks peaks in k passes, and every kept cell,
