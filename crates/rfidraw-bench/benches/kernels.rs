@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rfidraw::core::array::Deployment;
 use rfidraw::core::baseline::BaselineArrays;
 use rfidraw::core::engine::VoteEngine;
-use rfidraw::core::exec::Parallelism;
 use rfidraw::core::geom::{Plane, Point2, Rect};
 use rfidraw::core::grid::{Grid2, VoteMap};
 use rfidraw::core::phase::wrap_pi;
@@ -52,40 +51,25 @@ fn bench_vote_reference(c: &mut Criterion) {
     });
 }
 
-/// Serial vs parallel vote-map engine on a dense 1 cm grid (the grid
-/// density where the table + sharding actually pay off). The table is
-/// built up front so the comparison isolates the accumulation kernel;
-/// results are bit-identical across all of these, only wall-clock moves.
+/// The vote-map engine on a dense 1 cm grid, with the table built up
+/// front so the bench isolates the accumulation kernel.
 fn bench_vote_engine(c: &mut Criterion) {
     let dep = Deployment::paper_default();
     let plane = Plane::at_depth(2.0);
     let tag = plane.lift(Point2::new(1.2, 0.9));
     let ms = ideal_measurements(&dep, dep.all_pairs(), tag);
     let grid = Grid2::new(region(), 0.01);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut settings = vec![("engine_1cm_serial", Parallelism::Serial)];
-    if cores >= 2 {
-        settings.push(("engine_1cm_2_threads", Parallelism::Threads(2)));
-    }
-    if cores >= 4 {
-        settings.push(("engine_1cm_4_threads", Parallelism::Threads(4)));
-    }
-    settings.push(("engine_1cm_auto", Parallelism::Auto));
-    for (name, par) in settings {
-        let engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), par);
-        engine.build_table();
-        c.bench_function(name, |b| {
-            b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
-        });
-    }
+    let engine = VoteEngine::for_deployment(&dep, plane, grid.clone());
+    engine.build_table();
+    c.bench_function("engine_1cm_serial", |b| {
+        b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
+    });
 
     // The quantized i16 kernel on the same grid: a quarter of the f64
     // table bytes, f32 accumulation. CI's perf-sanity gate requires
     // `engine_1cm_i16` to beat `engine_1cm_serial` by at least 1.56x.
     use rfidraw::core::engine::TablePrecision;
-    let mut engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+    let mut engine = VoteEngine::for_deployment(&dep, plane, grid);
     engine.set_precision(TablePrecision::I16);
     engine.prebuild();
     c.bench_function("engine_1cm_i16", |b| {
@@ -436,7 +420,7 @@ fn bench_trace_recorder(c: &mut Criterion) {
             ..TraceSettings::default()
         }));
         let sink: SharedSink = Arc::clone(&rec) as _;
-        let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
+        let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone());
         engine.set_trace_sink(Some(sink), 1);
         engine.build_table();
         c.bench_function(name, |b| {

@@ -1,6 +1,5 @@
 //! Parallel trial execution and shared experiment plumbing.
 
-use rfidraw::core::exec::Parallelism;
 use rfidraw::pipeline::{run_word, PipelineConfig, WordRun};
 use std::sync::Mutex;
 
@@ -31,15 +30,9 @@ pub fn paper_trials(n: usize, users: u64, seed: u64) -> Vec<Trial> {
 }
 
 /// Runs all trials in parallel across the available cores, preserving trial
-/// order in the output. Failed trials (e.g. severe read loss) are returned
-/// as `None` alongside their error message.
-///
-/// Parallelism lives at the trial level here, so when several trials run
-/// concurrently a config left on [`Parallelism::Auto`] is demoted to
-/// [`Parallelism::Serial`] inside each trial — nesting per-kernel thread
-/// pools under the trial pool would oversubscribe the machine. This never
-/// changes any result (kernel results are bit-identical across thread
-/// counts); an explicit `Threads(n)` choice is respected.
+/// order in the output. Each trial runs on one thread, exactly as a direct
+/// [`run_word`] call on its seed would. Failed trials (e.g. severe read
+/// loss) are returned as `Err` alongside their error message.
 pub fn run_batch(
     cfg: &PipelineConfig,
     trials: &[Trial],
@@ -67,9 +60,6 @@ pub fn run_batch(
                 let trial = trials[idx].clone();
                 let mut local_cfg = cfg.clone();
                 local_cfg.seed = trial.seed;
-                if n_threads > 1 && local_cfg.parallelism == Parallelism::Auto {
-                    local_cfg.parallelism = Parallelism::Serial;
-                }
                 let outcome = run_word(&trial.word, trial.user, &local_cfg)
                     .map_err(|e| e.to_string());
                 results.lock().unwrap()[idx] = Some((trial, outcome));
@@ -145,5 +135,31 @@ mod tests {
         assert_eq!(report_failures(&results), 2);
         let (rf, bl) = pooled_errors(&results);
         assert!(!rf.is_empty() && !bl.is_empty());
+        // Each pooled trial must match a direct run on its own seed bit for
+        // bit, whichever worker ran it and whatever ran beside it.
+        let bits = |points: &[rfidraw::core::geom::Point2]| -> Vec<(u64, u64)> {
+            points
+                .iter()
+                .map(|p| (p.x.to_bits(), p.z.to_bits()))
+                .collect()
+        };
+        for (trial, outcome) in &results {
+            let pooled = outcome.as_ref().expect("trial succeeded");
+            let mut direct_cfg = cfg.clone();
+            direct_cfg.seed = trial.seed;
+            let direct =
+                run_word(&trial.word, trial.user, &direct_cfg).expect("direct run succeeded");
+            let word = &trial.word;
+            assert_eq!(
+                bits(&pooled.rfidraw_trace),
+                bits(&direct.rfidraw_trace),
+                "{word}"
+            );
+            assert_eq!(
+                bits(&pooled.baseline_trace),
+                bits(&direct.baseline_trace),
+                "{word}"
+            );
+        }
     }
 }

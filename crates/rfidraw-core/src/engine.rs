@@ -1,4 +1,4 @@
-//! The parallel, cache-aware vote-map engine.
+//! The cache-aware vote-map engine.
 //!
 //! [`crate::grid::VoteMap::evaluate`] recomputes every pair's
 //! distance-difference for every lattice point on every call. That is fine
@@ -21,8 +21,7 @@
 //! (one in-order subtraction per sweep), which is exactly the per-cell
 //! floating-point sequence of the reference
 //! [`crate::grid::VoteMap::evaluate`] path, so the result is
-//! **bit-identical** to the reference — and bit-identical for every thread
-//! count, since shards write disjoint cell ranges and never combine sums.
+//! **bit-identical** to the reference.
 //!
 //! Stage 2 of the positioner scores only the stage-1 filter's kept cells,
 //! a list of flat indices ([`VoteEngine::evaluate_cells`]), and returns
@@ -48,11 +47,11 @@
 //! f32 accumulator through one fused `a − d·d` per term, the sweep's only
 //! rounding. The sweep is *tiled* over the cell dimension (`CELL_TILE`
 //! cells per tile) so the accumulator tile stays in L1 while the pair
-//! columns stream through. Neither tiling, sharding nor vector width
-//! changes any per-cell operation sequence, so i16 maps are bit-identical
-//! across every [`Parallelism`] setting, tile boundary and instruction
-//! set. The finished accumulator widens to f64 and scales by the exact
-//! power of two `2⁻³²` at write-out. What quantization costs is a
+//! columns stream through. Neither tiling nor vector width changes any
+//! per-cell operation sequence, so i16 maps are bit-identical across
+//! every tile boundary and instruction set. The finished accumulator
+//! widens to f64 and scales by the exact power of two `2⁻³²` at
+//! write-out. What quantization costs is a
 //! *derived*, per-measurement-set vote-error bound
 //! ([`VoteEngine::vote_error_bound`]), with an argmax-identity theorem:
 //! the i16 argmax cell provably matches the f64 reference whenever the f64
@@ -63,8 +62,8 @@
 //! for AVX2+FMA, with the copy picked at runtime from CPUID. The copies
 //! are bit-identical by construction (see that crate's docs), so the
 //! instruction set changes only wall-clock. This module keeps what
-//! surrounds the kernels: sharding, the i16 tiling and write-out, the
-//! spans, and the lazy cell-list paths, which compute each listed cell's
+//! surrounds the kernels: the i16 tiling and write-out, the spans, and
+//! the lazy cell-list paths, which compute each listed cell's
 //! entries on the fly with the kernels' per-cell arithmetic.
 //!
 //! The table slots are `Arc`s, so a cloned engine shares its original's
@@ -72,7 +71,6 @@
 //! builds it for both.
 
 use crate::array::{AntennaPair, Deployment};
-use crate::exec::Parallelism;
 use crate::geom::{Plane, Point3};
 use crate::grid::{Grid2, VoteMap};
 use crate::obs::{self, SharedSink, Stage};
@@ -148,7 +146,6 @@ pub struct VoteEngine {
     geom: Vec<(Point3, Point3)>,
     /// `path_factor / λ`: distance difference (m) → turns.
     turns_factor: f64,
-    parallelism: Parallelism,
     /// Pair-major distance-difference table in turns:
     /// `table[k * grid.len() + c] = turns_factor · (|P_c − pos_i_k| − |P_c − pos_j_k|)`.
     /// Built on first use (see module docs for when that pays off). Behind
@@ -173,13 +170,7 @@ impl VoteEngine {
     ///
     /// # Panics
     /// Panics if a pair references an antenna the deployment does not have.
-    pub fn new(
-        dep: &Deployment,
-        plane: Plane,
-        grid: Grid2,
-        pairs: Vec<AntennaPair>,
-        parallelism: Parallelism,
-    ) -> Self {
+    pub fn new(dep: &Deployment, plane: Plane, grid: Grid2, pairs: Vec<AntennaPair>) -> Self {
         let geom = pairs
             .iter()
             .map(|&pair| {
@@ -203,7 +194,6 @@ impl VoteEngine {
             col_of,
             geom,
             turns_factor,
-            parallelism,
             table: Arc::new(OnceLock::new()),
             table_i16: Arc::new(OnceLock::new()),
             precision: TablePrecision::default(),
@@ -214,14 +204,9 @@ impl VoteEngine {
 
     /// An engine over every pair of the deployment — what the positioner
     /// uses, since any measurement subset can then be scored.
-    pub fn for_deployment(
-        dep: &Deployment,
-        plane: Plane,
-        grid: Grid2,
-        parallelism: Parallelism,
-    ) -> Self {
+    pub fn for_deployment(dep: &Deployment, plane: Plane, grid: Grid2) -> Self {
         let pairs: Vec<AntennaPair> = dep.all_pairs().copied().collect();
-        Self::new(dep, plane, grid, pairs, parallelism)
+        Self::new(dep, plane, grid, pairs)
     }
 
     /// The grid this engine evaluates on.
@@ -232,17 +217,6 @@ impl VoteEngine {
     /// The pairs this engine can score, in table-column order.
     pub fn pairs(&self) -> &[AntennaPair] {
         &self.pairs
-    }
-
-    /// The execution policy in use.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Changes the execution policy. Never changes any result (see the
-    /// module docs), only how the work is sharded.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
     }
 
     /// The table precision `evaluate*` uses.
@@ -268,8 +242,8 @@ impl VoteEngine {
         self.grid.len() as u64 * self.pairs.len() as u64 * self.precision.entry_bytes()
     }
 
-    /// Installs (or removes) a trace sink; evaluation spans and per-shard
-    /// timings are emitted to it tagged with `session`. Observability only:
+    /// Installs (or removes) a trace sink; table-build and evaluation
+    /// spans are emitted to it tagged with `session`. Observability only:
     /// never changes any computed value (see [`crate::obs`]).
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>, session: u64) {
         self.sink = sink;
@@ -321,20 +295,18 @@ impl VoteEngine {
     /// `entry` of that pair's exact turns at that cell
     /// ([`VoteEngine::pair_turns`]): the identity for the f64 table,
     /// [`quantize_turns_i16`] for the i16 one.
-    fn build_columns<T>(&self, entry: impl Fn(f64) -> T + Sync) -> Vec<T>
+    fn build_columns<T>(&self, entry: impl Fn(f64) -> T) -> Vec<T>
     where
-        T: Copy + Default + Send,
+        T: Copy + Default,
     {
         let _span =
             obs::SpanTimer::start(self.sink.as_ref(), self.session, Stage::EngineTable, 0.0);
         let n_cells = self.grid.len();
         let mut table = vec![T::default(); n_cells * self.pairs.len()];
         for (column, &ends) in table.chunks_mut(n_cells).zip(&self.geom) {
-            self.parallelism.run_row_sharded(column, 1, |first, shard| {
-                for (i, slot) in shard.iter_mut().enumerate() {
-                    *slot = entry(self.pair_turns(self.cell_point(first + i), ends));
-                }
-            });
+            for (c, slot) in column.iter_mut().enumerate() {
+                *slot = entry(self.pair_turns(self.cell_point(c), ends));
+            }
         }
         table
     }
@@ -391,8 +363,7 @@ impl VoteEngine {
     /// lattice point. At [`TablePrecision::F64`] (the default) the result
     /// is bit-identical to [`VoteMap::evaluate`] on the same inputs; at
     /// [`TablePrecision::I16`] every vote is within
-    /// [`VoteEngine::vote_error_bound`] of the f64 reference. Either way
-    /// the result is bit-identical across every [`Parallelism`] setting.
+    /// [`VoteEngine::vote_error_bound`] of the f64 reference.
     pub fn evaluate(&self, measurements: &[PairMeasurement]) -> VoteMap {
         match self.precision {
             TablePrecision::F64 => self.evaluate_f64(measurements),
@@ -411,22 +382,13 @@ impl VoteEngine {
             Stage::EngineEvaluate,
             measurements.len() as f64,
         );
-        self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-            let _shard_span = obs::SpanTimer::start(
-                self.sink.as_ref(),
-                self.session,
-                Stage::EngineShard,
-                first as f64,
-            );
-            // Measurement-outer: each sweep streams one contiguous slice of
-            // one pair column. Per cell the sweeps subtract `-f²` terms in
-            // measurement order, matching the reference path's per-cell
-            // accumulation exactly.
-            for &(col, measured) in &cols {
-                let column = &table[col * n_cells + first..col * n_cells + first + shard.len()];
-                rfidraw_simd::sweep_f64(shard, column, measured);
-            }
-        });
+        // Measurement-outer: each sweep streams one contiguous pair column.
+        // Per cell the sweeps subtract `-f²` terms in measurement order,
+        // matching the reference path's per-cell accumulation exactly.
+        for &(col, measured) in &cols {
+            let column = &table[col * n_cells..(col + 1) * n_cells];
+            rfidraw_simd::sweep_f64(&mut values, column, measured);
+        }
         VoteMap::from_values(self.grid.clone(), values)
     }
 
@@ -443,7 +405,7 @@ impl VoteEngine {
     /// f64 (exact) and scales by `2⁻³²` (exact: power of two). Every
     /// cell's terms arrive in measurement order through the identical
     /// per-lane instruction sequence, so the map is bit-identical for
-    /// every [`Parallelism`], tile boundary and instruction set.
+    /// every tile boundary and instruction set.
     fn evaluate_i16(&self, measurements: &[PairMeasurement]) -> VoteMap {
         let cols = self.columns_i16(measurements);
         let table = self.build_table_i16();
@@ -455,38 +417,28 @@ impl VoteEngine {
             Stage::EngineEvaluate,
             measurements.len() as f64,
         );
-        self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-            let _shard_span = obs::SpanTimer::start(
-                self.sink.as_ref(),
-                self.session,
-                Stage::EngineShard,
-                first as f64,
-            );
-            let mut acc = vec![0.0f32; CELL_TILE.min(shard.len().max(1))];
-            let mut offset = 0;
-            while offset < shard.len() {
-                let len = CELL_TILE.min(shard.len() - offset);
-                let tile = &mut acc[..len];
-                tile.fill(0.0);
-                let base = first + offset;
-                let mut pairs = cols.chunks_exact(2);
-                for pair in &mut pairs {
-                    let (col_a, q_a) = pair[0];
-                    let (col_b, q_b) = pair[1];
-                    let a = &table[col_a * n_cells + base..col_a * n_cells + base + len];
-                    let b = &table[col_b * n_cells + base..col_b * n_cells + base + len];
-                    rfidraw_simd::sweep_i16_dual(tile, a, q_a, b, q_b);
-                }
-                for &(col, q_m) in pairs.remainder() {
-                    let column = &table[col * n_cells + base..col * n_cells + base + len];
-                    rfidraw_simd::sweep_i16(tile, column, q_m);
-                }
-                for (v, &a) in shard[offset..offset + len].iter_mut().zip(tile.iter()) {
-                    *v = f64::from(a) * I16_WRITEOUT;
-                }
-                offset += len;
+        let mut acc = vec![0.0f32; CELL_TILE.min(n_cells)];
+        for (t, out) in values.chunks_mut(CELL_TILE).enumerate() {
+            let base = t * CELL_TILE;
+            let len = out.len();
+            let tile = &mut acc[..len];
+            tile.fill(0.0);
+            let mut pairs = cols.chunks_exact(2);
+            for pair in &mut pairs {
+                let (col_a, q_a) = pair[0];
+                let (col_b, q_b) = pair[1];
+                let a = &table[col_a * n_cells + base..col_a * n_cells + base + len];
+                let b = &table[col_b * n_cells + base..col_b * n_cells + base + len];
+                rfidraw_simd::sweep_i16_dual(tile, a, q_a, b, q_b);
             }
-        });
+            for &(col, q_m) in pairs.remainder() {
+                let column = &table[col * n_cells + base..col * n_cells + base + len];
+                rfidraw_simd::sweep_i16(tile, column, q_m);
+            }
+            for (v, &a) in out.iter_mut().zip(tile.iter()) {
+                *v = f64::from(a) * I16_WRITEOUT;
+            }
+        }
         VoteMap::from_values(self.grid.clone(), values)
     }
 
@@ -496,7 +448,7 @@ impl VoteEngine {
     /// Each vote has the bits [`VoteEngine::evaluate`] gives its cell at
     /// this precision (at [`TablePrecision::F64`] also those of
     /// [`VoteMap::evaluate`] and [`VoteMap::evaluate_masked`]), whether or
-    /// not the table is built yet, for every [`Parallelism`] setting.
+    /// not the table is built yet.
     ///
     /// # Panics
     /// Panics if a cell index is outside the grid.
@@ -529,30 +481,21 @@ impl VoteEngine {
             Stage::EngineEvaluate,
             measurements.len() as f64,
         );
-        self.parallelism.run_row_sharded(&mut votes, 1, |first, shard| {
-            let _shard_span = obs::SpanTimer::start(
-                self.sink.as_ref(),
-                self.session,
-                Stage::EngineShard,
-                first as f64,
-            );
-            let cells = &cells[first..first + shard.len()];
-            if let Some(table) = table {
+        if let Some(table) = table {
+            for &(col, measured) in &cols {
+                let column = &table[col * n_cells..(col + 1) * n_cells];
+                rfidraw_simd::gather_f64(&mut votes, column, cells, measured);
+            }
+        } else {
+            for (v, &c) in votes.iter_mut().zip(cells) {
+                let p3 = self.cell_point(c);
                 for &(col, measured) in &cols {
-                    let column = &table[col * n_cells..(col + 1) * n_cells];
-                    rfidraw_simd::gather_f64(shard, column, cells, measured);
-                }
-            } else {
-                for (v, &c) in shard.iter_mut().zip(cells) {
-                    let p3 = self.cell_point(c);
-                    for &(col, measured) in &cols {
-                        let turns = self.pair_turns(p3, self.geom[col]);
-                        let f = frac_dist_to_integer(turns - measured);
-                        *v -= f * f;
-                    }
+                    let turns = self.pair_turns(p3, self.geom[col]);
+                    let f = frac_dist_to_integer(turns - measured);
+                    *v -= f * f;
                 }
             }
-        });
+        }
         votes
     }
 
@@ -574,32 +517,23 @@ impl VoteEngine {
             Stage::EngineEvaluate,
             measurements.len() as f64,
         );
-        self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-            let _shard_span = obs::SpanTimer::start(
-                self.sink.as_ref(),
-                self.session,
-                Stage::EngineShard,
-                first as f64,
-            );
-            let cells = &cells[first..first + shard.len()];
-            if let Some(table) = table {
-                for (tile, tile_cells) in shard.chunks_mut(CELL_TILE).zip(cells.chunks(CELL_TILE)) {
-                    for &(col, q_m) in &cols {
-                        let column = &table[col * n_cells..(col + 1) * n_cells];
-                        rfidraw_simd::gather_i16(tile, column, tile_cells, q_m);
-                    }
-                }
-            } else {
-                for (a, &c) in shard.iter_mut().zip(cells) {
-                    let p3 = self.cell_point(c);
-                    for &(col, q_m) in &cols {
-                        let q = quantize_turns_i16(self.pair_turns(p3, self.geom[col]));
-                        let d = i32::from(q.wrapping_sub(q_m)) as f32;
-                        *a = (-d).mul_add(d, *a);
-                    }
+        if let Some(table) = table {
+            for (tile, tile_cells) in acc.chunks_mut(CELL_TILE).zip(cells.chunks(CELL_TILE)) {
+                for &(col, q_m) in &cols {
+                    let column = &table[col * n_cells..(col + 1) * n_cells];
+                    rfidraw_simd::gather_i16(tile, column, tile_cells, q_m);
                 }
             }
-        });
+        } else {
+            for (a, &c) in acc.iter_mut().zip(cells) {
+                let p3 = self.cell_point(c);
+                for &(col, q_m) in &cols {
+                    let q = quantize_turns_i16(self.pair_turns(p3, self.geom[col]));
+                    let d = i32::from(q.wrapping_sub(q_m)) as f32;
+                    *a = (-d).mul_add(d, *a);
+                }
+            }
+        }
         acc.into_iter().map(|a| f64::from(a) * I16_WRITEOUT).collect()
     }
 
@@ -709,20 +643,9 @@ mod tests {
     fn engine_matches_reference_evaluate_bitwise() {
         let (dep, plane, grid, ms) = setup();
         let reference = VoteMap::evaluate(&dep, &ms, plane, grid.clone());
-        let engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+        let engine = VoteEngine::for_deployment(&dep, plane, grid);
         let map = engine.evaluate(&ms);
         assert_eq!(bits(reference.values()), bits(map.values()));
-    }
-
-    #[test]
-    fn engine_is_thread_count_invariant() {
-        let (dep, plane, grid, ms) = setup();
-        let serial = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial)
-            .evaluate(&ms);
-        for par in [Parallelism::Threads(2), Parallelism::Threads(7), Parallelism::Auto] {
-            let map = VoteEngine::for_deployment(&dep, plane, grid.clone(), par).evaluate(&ms);
-            assert_eq!(bits(serial.values()), bits(map.values()), "{par:?}");
-        }
     }
 
     /// The kept cells of `mask`, ascending: the shape of a lifted filter.
@@ -737,7 +660,7 @@ mod tests {
         let cells = kept(&mask);
         let reference = VoteMap::evaluate_masked(&dep, &ms, plane, grid.clone(), &mask);
         let want: Vec<f64> = cells.iter().map(|&c| reference.values()[c]).collect();
-        let engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Threads(3));
+        let engine = VoteEngine::for_deployment(&dep, plane, grid);
         // Lazy path first (no table yet), then the table-backed path.
         assert!(!engine.is_table_built());
         let lazy = engine.evaluate_cells(&ms, &cells);
@@ -753,7 +676,7 @@ mod tests {
     fn cell_list_rejects_cells_outside_the_grid() {
         let (dep, plane, grid, ms) = setup();
         let outside = grid.len();
-        let engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+        let engine = VoteEngine::for_deployment(&dep, plane, grid);
         let _ = engine.evaluate_cells(&ms, &[0, outside]);
     }
 
@@ -768,14 +691,14 @@ mod tests {
             .collect();
         assert!(!coarse.is_empty());
         let reference = VoteMap::evaluate(&dep, &coarse, plane, grid.clone());
-        let engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Threads(2));
+        let engine = VoteEngine::for_deployment(&dep, plane, grid);
         assert_eq!(bits(reference.values()), bits(engine.evaluate(&coarse).values()));
     }
 
     #[test]
     fn table_is_built_once_and_reused() {
         let (dep, plane, grid, ms) = setup();
-        let engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+        let engine = VoteEngine::for_deployment(&dep, plane, grid);
         let first = engine.build_table().as_ptr();
         engine.evaluate(&ms);
         assert_eq!(first, engine.build_table().as_ptr());
@@ -785,7 +708,7 @@ mod tests {
     #[test]
     fn cloned_engines_share_one_table() {
         let (dep, plane, grid, _) = setup();
-        let a = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+        let a = VoteEngine::for_deployment(&dep, plane, grid);
         let b = a.clone();
         assert!(!a.is_table_built() && !b.is_table_built(), "cloning must not build eagerly");
         // Whichever engine builds first builds the one physical table both use.
@@ -801,7 +724,7 @@ mod tests {
     #[test]
     fn shared_table_scores_like_a_private_one() {
         let (dep, plane, grid, ms) = setup();
-        let private = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+        let private = VoteEngine::for_deployment(&dep, plane, grid);
         let reference = private.evaluate(&ms);
         let a = private.clone();
         let b = a.clone();
@@ -814,7 +737,7 @@ mod tests {
     fn unknown_measurement_pair_panics() {
         let (dep, plane, grid, _) = setup();
         let wide_only: Vec<AntennaPair> = dep.wide_pairs().to_vec();
-        let engine = VoteEngine::new(&dep, plane, grid, wide_only, Parallelism::Serial);
+        let engine = VoteEngine::new(&dep, plane, grid, wide_only);
         let coarse_pair = dep.coarse_primary_pairs()[0];
         let _ = engine.evaluate(&[PairMeasurement::new(coarse_pair, 0.1)]);
     }
@@ -822,7 +745,7 @@ mod tests {
     #[test]
     fn empty_pair_set_scores_zero_everywhere() {
         let (dep, plane, grid, _) = setup();
-        let engine = VoteEngine::new(&dep, plane, grid, Vec::new(), Parallelism::Threads(2));
+        let engine = VoteEngine::new(&dep, plane, grid, Vec::new());
         let map = engine.evaluate(&[]);
         assert!(map.values().iter().all(|&v| v == 0.0));
     }
@@ -831,10 +754,9 @@ mod tests {
         dep: &Deployment,
         plane: Plane,
         grid: Grid2,
-        par: Parallelism,
         precision: TablePrecision,
     ) -> VoteEngine {
-        let mut e = VoteEngine::for_deployment(dep, plane, grid, par);
+        let mut e = VoteEngine::for_deployment(dep, plane, grid);
         e.set_precision(precision);
         e
     }
@@ -857,7 +779,7 @@ mod tests {
     #[test]
     fn quantized_tables_shrink_bytes_by_type_width() {
         let (dep, plane, grid, _) = setup();
-        let mut engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+        let mut engine = VoteEngine::for_deployment(&dep, plane, grid);
         let f64_bytes = engine.table_bytes();
         engine.set_precision(TablePrecision::I16);
         assert_eq!(engine.table_bytes() * 4, f64_bytes);
@@ -870,10 +792,9 @@ mod tests {
     #[test]
     fn quantized_votes_stay_within_derived_bound_and_argmax_matches() {
         let (dep, plane, grid, ms) = setup();
-        let reference = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
+        let reference = VoteEngine::for_deployment(&dep, plane, grid.clone());
         let f64_map = reference.evaluate(&ms);
-        let map = engine_at(&dep, plane, grid, Parallelism::Serial, TablePrecision::I16)
-            .evaluate(&ms);
+        let map = engine_at(&dep, plane, grid, TablePrecision::I16).evaluate(&ms);
         let bound = reference.vote_error_bound(&ms, TablePrecision::I16);
         // One quantum per measurement dominates; the bound must be
         // meaningful (small) as well as honored.
@@ -896,22 +817,10 @@ mod tests {
     }
 
     #[test]
-    fn quantized_engines_are_thread_count_invariant() {
-        let (dep, plane, grid, ms) = setup();
-        let precision = TablePrecision::I16;
-        let serial =
-            engine_at(&dep, plane, grid.clone(), Parallelism::Serial, precision).evaluate(&ms);
-        for par in [Parallelism::Threads(2), Parallelism::Threads(7), Parallelism::Auto] {
-            let map = engine_at(&dep, plane, grid.clone(), par, precision).evaluate(&ms);
-            assert_eq!(bits(serial.values()), bits(map.values()), "{par:?}");
-        }
-    }
-
-    #[test]
     fn quantized_masked_matches_full_map() {
         let (dep, plane, grid, ms) = setup();
         let cells = kept(&(0..grid.len()).map(|i| i % 3 != 0).collect::<Vec<_>>());
-        let engine = engine_at(&dep, plane, grid, Parallelism::Threads(3), TablePrecision::I16);
+        let engine = engine_at(&dep, plane, grid, TablePrecision::I16);
         // Lazy cell-list path first (no table yet), then table-backed.
         assert!(!engine.is_table_built());
         let lazy = engine.evaluate_cells(&ms, &cells);
@@ -927,7 +836,7 @@ mod tests {
     #[test]
     fn set_precision_detaches_onto_fresh_private_slots() {
         let (dep, plane, grid, _) = setup();
-        let mut engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
+        let mut engine = VoteEngine::for_deployment(&dep, plane, grid);
         engine.build_table();
         assert!(engine.is_table_built());
         engine.set_precision(TablePrecision::I16);

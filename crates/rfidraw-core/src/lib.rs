@@ -23,9 +23,9 @@
 //! | [`lobes`] | §3.2–3.3 | grating-lobe structure, AoA candidates (Eq. 3–5) |
 //! | [`vote`] | §5.1 | per-pair votes on points (Eq. 6–7) |
 //! | [`grid`] | §5.1 | search surfaces and vote-map evaluation |
-//! | [`exec`] | — | parallelism policy for the compute kernels |
+//! | [`exec`] | — | worker-pool sizing for the serving layer |
 //! | [`obs`] | — | trace-event vocabulary for pipeline observability |
-//! | [`engine`] | §5.1 | parallel cache-aware vote-map engine |
+//! | [`engine`] | §5.1 | cache-aware vote-map engine |
 //! | [`position`] | §5.1 | two-stage multi-resolution positioning |
 //! | [`stream`] | §6 | per-antenna phase streams → per-pair snapshots |
 //! | [`trace`] | §4, §5.2 | lobe-locked trajectory tracing |

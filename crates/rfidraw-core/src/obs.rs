@@ -24,10 +24,10 @@
 //!
 //! ## Determinism
 //!
-//! Emit sites are placed outside the sharded compute closures' inner loops
-//! and pass data that is itself deterministic (votes, lobe indices, counts).
-//! Only the *timestamps* and per-shard timing durations vary run to run;
-//! the event payloads that describe algorithm decisions do not.
+//! Emit sites are placed outside the compute kernels' inner loops and pass
+//! data that is itself deterministic (votes, lobe indices, counts). Only
+//! the *timestamps* and span durations vary run to run; the event payloads
+//! that describe algorithm decisions do not.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -62,9 +62,6 @@ pub enum Stage {
     /// Full vote-map evaluation span (duration in `a`, µs;
     /// `b` = measurement count).
     EngineEvaluate,
-    /// One shard of a sharded evaluation (duration in `a`, µs;
-    /// `b` = first cell index of the shard).
-    EngineShard,
     /// Batch trajectory tracing span (duration in `a`, µs;
     /// `b` = candidate count).
     TraceAdvance,
@@ -98,7 +95,7 @@ pub enum Stage {
 }
 
 /// Every stage, in discriminant order. Keep in sync with the enum.
-pub const ALL_STAGES: [Stage; 19] = [
+pub const ALL_STAGES: [Stage; 18] = [
     Stage::UnwrapHorizon,
     Stage::LobeLock,
     Stage::LobeRelock,
@@ -108,7 +105,6 @@ pub const ALL_STAGES: [Stage; 19] = [
     Stage::PeakSelect,
     Stage::EngineTable,
     Stage::EngineEvaluate,
-    Stage::EngineShard,
     Stage::TraceAdvance,
     Stage::CandidateVote,
     Stage::VoteFlip,
@@ -133,7 +129,6 @@ impl Stage {
             Stage::PeakSelect => "peak_select",
             Stage::EngineTable => "engine_table",
             Stage::EngineEvaluate => "engine_evaluate",
-            Stage::EngineShard => "engine_shard",
             Stage::TraceAdvance => "trace_advance",
             Stage::CandidateVote => "candidate_vote",
             Stage::VoteFlip => "vote_flip",

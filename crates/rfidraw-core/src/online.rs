@@ -229,12 +229,9 @@ pub struct OnlineTracker {
 }
 
 impl OnlineTracker {
-    /// Creates a tracker.
-    ///
-    /// The `parallelism` fields of `position_cfg` and `trace_cfg` control
-    /// how many threads the acquisition vote maps and per-candidate tracing
-    /// use; results are bit-identical for every setting (see
-    /// [`crate::exec`]), so the choice only affects per-tick latency.
+    /// Creates a tracker. Acquisition and tracing run on the calling
+    /// thread; trackers of different tags run side by side on a serving
+    /// layer's workers.
     ///
     /// # Panics
     /// Panics on invalid configs (see [`MultiResPositioner::new`] and

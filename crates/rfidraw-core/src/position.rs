@@ -14,7 +14,6 @@
 
 use crate::array::Deployment;
 use crate::engine::{TablePrecision, VoteEngine};
-use crate::exec::Parallelism;
 use crate::geom::{Plane, Point2, Rect};
 use crate::grid::{Grid2, VoteMap};
 use crate::obs::{self, SharedSink, Stage, TraceKind};
@@ -38,9 +37,6 @@ pub struct MultiResConfig {
     /// Minimum separation between returned candidates (m) — non-maximum
     /// suppression radius, of the order of the lobe spacing.
     pub candidate_separation: f64,
-    /// Thread-level parallelism of the vote-map evaluation. Never changes
-    /// any result (see [`crate::exec`]), only wall-clock time.
-    pub parallelism: Parallelism,
     /// Numeric representation of both engines' vote tables. `F64` (the
     /// default) is bit-exact; the fixed-point `I16` reaches 4× compression
     /// with a derived, test-asserted vote-error bound (see
@@ -60,7 +56,6 @@ impl MultiResConfig {
             coarse_keep_fraction: 0.08,
             max_candidates: 3,
             candidate_separation: 0.15,
-            parallelism: Parallelism::Auto,
             precision: TablePrecision::F64,
         }
     }
@@ -147,10 +142,8 @@ impl MultiResPositioner {
         );
         let coarse_grid = Grid2::new(config.region, config.coarse_resolution);
         let fine_grid = Grid2::new(config.region, config.fine_resolution);
-        let mut coarse_engine =
-            VoteEngine::for_deployment(&dep, plane, coarse_grid, config.parallelism);
-        let mut fine_engine =
-            VoteEngine::for_deployment(&dep, plane, fine_grid, config.parallelism);
+        let mut coarse_engine = VoteEngine::for_deployment(&dep, plane, coarse_grid);
+        let mut fine_engine = VoteEngine::for_deployment(&dep, plane, fine_grid);
         coarse_engine.set_precision(config.precision);
         fine_engine.set_precision(config.precision);
         Self {

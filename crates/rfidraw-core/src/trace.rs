@@ -18,7 +18,6 @@
 //! vote is highest.
 
 use crate::array::{AntennaPair, Deployment};
-use crate::exec::Parallelism;
 use crate::geom::{Plane, Point2};
 use crate::obs::{self, SharedSink, Stage, TraceKind};
 use crate::phase::frac_dist_to_integer;
@@ -349,10 +348,6 @@ pub struct TraceConfig {
     /// Centred moving-average window applied to the output trajectory
     /// (ticks; 1 disables smoothing).
     pub smooth_window: usize,
-    /// Thread-level parallelism of [`TrajectoryTracer::trace_candidates`]
-    /// (one candidate's trace per unit of work). Never changes any result
-    /// (see [`crate::exec`]), only wall-clock time.
-    pub parallelism: Parallelism,
 }
 
 impl Default for TraceConfig {
@@ -362,7 +357,6 @@ impl Default for TraceConfig {
             step_resolution: 0.005,
             include_coarse: true,
             smooth_window: 3,
-            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -621,21 +615,17 @@ impl TrajectoryTracer {
         snapshots: &[PairSnapshot],
     ) -> (usize, Vec<TraceResult>) {
         assert!(!candidates.is_empty(), "no candidate initial positions to trace");
-        // Candidates trace independently; the ordered map keeps the output
-        // order (and therefore the winner tie-break below) identical to a
-        // serial loop for every thread count.
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
             Stage::TraceAdvance,
             candidates.len() as f64,
         );
-        let traces: Vec<TraceResult> = self
-            .config
-            .parallelism
-            .map_ordered(candidates, |&c| self.trace_from(c, snapshots));
-        // Per-candidate vote mass, emitted in candidate order from this
-        // thread so the event sequence is deterministic.
+        let traces: Vec<TraceResult> = candidates
+            .iter()
+            .map(|&c| self.trace_from(c, snapshots))
+            .collect();
+        // Per-candidate vote mass, emitted in candidate order.
         if self.sink.is_some() {
             for (i, t) in traces.iter().enumerate() {
                 obs::emit(

@@ -1,6 +1,6 @@
 //! Property tests pinning the pair-major engine to the reference
-//! [`VoteMap`] path bit-for-bit: random grids, measurement subsets, masks,
-//! and thread counts. These are the determinism contract of the
+//! [`VoteMap`] path bit-for-bit: random grids, measurement subsets and
+//! masks. These are the determinism contract of the
 //! engine's layout change — any divergence, even in the last mantissa bit,
 //! fails here. The same contract covers the tracer's tick kernel (pinned
 //! to a one-point-at-a-time, per-pair reference step) and the libm-free
@@ -9,7 +9,6 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rfidraw_core::array::{AntennaPair, Deployment};
-use rfidraw_core::exec::Parallelism;
 use rfidraw_core::geom::{Plane, Point2, Point3, Rect};
 use rfidraw_core::grid::{Grid2, VoteMap};
 use rfidraw_core::phase::frac_dist_to_integer;
@@ -64,19 +63,9 @@ fn scene(
     (dep, plane, grid, ms)
 }
 
-fn parallelism(idx: usize) -> Parallelism {
-    [
-        Parallelism::Serial,
-        Parallelism::Threads(2),
-        Parallelism::Threads(3),
-        Parallelism::Threads(7),
-        Parallelism::Auto,
-    ][idx % 5]
-}
-
 proptest! {
     /// Full-grid evaluation of any measurement subset equals the reference
-    /// path bit-for-bit under every execution policy.
+    /// path bit-for-bit.
     #[test]
     fn engine_full_grid_matches_reference(
         depth in 1.0f64..4.0,
@@ -88,7 +77,6 @@ proptest! {
         tag_fx in 0.1f64..0.9,
         tag_fz in 0.1f64..0.9,
         subset_mask in 0u32..255,
-        par_idx in 0usize..5,
     ) {
         let (dep, plane, grid, all_ms) = scene(depth, x0, z0, w, h, res, tag_fx, tag_fz);
         // A non-empty random subset of the measurements (bit i keeps m[i]).
@@ -101,7 +89,7 @@ proptest! {
         prop_assume!(!ms.is_empty());
 
         let reference = VoteMap::evaluate(&dep, &ms, plane, grid.clone());
-        let engine = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx));
+        let engine = VoteEngine::for_deployment(&dep, plane, grid);
         let evaluated = engine.evaluate(&ms);
         prop_assert_eq!(bits(reference.values()), bits(evaluated.values()));
     }
@@ -117,7 +105,6 @@ proptest! {
         tag_fz in 0.1f64..0.9,
         mask_seed in any::<u64>(),
         keep_mod in 2usize..7,
-        par_idx in 0usize..5,
     ) {
         let (dep, plane, grid, ms) = scene(depth, 0.2, 0.1, 1.2, 0.9, res, tag_fx, tag_fz);
         // A pseudo-random mask from a seed (xorshift), density 1/keep_mod.
@@ -134,7 +121,7 @@ proptest! {
         let cells = kept(&mask);
         let reference = VoteMap::evaluate_masked(&dep, &ms, plane, grid.clone(), &mask);
         let want: Vec<f64> = cells.iter().map(|&c| reference.values()[c]).collect();
-        let engine = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx));
+        let engine = VoteEngine::for_deployment(&dep, plane, grid);
         let lazy = engine.evaluate_cells(&ms, &cells);
         engine.build_table();
         let tabled = engine.evaluate_cells(&ms, &cells);
@@ -160,7 +147,6 @@ proptest! {
         tag_fx in 0.1f64..0.9,
         tag_fz in 0.1f64..0.9,
         subset_mask in 0u32..255,
-        par_idx in 0usize..5,
     ) {
         let (dep, plane, grid, all_ms) = scene(depth, x0, z0, w, h, res, tag_fx, tag_fz);
         let ms: Vec<PairMeasurement> = all_ms
@@ -172,9 +158,8 @@ proptest! {
         prop_assume!(!ms.is_empty());
         let precision = TablePrecision::I16;
 
-        let engine64 =
-            VoteEngine::for_deployment(&dep, plane, grid.clone(), parallelism(par_idx));
-        let mut engine_q = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx));
+        let engine64 = VoteEngine::for_deployment(&dep, plane, grid.clone());
+        let mut engine_q = VoteEngine::for_deployment(&dep, plane, grid);
         engine_q.set_precision(precision);
 
         let bound = engine64.vote_error_bound(&ms, precision);
@@ -217,8 +202,8 @@ proptest! {
         }
     }
 
-    /// The quantized paths keep the engine's determinism contract: the
-    /// full map is bit-identical across execution policies, and the
+    /// The quantized paths keep the engine's determinism contract: a
+    /// fresh engine reproduces the full map bit for bit, and the
     /// cell-list path (lazy quantize-on-the-fly, built for the baseline
     /// target in this crate, and table-backed through the dispatched
     /// gather kernel) matches the full map on a pseudo-random mask's kept
@@ -231,26 +216,19 @@ proptest! {
         tag_fz in 0.1f64..0.9,
         mask_seed in any::<u64>(),
         keep_mod in 2usize..7,
-        par_idx in 0usize..5,
-        par_idx2 in 0usize..5,
     ) {
         let (dep, plane, grid, ms) = scene(depth, 0.2, 0.1, 1.2, 0.9, res, tag_fx, tag_fz);
         let precision = TablePrecision::I16;
-        let mut engine = VoteEngine::for_deployment(
-            &dep,
-            plane,
-            grid.clone(),
-            parallelism(par_idx),
-        );
+        let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone());
         engine.set_precision(precision);
-        let mut scalar = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx2));
-        scalar.set_precision(precision);
+        let mut fresh = VoteEngine::for_deployment(&dep, plane, grid);
+        fresh.set_precision(precision);
 
         let full = engine.evaluate(&ms);
         prop_assert_eq!(
             bits(full.values()),
-            bits(scalar.evaluate(&ms).values()),
-            "SIMD dispatch and thread count must not change a single bit"
+            bits(fresh.evaluate(&ms).values()),
+            "a fresh engine must reproduce the map bit for bit"
         );
 
         let mut state = mask_seed | 1;
@@ -578,7 +556,6 @@ proptest! {
             vicinity_radius,
             step_resolution,
             include_coarse,
-            parallelism: Parallelism::Serial,
             ..TraceConfig::default()
         };
         // Half the cases on a plane within 0.3 m of the antenna wall, where

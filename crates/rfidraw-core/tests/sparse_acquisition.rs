@@ -12,7 +12,6 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rfidraw_core::array::Deployment;
-use rfidraw_core::exec::Parallelism;
 use rfidraw_core::geom::{Plane, Point2, Rect};
 use rfidraw_core::grid::{Grid2, VoteMap};
 use rfidraw_core::phase::wrap_pi;
@@ -83,7 +82,7 @@ fn dense_reference(
     let coarse_grid = Grid2::new(config.region, config.coarse_resolution);
     let fine_grid = Grid2::new(config.region, config.fine_resolution);
     let i16_engine = |grid: &Grid2| {
-        let mut engine = VoteEngine::for_deployment(dep, plane, grid.clone(), Parallelism::Serial);
+        let mut engine = VoteEngine::for_deployment(dep, plane, grid.clone());
         engine.set_precision(TablePrecision::I16);
         engine
     };
@@ -162,14 +161,12 @@ proptest! {
     /// against the dense reference, bit for bit: random sub-regions,
     /// depths, fine resolutions, filter fractions, candidate counts and
     /// separations; F64 and I16; with the fine table prebuilt (gathered
-    /// from) or lazy (computed on the fly); serial and several thread
-    /// counts.
+    /// from) or lazy (computed on the fly).
     #[test]
     fn sparse_acquisition_matches_dense_reference(
         seed in any::<u64>(),
         precision_idx in 0usize..2,
         prebuild in any::<bool>(),
-        par_idx in 0usize..4,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dep = Deployment::paper_default();
@@ -182,12 +179,6 @@ proptest! {
         config.coarse_keep_fraction = rng.gen_range(0.02..0.3);
         config.max_candidates = rng.gen_range(1usize..6);
         config.candidate_separation = [0.0, 0.05, 0.15, 0.3][rng.gen_range(0usize..4)];
-        config.parallelism = [
-            Parallelism::Serial,
-            Parallelism::Threads(2),
-            Parallelism::Threads(3),
-            Parallelism::Auto,
-        ][par_idx];
         config.precision = [TablePrecision::F64, TablePrecision::I16][precision_idx];
         let positioner = MultiResPositioner::new(dep.clone(), plane, config.clone());
         if prebuild {

@@ -62,25 +62,14 @@ impl TrackerTemplate {
     /// The paper-default deployment and plane over `region`, with a stale
     /// gap of 1 s so sessions self-reset after silence instead of trusting
     /// a broken phase unwrap.
-    ///
-    /// Acquisition and tracing run `Serial`: the service's worker pool is
-    /// the parallelism. Sessions already run concurrently on the workers,
-    /// so a session that also spawned scoped threads per vote map or per
-    /// table column would only oversubscribe the cores the pool fills.
-    /// Results are bit-identical for every setting (see
-    /// [`rfidraw_core::exec`]).
     pub fn paper_default(region: Rect) -> Self {
         let mut position = MultiResConfig::for_region(region);
         position.fine_resolution = 0.02;
-        position.parallelism = Parallelism::Serial;
         Self {
             deployment: Deployment::paper_default(),
             plane: Plane::at_depth(2.0),
             position,
-            trace: TraceConfig {
-                parallelism: Parallelism::Serial,
-                ..TraceConfig::default()
-            },
+            trace: TraceConfig::default(),
             online: OnlineConfig {
                 max_read_gap: Some(1.0),
                 ..OnlineConfig::default()
@@ -159,15 +148,6 @@ pub struct ServeConfig {
     /// fairness knob: a hot tag yields the worker after this many reads so
     /// it cannot starve other sessions.
     pub drain_batch: usize,
-    /// Registry shards. Sessions are placed by EPC hash and never
-    /// migrate; workers drain shard by shard without a global registry
-    /// lock. More shards cut lock contention with many concurrent
-    /// producers; 1 shard reproduces the old single-map behavior
-    /// (results are bit-identical either way).
-    ///
-    /// # Panics
-    /// [`crate::TrackingService::start`] panics when this is zero.
-    pub shards: usize,
     /// Reactor tuning for the TCP front end.
     pub net: NetConfig,
     /// Optional cursor mode for every session.
@@ -184,8 +164,8 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// Sensible service defaults around a tracker template: queue of 1024
     /// reads, `Block` backpressure (lossless), 64 sessions, 30 s idle
-    /// timeout, auto worker threads, 64-read drain batches, 8 registry
-    /// shards, default reactor tuning, no cursor.
+    /// timeout, auto worker threads, 64-read drain batches, default
+    /// reactor tuning, no cursor.
     pub fn new(tracker: TrackerTemplate) -> Self {
         Self {
             tracker,
@@ -195,7 +175,6 @@ impl ServeConfig {
             idle_timeout: Duration::from_secs(30),
             workers: Some(Parallelism::Auto),
             drain_batch: 64,
-            shards: 8,
             net: NetConfig::default(),
             cursor: None,
             observability: None,

@@ -22,6 +22,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// The registry's shard count. Each shard has its own lock, so producers
+/// of different tags rarely contend; telemetry reports one row per shard.
+pub(crate) const SHARDS: usize = 8;
+
 /// One shard: an independently locked slice of the session map plus its
 /// own drain bookkeeping.
 pub(crate) struct Shard {
@@ -50,15 +54,17 @@ pub(crate) struct RegistryFull;
 
 /// The sharded registry (see the module docs).
 pub(crate) struct ShardedRegistry {
-    shards: Vec<Shard>,
+    shards: [Shard; SHARDS],
     /// Live sessions across all shards; bounded by the cap at insert.
     live: AtomicUsize,
 }
 
 impl ShardedRegistry {
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        Self { shards: (0..shards).map(|_| Shard::new()).collect(), live: AtomicUsize::new(0) }
+    pub fn new() -> Self {
+        Self {
+            shards: std::array::from_fn(|_| Shard::new()),
+            live: AtomicUsize::new(0),
+        }
     }
 
     /// Which shard owns `epc` (stable for the registry's lifetime).
@@ -176,8 +182,8 @@ impl ShardedRegistry {
         evicted
     }
 
-    /// Per-shard telemetry rows (always `shard_count` rows, zeros
-    /// included, so operators see the placement spread).
+    /// Per-shard telemetry rows (always [`SHARDS`] rows, zeros included,
+    /// so operators see the placement spread).
     pub fn telemetry(&self) -> Vec<ShardTelemetry> {
         self.shards
             .iter()

@@ -425,10 +425,9 @@ impl TrackingService {
         assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
         assert!(cfg.drain_batch > 0, "drain batch must be positive");
         assert!(cfg.max_sessions > 0, "session cap must be positive");
-        assert!(cfg.shards > 0, "shard count must be positive");
         let worker_count = cfg.workers.map(|p| p.thread_count()).unwrap_or(0);
         let recorder = cfg.observability.as_ref().map(|s| Arc::new(TraceRecorder::new(s.clone())));
-        let registry = ShardedRegistry::new(cfg.shards);
+        let registry = ShardedRegistry::new();
         // A quarter of the idle timeout, so a session is evicted at most a
         // quarter late (floored at 1 ms, capped at a day).
         let sweep_period =

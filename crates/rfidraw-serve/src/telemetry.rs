@@ -115,9 +115,8 @@ pub(crate) struct GlobalMetrics {
     /// Time a worker spends inside the tracker per drained batch.
     pub compute: LatencyHistogram,
     /// The pipeline trace recorder, when the service was configured with
-    /// one ([`crate::ServeConfig::trace`]). Always compiled; the
-    /// `trace` cargo feature only controls whether the *core* hot path
-    /// emits into it.
+    /// one ([`crate::ServeConfig::observability`]); it is also every
+    /// session tracker's sink, so core events reach it too.
     pub trace: Option<Arc<TraceRecorder>>,
 }
 
@@ -331,12 +330,13 @@ pub struct TelemetryReport {
     /// Per-batch tracker compute-time histogram.
     pub compute: HistogramSnapshot,
     /// Per-stage span latency histograms from the trace recorder (empty
-    /// when no recorder is configured or the `trace` feature is off).
+    /// when [`crate::ServeConfig::observability`] is `None`).
     pub stages: Vec<StageLatency>,
     /// Network front-end counters, summed over every server registered
     /// with the service (all zeros when serving is purely in-process).
     pub net: NetTelemetry,
-    /// Per-shard registry breakdown (always one row per configured shard).
+    /// Per-shard registry breakdown (always one row per registry shard,
+    /// eight).
     pub shards: Vec<ShardTelemetry>,
     /// Per-session breakdown, in EPC order.
     pub sessions: Vec<SessionTelemetry>,

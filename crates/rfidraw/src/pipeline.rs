@@ -15,7 +15,6 @@ use rfidraw_channel::{Channel, FaultConfig, FaultInjector, Scenario};
 use rfidraw_core::array::Deployment;
 use rfidraw_core::baseline::BaselineArrays;
 use rfidraw_core::engine::TablePrecision;
-use rfidraw_core::exec::Parallelism;
 use rfidraw_core::geom::{Plane, Point2, Rect};
 use rfidraw_core::online::OnlineConfig;
 use rfidraw_core::position::{Candidate, MultiResConfig, MultiResPositioner};
@@ -61,12 +60,6 @@ pub struct PipelineConfig {
     /// Optional Hampel outlier rejection applied to the read stream before
     /// snapshotting (see `rfidraw_core::filter`).
     pub hampel: Option<rfidraw_core::filter::HampelConfig>,
-    /// Thread-level parallelism of the positioning and tracing kernels.
-    /// This single end-to-end knob overrides the `parallelism` fields of
-    /// the derived [`MultiResConfig`] and of [`PipelineConfig::trace`].
-    /// Results are bit-identical for every setting (see
-    /// `rfidraw_core::exec`); only wall-clock time changes.
-    pub parallelism: Parallelism,
     /// Numeric width of the positioning engines' vote tables.
     /// [`TablePrecision::F64`] (the default) is bit-exact versus the
     /// reference kernel; [`TablePrecision::I16`] quarters table bytes and
@@ -95,7 +88,6 @@ impl PipelineConfig {
             fine_resolution_scale: 1.0,
             fault: FaultConfig::default(),
             hampel: None,
-            parallelism: Parallelism::Auto,
             precision: TablePrecision::F64,
             seed: 1,
         }
@@ -126,15 +118,7 @@ impl PipelineConfig {
         let mut c = MultiResConfig::for_region(self.region);
         c.fine_resolution *= self.fine_resolution_scale;
         c.coarse_resolution = c.coarse_resolution.max(c.fine_resolution);
-        c.parallelism = self.parallelism;
         c.precision = self.precision;
-        c
-    }
-
-    /// The tracer configuration with the pipeline-level parallelism applied.
-    fn tracer_config(&self) -> TraceConfig {
-        let mut c = self.trace.clone();
-        c.parallelism = self.parallelism;
         c
     }
 
@@ -371,7 +355,7 @@ pub fn run_word(word: &str, user: u64, cfg: &PipelineConfig) -> Result<WordRun, 
         return Err(PipelineError::NoCandidates);
     }
 
-    let tracer = TrajectoryTracer::new(dep, plane, cfg.tracer_config());
+    let tracer = TrajectoryTracer::new(dep, plane, cfg.trace.clone());
     let (winner, traces) = tracer.trace_candidates(&candidates, &snapshots);
 
     // --- Baseline system (same antenna count, two ULAs) ---

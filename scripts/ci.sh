@@ -3,7 +3,8 @@
 # kernel benches (criterion `--test` mode runs each bench once, so bench
 # code rot is caught without paying for a real measurement run).
 # Tier-2 gate: the serving layer's integration tests in release and the
-# live_service example, which fails on any dropped read.
+# live_service example, which fails on any dropped read. Between them,
+# perfbench (the end-to-end benchmark package) builds and self-tests.
 #
 # Usage: scripts/ci.sh
 # Runs offline (the workspace vendors all dependencies).
@@ -126,6 +127,14 @@ echo "$wire_out" | awk -f scripts/median_ns.awk | awk '
         exit (speedup >= 1.50) ? 0 : 1
     }
 '
+
+echo "== perfbench: build and self-test =="
+# The end-to-end benchmark is a package of its own outside the workspace
+# that builds the serving stack from these crates by path. Building it
+# and running its tiny-scale self-test here makes a change to an API it
+# uses (`exec::Parallelism`, `ServeConfig`, `TelemetryReport`) fail in
+# CI, not only when the benchmark next runs.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== tier 2: serving layer =="
 # Integration tests in release (the determinism assertions compare bit
