@@ -276,7 +276,7 @@ fn bench_serve_wire(c: &mut Criterion) {
 }
 
 /// The reactor-stall regression as a throughput number: one connection
-/// keeps a tiny `Block` queue perpetually overrun (a feeder thread
+/// keeps a tiny queue perpetually overrun (a feeder thread
 /// pipelines oversized batches it never waits on, so the connection
 /// stays parked with a stash), while eight healthy sessions round-trip
 /// 32-read ingests over real sockets each iteration. Before parking
@@ -289,8 +289,7 @@ fn bench_serve_block_one_slow_session(c: &mut Criterion) {
     use rfidraw::protocol::Epc;
     use rfidraw::serve::wire::{self, IngestBatch, Message};
     use rfidraw::serve::{
-        BackpressurePolicy, ReactorServer, ServeConfig, TrackerTemplate, TrackingService,
-        WireClient,
+        ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
     };
     use std::io::Write;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -302,7 +301,6 @@ fn bench_serve_block_one_slow_session(c: &mut Criterion) {
     let mut cfg = ServeConfig::new(TrackerTemplate::paper_default(region()));
     cfg.workers = None; // drained on the bench thread, like serve_ingest
     cfg.queue_capacity = 64;
-    cfg.backpressure = BackpressurePolicy::Block;
     cfg.max_sessions = HEALTHY + 1;
     let service = TrackingService::start(cfg);
     let server = ReactorServer::bind(

@@ -77,11 +77,10 @@ pub enum Stage {
     /// Time a worker spent advancing a session's tracker for one drained
     /// batch (duration in `a`, µs; `b` = reads in the batch).
     Compute,
-    /// Reads evicted by the `DropOldest` backpressure policy
-    /// (`a` = reads dropped in this ingest call).
-    IngestDrop,
-    /// Reads refused by the `Reject` backpressure policy
-    /// (`a` = reads rejected in this ingest call).
+    /// Reads the serving layer refused at its ingest boundary: offered to
+    /// a closed session, or left in a parked connection's stash when that
+    /// connection closed (`a` = reads refused, `b` = the session's queue
+    /// depth).
     IngestReject,
     /// A read failed payload validation (non-finite phase/timestamp,
     /// duplicate, out of order) and was refused by the ingest boundary or
@@ -95,7 +94,7 @@ pub enum Stage {
 }
 
 /// Every stage, in discriminant order. Keep in sync with the enum.
-pub const ALL_STAGES: [Stage; 18] = [
+pub const ALL_STAGES: [Stage; 17] = [
     Stage::UnwrapHorizon,
     Stage::LobeLock,
     Stage::LobeRelock,
@@ -110,7 +109,6 @@ pub const ALL_STAGES: [Stage; 18] = [
     Stage::VoteFlip,
     Stage::QueueWait,
     Stage::Compute,
-    Stage::IngestDrop,
     Stage::IngestReject,
     Stage::InvalidRead,
     Stage::Degraded,
@@ -134,7 +132,6 @@ impl Stage {
             Stage::VoteFlip => "vote_flip",
             Stage::QueueWait => "queue_wait",
             Stage::Compute => "compute",
-            Stage::IngestDrop => "ingest_drop",
             Stage::IngestReject => "ingest_reject",
             Stage::InvalidRead => "invalid_read",
             Stage::Degraded => "degraded",

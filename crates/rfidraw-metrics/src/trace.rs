@@ -467,9 +467,9 @@ mod tests {
         let rec = TraceRecorder::new(TraceSettings::default());
         rec.set_sample_every(0);
         rec.offer(ev(Stage::Compute, TraceKind::Span, 1.0));
-        rec.offer(ev(Stage::IngestDrop, TraceKind::Anomaly, 1.0));
+        rec.offer(ev(Stage::InvalidRead, TraceKind::Anomaly, 1.0));
         assert_eq!(rec.events_recorded(), 1);
-        assert_eq!(rec.recent(10)[0].stage, "ingest_drop");
+        assert_eq!(rec.recent(10)[0].stage, "invalid_read");
     }
 
     #[test]

@@ -7,35 +7,7 @@ use rfidraw_core::online::{OnlineConfig, OnlineTracker};
 use rfidraw_core::position::MultiResConfig;
 use rfidraw_core::trace::TraceConfig;
 use rfidraw_metrics::TraceSettings;
-use rfidraw_touch::{CursorConfig, ScreenMap};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// What to do when a session's ingest queue is full.
-///
-/// The policy decides who pays for a hot tag: the producer (`Block`), the
-/// freshest data (`Reject`), or the stalest data (`DropOldest`). Every
-/// decision is counted in the telemetry, so `ingested = processed +
-/// dropped + queued` always balances against the rejected count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BackpressurePolicy {
-    /// Refuse the incoming read; it is counted as rejected and never
-    /// enters the queue. Favors the data already queued.
-    Reject,
-    /// Evict the oldest queued read to make room; the eviction is counted
-    /// as dropped. Favors freshness (a live cursor wants recent reads).
-    DropOldest,
-    /// Lossless admission: no read is ever refused or evicted for a full
-    /// queue. An in-process producer ([`crate::LocalClient::ingest`])
-    /// blocks until the queue has room or the session closes. The TCP
-    /// front end never blocks its event-loop thread: it *parks* the
-    /// connection — stashes the unadmitted reads, drops read interest so
-    /// the kernel TCP buffer back-propagates the stall to that client
-    /// alone — and re-admits when the session drains. Either way the
-    /// stall lands on the producer that caused it, never on other
-    /// sessions.
-    Block,
-}
 
 /// Everything needed to build one per-session [`OnlineTracker`].
 ///
@@ -99,17 +71,6 @@ impl ServeConfig {
     }
 }
 
-/// Optional per-session cursor mode (`rfidraw-touch`): each session's
-/// position stream additionally drives a cursor state machine whose events
-/// are broadcast to in-process subscribers.
-#[derive(Debug, Clone)]
-pub struct CursorSetup {
-    /// Cursor-mode tuning.
-    pub config: CursorConfig,
-    /// Plane-to-pixels mapping.
-    pub map: ScreenMap,
-}
-
 /// Network front-end settings: what callers of
 /// [`crate::ReactorServer::bind`] pass it (`cfg.net.reactor.clone()`).
 /// The service itself never reads them.
@@ -127,11 +88,18 @@ pub struct ServeConfig {
     pub tracker: TrackerTemplate,
     /// Bounded per-session ingest queue capacity (reads).
     ///
+    /// Admission is lossless: no read is refused or evicted for a full
+    /// queue, because the tracer's phase unwrap needs every read of its
+    /// tag, in order. An in-process producer
+    /// ([`crate::LocalClient::ingest`]) waits until the queue has room or
+    /// the session closes. The TCP front end never waits on its
+    /// event-loop thread: it *parks* the connection (stashes the
+    /// unadmitted reads and drops read interest, so the kernel TCP buffer
+    /// stalls that client alone) and re-admits when the session drains.
+    ///
     /// # Panics
     /// [`crate::TrackingService::start`] panics when this is zero.
     pub queue_capacity: usize,
-    /// What happens when a session queue is full.
-    pub backpressure: BackpressurePolicy,
     /// Hard cap on concurrently live sessions; ingest for new tags beyond
     /// it is refused (and counted).
     pub max_sessions: usize,
@@ -142,7 +110,9 @@ pub struct ServeConfig {
     /// finish a tick itself instead of handing them over. `None` starts
     /// no threads: the owner pumps manually via
     /// [`crate::TrackingService::pump`] (deterministic single-threaded
-    /// mode, used by tests and benchmarks), and every read waits for it.
+    /// mode, used by tests and benchmarks), and every read waits for it,
+    /// except that an in-process producer facing a full queue runs the
+    /// ready queue itself.
     pub workers: Option<Parallelism>,
     /// Maximum reads drained from one session per round-robin visit. The
     /// fairness knob: a hot tag yields the worker after this many reads so
@@ -150,8 +120,6 @@ pub struct ServeConfig {
     pub drain_batch: usize,
     /// Reactor tuning for the TCP front end.
     pub net: NetConfig,
-    /// Optional cursor mode for every session.
-    pub cursor: Option<CursorSetup>,
     /// Optional pipeline trace recorder (ring capacity, sampling, flight
     /// recorder). `Some` enables the serve-layer spans (queue wait,
     /// compute, ingest anomalies) and installs the recorder as every
@@ -163,20 +131,17 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Sensible service defaults around a tracker template: queue of 1024
-    /// reads, `Block` backpressure (lossless), 64 sessions, 30 s idle
-    /// timeout, auto worker threads, 64-read drain batches, default
-    /// reactor tuning, no cursor.
+    /// reads, 64 sessions, 30 s idle timeout, auto worker threads, 64-read
+    /// drain batches, default reactor tuning, no trace recorder.
     pub fn new(tracker: TrackerTemplate) -> Self {
         Self {
             tracker,
             queue_capacity: 1024,
-            backpressure: BackpressurePolicy::Block,
             max_sessions: 64,
             idle_timeout: Duration::from_secs(30),
             workers: Some(Parallelism::Auto),
             drain_batch: 64,
             net: NetConfig::default(),
-            cursor: None,
             observability: None,
         }
     }
@@ -194,18 +159,5 @@ mod tests {
         let tracker = t.build();
         assert!(!tracker.is_tracking());
         assert!(t.online.max_read_gap.is_some());
-    }
-
-    #[test]
-    fn policy_roundtrips_through_json() {
-        for p in [
-            BackpressurePolicy::Reject,
-            BackpressurePolicy::DropOldest,
-            BackpressurePolicy::Block,
-        ] {
-            let json = serde_json::to_string(&p).unwrap();
-            let back: BackpressurePolicy = serde_json::from_str(&json).unwrap();
-            assert_eq!(p, back);
-        }
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! This crate turns the streaming tracker (`rfidraw_core::online`) into a
 //! long-running service: many tags tracked concurrently, each behind a
-//! bounded ingest queue with an explicit backpressure policy, placed on an
-//! EPC-sharded registry, drained fairly by a small worker pool, observable
-//! through runtime telemetry, and reachable in-process and over TCP. The
-//! TCP face is [`ReactorServer`]: one `rfidraw-net` reactor thread for all
-//! connections, speaking newline-JSON wire v2 *and* length-prefixed
-//! binary wire v3 with per-connection negotiation. [`WireClient`] is its
-//! blocking client.
+//! bounded, lossless ingest queue that stalls its producer when full,
+//! placed on an EPC-sharded registry, drained fairly by a small worker
+//! pool, observable through runtime telemetry, and reachable in-process
+//! and over TCP. The TCP face is [`ReactorServer`]: one `rfidraw-net`
+//! reactor thread for all connections, speaking newline-JSON wire v2
+//! *and* length-prefixed binary wire v3 with per-connection negotiation.
+//! [`WireClient`] is its blocking client.
 //!
 //! # Observability
 //!
@@ -17,9 +17,9 @@
 //! compute spans per session, and every per-session tracker emits its
 //! core events (phase-unwrap breaches, lobe lock/relock, vote-map spans,
 //! candidate vote mass) into the same ring, tagged with the session id.
-//! Anomalies — backpressure losses and invalid reads from the serving
-//! layer; stale resets, degradation changes and vote flips from the
-//! tracker, their one source — each snapshot the last N events into a
+//! Anomalies — refused and invalid reads from the serving layer; stale
+//! resets, degradation changes and vote flips from the tracker, their
+//! one source — each snapshot the last N events into a
 //! retained [`rfidraw_metrics::TraceDump`]. Without a recorder no
 //! tracker holds a sink, and each core emit site costs one branch. The
 //! results surface three ways: per-stage latency histograms inside
@@ -33,12 +33,11 @@
 //!
 //! ```text
 //!  producers ──ingest──▶ per-EPC bounded queues ──▶ worker pool (round
-//!  (reader HW,            (Reject / DropOldest /    robin, drain_batch
-//!   TCP clients,           Block)                   per visit)
-//!   simulators)                                        │
+//!  (reader HW,            (lossless: a full queue   robin, drain_batch
+//!   TCP clients,           stalls or parks its      per visit)
+//!   simulators)            producer)                   │
 //!                                                      ▼
 //!                                        one OnlineTracker per session
-//!                                        (+ optional cursor state machine)
 //!                                                      │
 //!                            subscribers ◀──events─────┘
 //!                            (in-process mpsc, TCP PositionUpdate)
@@ -82,7 +81,7 @@ pub mod telemetry;
 pub mod wire;
 pub mod wire3;
 
-pub use config::{BackpressurePolicy, CursorSetup, NetConfig, ServeConfig, TrackerTemplate};
+pub use config::{NetConfig, ServeConfig, TrackerTemplate};
 pub use net::{WireClient, WireProtocol};
 pub use reactor::ReactorServer;
 pub use service::{LocalClient, ServeError, SessionView, TrackingService};

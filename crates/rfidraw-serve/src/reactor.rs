@@ -29,17 +29,17 @@
 //! per still-open subscription before the flush-and-close, so clients
 //! always observe an explicit end-of-stream.
 //!
-//! **`Block` backpressure never sleeps the reactor thread.** Ingest on
-//! this front end goes through the session's *non-blocking* admission
-//! path: when a `Block`-policy queue fills mid-batch, the handler stashes
-//! the unadmitted tail as a `PendingIngest`, parks the connection (the
-//! reactor drops its read interest, so the kernel TCP buffer pushes the
-//! stall back onto that client alone), and holds the `IngestAck`. A
-//! drain waiter armed on the session pokes the reactor's wakeup pipe when
-//! space frees; [`rfidraw_net::Handler::on_wakeup`] then re-admits from
-//! the stash, and once the whole batch is in, sends the merged ack and
-//! unparks. `Block` stays lossless per connection — every read is acked
-//! as accepted exactly once — while other connections keep flowing. See
+//! **Backpressure never sleeps the reactor thread.** Ingest on this
+//! front end goes through the session's *non-blocking* admission path:
+//! when a queue fills mid-batch, the handler stashes the unadmitted tail
+//! as a `PendingIngest`, parks the connection (the reactor drops its read
+//! interest, so the kernel TCP buffer pushes the stall back onto that
+//! client alone), and holds the `IngestAck`. The reactor's wakeup handle,
+//! armed on the session as a drain waiter, is poked when space frees;
+//! [`rfidraw_net::Handler::on_wakeup`] then re-admits from the stash, and
+//! once the whole batch is in, sends the merged ack and unparks.
+//! Admission stays lossless per connection — every read is acked as
+//! accepted exactly once — while other connections keep flowing. See
 //! DESIGN.md §13 for the state machine.
 
 use crate::service::{LocalClient, ServeError};
@@ -66,7 +66,7 @@ struct Sub {
     rx: mpsc::Receiver<SessionEvent>,
 }
 
-/// A partially admitted `Block` ingest: the connection is parked and this
+/// A partially admitted ingest: the connection is parked and this
 /// carries everything needed to finish the batch as the session drains.
 struct PendingIngest {
     epc: Epc,
@@ -129,10 +129,10 @@ fn encode_for(mode: WireMode, msg: &Message) -> Vec<u8> {
 /// the batch fully resolved (the merged ack may be sent).
 ///
 /// The arm-then-retry protocol closes the obvious race: after a `Full`
-/// round, one drain waiter (a wakeup-pipe poke) is armed on the session
-/// and the enqueue retried once more — a drain that landed between the
-/// failed attempt and the arm is caught by the retry, one that lands
-/// after the arm fires the waiter. Spurious wakeups just re-run this and
+/// round, the reactor's wakeup handle is armed on the session as a drain
+/// waiter and the enqueue retried once more — a drain that landed between
+/// the failed attempt and the arm is caught by the retry, one that lands
+/// after the arm pokes the handle. Spurious wakeups just re-run this and
 /// park again.
 fn advance_pending(
     client: &LocalClient,
@@ -140,14 +140,13 @@ fn advance_pending(
     p: &mut PendingIngest,
     initial: bool,
 ) -> bool {
-    let policy = client.serve_config().backpressure;
-    let capacity = client.serve_config().queue_capacity;
+    let capacity = client.queue_capacity();
     let g = client.metrics();
     let accepted_before = p.receipt.accepted;
     let rejected_before = p.receipt.rejected;
     let mut armed = false;
     let done = loop {
-        match p.session.try_enqueue(&p.reads[p.next..], policy, capacity, g) {
+        match p.session.try_enqueue(&p.reads[p.next..], capacity, g) {
             EnqueueOutcome::Done(r) => {
                 p.receipt.merge(r);
                 p.next = p.reads.len();
@@ -160,8 +159,7 @@ fn advance_pending(
                     break false;
                 }
                 let Some(wakeup) = wakeup else { break false };
-                let wh = wakeup.clone();
-                p.session.register_drain_waiter(Box::new(move || wh.notify()));
+                p.session.register_drain_waiter(wakeup.clone());
                 armed = true;
             }
         }
@@ -196,8 +194,8 @@ impl ServeHandler {
     }
 
     /// Ingest: validate, then admit without ever blocking the reactor
-    /// thread — a partial `Block` admission parks the connection and
-    /// holds the ack until the stash drains.
+    /// thread — a partial admission parks the connection and holds the
+    /// ack until the stash drains.
     fn handle_ingest(&mut self, conn: ConnId, batch: IngestBatch, mode: WireMode, out: &mut Outbox) {
         // Wire-boundary validation: a crafted batch (1e999 → Inf, negative
         // time) is refused whole and counted; it never creates a session
@@ -260,8 +258,7 @@ impl ServeHandler {
                 // In-process-only detail, not part of the wire protocol.
                 Ok(SessionEvent::Acquired { .. })
                 | Ok(SessionEvent::Stale { .. })
-                | Ok(SessionEvent::Degraded { .. })
-                | Ok(SessionEvent::Cursor { .. }) => continue,
+                | Ok(SessionEvent::Degraded { .. }) => continue,
                 Err(mpsc::TryRecvError::Empty) => return true,
                 // Channel gone without a Closed event (service dropped):
                 // nothing more will arrive, report the end-of-stream.

@@ -132,7 +132,7 @@ impl ServiceInner {
                 let sink: rfidraw_core::obs::SharedSink = Arc::clone(rec) as _;
                 tracker.set_trace_sink(Some(sink), crate::session::session_id(epc));
             }
-            Arc::new(SessionShared::new(epc, tracker, self.cfg.cursor.as_ref()))
+            Arc::new(SessionShared::new(epc, tracker))
         });
         match built {
             Ok((session, inserted)) => {
@@ -281,21 +281,28 @@ pub struct LocalClient {
 }
 
 impl LocalClient {
-    /// Routes a batch of reads into `epc`'s session (created lazily),
-    /// applying the configured backpressure policy.
+    /// Routes a batch of reads into `epc`'s session (created lazily).
+    /// Admission is lossless: while the session's queue is full this
+    /// waits for room, and with no worker threads it runs the ready queue
+    /// itself first, as [`TrackingService::quiesce`] does. Only a session
+    /// that closes meanwhile refuses reads.
     ///
     /// Reads for one tag must be ingested in time order (the order an
     /// inventory produces them); batches from concurrent producers for
     /// *different* tags interleave freely.
     pub fn ingest(&self, epc: Epc, reads: &[PhaseRead]) -> Result<IngestReceipt, ServeError> {
-        let session = self.inner.get_or_create(epc)?;
-        Ok(session.enqueue(
-            reads,
-            self.inner.cfg.backpressure,
-            self.inner.cfg.queue_capacity,
-            &self.inner.global,
-            || self.schedule(&session),
-        ))
+        let inner = &self.inner;
+        let session = inner.get_or_create(epc)?;
+        let receipt = session.enqueue(reads, inner.cfg.queue_capacity, &inner.global, || {
+            self.schedule(&session);
+            if inner.cfg.workers.is_none() {
+                inner.run_ready();
+            }
+        });
+        if receipt.accepted > 0 {
+            self.schedule(&session);
+        }
+        Ok(receipt)
     }
 
     /// Subscribes to a session's event stream (created lazily). Events
@@ -365,9 +372,9 @@ impl LocalClient {
         &self.inner.global
     }
 
-    /// The service configuration (policy/capacity for admission).
-    pub(crate) fn serve_config(&self) -> &ServeConfig {
-        &self.inner.cfg
+    /// Every session queue's capacity, for non-blocking admission.
+    pub(crate) fn queue_capacity(&self) -> usize {
+        self.inner.cfg.queue_capacity
     }
 
     /// Makes a session runnable after an enqueue: the caller that wins

@@ -1,19 +1,20 @@
-//! One tracking session: a bounded ingest queue, a tracker (plus optional
-//! cursor state machine), subscribers, and counters.
+//! One tracking session: a bounded ingest queue, a tracker, subscribers,
+//! and counters.
 //!
 //! A session is shared between producers (ingest / subscribe), one drainer
 //! at a time, and the registry (idle eviction). The `scheduled` flag is
 //! set while the session sits on the service's ready queue or is being
-//! drained, so only its holder drains: a worker, or the producer that won
+//! drained, so only its holder drains: a worker, the producer that won
 //! it and applies reads that cannot finish a tick on the spot
-//! (`SessionShared::drain_quiet`). That is what keeps per-session read
-//! order — and therefore results — identical to a standalone tracker. The
-//! queue and the tracker sit behind *separate* locks so ingest never waits
-//! for a tracker tick: producers only touch the queue lock (a quiet drain
-//! only `try_lock`s the engine and backs off when it is busy), and
-//! drainers hold the engine lock only while processing.
+//! (`SessionShared::drain_quiet`), or, with no workers, a producer facing
+//! a full queue that runs the ready queue itself. That is what keeps
+//! per-session read order — and therefore results — identical to a
+//! standalone tracker. The queue and the tracker sit behind *separate*
+//! locks so admission never waits for a tracker tick: producers only
+//! touch the queue lock (a quiet drain only `try_lock`s the engine and
+//! backs off when it is busy), and drainers hold the engine lock only
+//! while processing.
 
-use crate::config::{BackpressurePolicy, CursorSetup};
 use crate::telemetry::{GlobalMetrics, SessionMetrics, SessionTelemetry};
 use rfidraw_core::geom::Point2;
 use rfidraw_core::obs::Stage;
@@ -21,7 +22,6 @@ use rfidraw_core::online::{OnlineEvent, OnlineTracker, TrackError};
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_net::WakeupHandle;
 use rfidraw_protocol::Epc;
-use rfidraw_touch::{CursorEvent, CursorTracker};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
@@ -83,14 +83,6 @@ pub enum SessionEvent {
         /// Pairs currently excluded from voting; empty = whole again.
         missing_pairs: Vec<rfidraw_core::array::AntennaPair>,
     },
-    /// A cursor-mode event (only when the service was configured with
-    /// [`crate::config::CursorSetup`]).
-    Cursor {
-        /// The session's tag.
-        epc: Epc,
-        /// The cursor event.
-        event: CursorEvent,
-    },
     /// The session ended; no further events follow.
     Closed {
         /// The session's tag.
@@ -105,16 +97,13 @@ pub enum SessionEvent {
 pub struct IngestReceipt {
     /// Reads accepted into the queue.
     pub accepted: u64,
-    /// Older queued reads evicted to make room (`DropOldest`).
-    pub dropped: u64,
-    /// Reads refused outright (`Reject` on full, or session closed).
+    /// Reads refused because the session had closed.
     pub rejected: u64,
 }
 
 impl IngestReceipt {
     pub(crate) fn merge(&mut self, other: IngestReceipt) {
         self.accepted += other.accepted;
-        self.dropped += other.dropped;
         self.rejected += other.rejected;
     }
 }
@@ -129,11 +118,6 @@ pub(crate) fn session_id(epc: Epc) -> u64 {
 struct QueuedRead {
     read: PhaseRead,
     enqueued: Instant,
-}
-
-struct Engine {
-    tracker: OnlineTracker,
-    cursor: Option<CursorTracker>,
 }
 
 /// One subscription's channel, plus the reactor to poke after each batch
@@ -159,12 +143,12 @@ impl Subscriber {
 /// [`SessionShared::try_enqueue`]).
 #[derive(Debug)]
 pub(crate) enum EnqueueOutcome {
-    /// Every read was resolved (accepted, dropped-for, or rejected).
+    /// Every read was resolved (accepted, or rejected by a closed session).
     Done(IngestReceipt),
-    /// `Block` policy and the queue filled: the first `admitted` reads of
-    /// the attempted slice were accepted (and are counted in `receipt`);
-    /// the rest were *not counted anywhere* — the caller owns them and
-    /// must retry after a drain (they enter the metrics when admitted).
+    /// The queue filled: the first `admitted` reads of the attempted slice
+    /// were resolved (and are counted in `receipt`); the rest were *not
+    /// counted anywhere* — the caller owns them and must retry after a
+    /// drain (they enter the metrics when admitted).
     Full {
         /// Accounting for the resolved prefix.
         receipt: IngestReceipt,
@@ -176,13 +160,14 @@ pub(crate) enum EnqueueOutcome {
 pub(crate) struct SessionShared {
     pub(crate) epc: Epc,
     queue: Mutex<VecDeque<QueuedRead>>,
-    /// Producers blocked by [`BackpressurePolicy::Block`] wait here.
+    /// Producers waiting for room in a full queue wait here.
     space: Condvar,
-    /// One-shot callbacks fired when queue space frees or the session
-    /// closes — the async face of `space`, armed by the reactor front end
-    /// for parked connections (each waiter pokes a reactor wakeup pipe).
-    drain_waiters: Mutex<Vec<Box<dyn Fn() + Send>>>,
-    engine: Mutex<Engine>,
+    /// Reactor wakeup pipes poked once when queue space frees or the
+    /// session closes — the async face of `space`, armed by the reactor
+    /// front end for parked connections.
+    drain_waiters: Mutex<Vec<WakeupHandle>>,
+    /// The tracker; drainers hold this lock while they process.
+    engine: Mutex<OnlineTracker>,
     subscribers: Mutex<Vec<Subscriber>>,
     /// Set while the session is on the ready queue or being drained, so
     /// one thread at a time drains it (which preserves the read order).
@@ -193,16 +178,13 @@ pub(crate) struct SessionShared {
 }
 
 impl SessionShared {
-    pub fn new(epc: Epc, tracker: OnlineTracker, cursor: Option<&CursorSetup>) -> Self {
+    pub fn new(epc: Epc, tracker: OnlineTracker) -> Self {
         Self {
             epc,
             queue: Mutex::new(VecDeque::new()),
             space: Condvar::new(),
             drain_waiters: Mutex::new(Vec::new()),
-            engine: Mutex::new(Engine {
-                tracker,
-                cursor: cursor.map(|c| CursorTracker::new(c.config, c.map.clone())),
-            }),
+            engine: Mutex::new(tracker),
             subscribers: Mutex::new(Vec::new()),
             scheduled: AtomicBool::new(false),
             closed: AtomicBool::new(false),
@@ -227,31 +209,31 @@ impl SessionShared {
         *self.last_activity.lock().expect("activity lock") = Instant::now();
     }
 
-    /// Enqueues a batch under the configured policy, counting every
-    /// decision in both the session and global metrics. `schedule` makes
-    /// the session runnable: once the batch is in and, under `Block`,
-    /// before every wait for space, so no producer sleeps on a full queue
-    /// that nobody was told to drain.
+    /// Enqueues a whole batch, counting every read in both the session
+    /// and global metrics, and waits for room whenever the queue is full.
+    /// `make_room` runs before every wait: it must get the queue drained
+    /// (make the session runnable, and drain it when no worker will), so
+    /// no producer sleeps on a full queue that nobody was told to drain.
+    /// The caller makes the session runnable once the batch is in.
     pub fn enqueue(
         &self,
         reads: &[PhaseRead],
-        policy: BackpressurePolicy,
         capacity: usize,
         global: &GlobalMetrics,
-        schedule: impl Fn(),
+        make_room: impl Fn(),
     ) -> IngestReceipt {
         let mut receipt = IngestReceipt::default();
         let mut rest = reads;
         loop {
-            match self.try_enqueue(rest, policy, capacity, global) {
+            match self.try_enqueue(rest, capacity, global) {
                 EnqueueOutcome::Done(r) => {
                     receipt.merge(r);
-                    break;
+                    return receipt;
                 }
                 EnqueueOutcome::Full { receipt: r, admitted } => {
                     receipt.merge(r);
                     rest = &rest[admitted..];
-                    schedule();
+                    make_room();
                     // Sleep until a drain frees space or the session
                     // closes; the timeout is only a backstop.
                     let q = self.queue.lock().expect("queue lock");
@@ -264,18 +246,14 @@ impl SessionShared {
                 }
             }
         }
-        if receipt.accepted > 0 {
-            schedule();
-        }
-        receipt
     }
 
     /// Non-blocking batch enqueue: the same accounting as
-    /// [`enqueue`](Self::enqueue) for every read it resolves, but under `Block`
-    /// with a full queue it returns [`EnqueueOutcome::Full`] instead of
-    /// sleeping on the `space` condvar. The reactor front end lives on
-    /// this: the reactor thread *is* the producer there, so it must never
-    /// sleep — it parks the connection and retries after a drain signal.
+    /// [`enqueue`](Self::enqueue) for every read it resolves, but with a
+    /// full queue it returns [`EnqueueOutcome::Full`] instead of sleeping
+    /// on the `space` condvar. The reactor front end lives on this: the
+    /// reactor thread *is* the producer there, so it must never sleep —
+    /// it parks the connection and retries after a drain signal.
     ///
     /// Reads beyond the admitted prefix are counted nowhere; they enter
     /// the metrics only when a later call resolves them, so conservation
@@ -283,48 +261,27 @@ impl SessionShared {
     pub(crate) fn try_enqueue(
         &self,
         reads: &[PhaseRead],
-        policy: BackpressurePolicy,
         capacity: usize,
         global: &GlobalMetrics,
     ) -> EnqueueOutcome {
         let mut receipt = IngestReceipt::default();
         let mut admitted = 0usize;
-        let mut full = false;
         {
             let mut q = self.queue.lock().expect("queue lock");
             for &read in reads {
                 if self.is_closed() {
                     receipt.rejected += 1;
-                    admitted += 1;
-                    continue;
-                }
-                if q.len() < capacity {
+                } else if q.len() < capacity {
                     q.push_back(QueuedRead { read, enqueued: Instant::now() });
                     receipt.accepted += 1;
-                    admitted += 1;
-                    continue;
+                } else {
+                    break;
                 }
-                match policy {
-                    BackpressurePolicy::Reject => {
-                        receipt.rejected += 1;
-                        admitted += 1;
-                    }
-                    BackpressurePolicy::DropOldest => {
-                        q.pop_front();
-                        q.push_back(QueuedRead { read, enqueued: Instant::now() });
-                        receipt.accepted += 1;
-                        receipt.dropped += 1;
-                        admitted += 1;
-                    }
-                    BackpressurePolicy::Block => {
-                        full = true;
-                        break;
-                    }
-                }
+                admitted += 1;
             }
         }
         self.settle_receipt(receipt, global);
-        if full {
+        if admitted < reads.len() {
             EnqueueOutcome::Full { receipt, admitted }
         } else {
             EnqueueOutcome::Done(receipt)
@@ -332,27 +289,24 @@ impl SessionShared {
     }
 
     /// Books a resolved receipt into session + global metrics, records
-    /// backpressure anomalies, and refreshes the idle clock. Shared by the
-    /// blocking and non-blocking enqueue paths so their accounting cannot
-    /// drift.
+    /// refusals as anomalies, and refreshes the idle clock. Shared by
+    /// every admission path so their accounting cannot drift.
     fn settle_receipt(&self, receipt: IngestReceipt, global: &GlobalMetrics) {
         self.metrics.ingested.add(receipt.accepted);
-        self.metrics.dropped.add(receipt.dropped);
         self.metrics.rejected.add(receipt.rejected);
         global.ingested.add(receipt.accepted);
-        global.dropped.add(receipt.dropped);
         global.rejected.add(receipt.rejected);
-        // Backpressure losses are flight-recorder anomalies: a drop or
-        // rejection is exactly the "why is my trajectory missing reads?"
-        // moment the recorder exists to explain.
-        if let Some(rec) = global.trace.as_deref() {
-            let sid = session_id(self.epc);
-            let depth = self.queue_depth() as f64;
-            if receipt.dropped > 0 {
-                rec.record_anomaly(sid, Stage::IngestDrop, receipt.dropped as f64, depth);
-            }
-            if receipt.rejected > 0 {
-                rec.record_anomaly(sid, Stage::IngestReject, receipt.rejected as f64, depth);
+        // A refusal is a flight-recorder anomaly: exactly the "why is my
+        // trajectory missing reads?" moment the recorder exists to explain.
+        if receipt.rejected > 0 {
+            if let Some(rec) = global.trace.as_deref() {
+                let depth = self.queue_depth() as f64;
+                rec.record_anomaly(
+                    session_id(self.epc),
+                    Stage::IngestReject,
+                    receipt.rejected as f64,
+                    depth,
+                );
             }
         }
         if receipt.accepted > 0 {
@@ -360,34 +314,31 @@ impl SessionShared {
         }
     }
 
-    /// Arms a one-shot callback fired the next time queue space frees
-    /// (`take_batch`) or the session closes. If the session is already
-    /// closed the callback fires immediately — the closed check happens
+    /// Arms a one-shot poke of `waiter` for the next time queue space
+    /// frees (`take_batch`) or the session closes. If the session is
+    /// already closed it is poked at once — the closed check happens
     /// under the waiter lock, so a waiter can never be stranded by a
     /// racing close.
     ///
     /// Callers follow an arm-then-retry protocol (arm, then attempt one
     /// more `try_enqueue`), so a drain that lands between their first
-    /// failed attempt and the arm is never lost; spurious firings are
+    /// failed attempt and the arm is never lost; spurious pokes are
     /// harmless.
-    pub(crate) fn register_drain_waiter(&self, waiter: Box<dyn Fn() + Send>) {
+    pub(crate) fn register_drain_waiter(&self, waiter: WakeupHandle) {
         let mut waiters = self.drain_waiters.lock().expect("drain waiters lock");
         if self.is_closed() {
             drop(waiters);
-            waiter();
+            waiter.notify();
             return;
         }
         waiters.push(waiter);
     }
 
-    /// Fires (and consumes) every armed drain waiter.
+    /// Pokes (and disarms) every armed drain waiter.
     fn fire_drain_waiters(&self) {
-        let waiters = {
-            let mut w = self.drain_waiters.lock().expect("drain waiters lock");
-            std::mem::take(&mut *w)
-        };
+        let waiters = std::mem::take(&mut *self.drain_waiters.lock().expect("drain waiters lock"));
         for waiter in waiters {
-            waiter();
+            waiter.notify();
         }
     }
 
@@ -396,20 +347,8 @@ impl SessionShared {
     /// wire-validation refusal — they count as rejected at the ingest
     /// boundary, with `parked_discarded` attributing why.
     pub(crate) fn note_parked_discarded(&self, n: u64, global: &GlobalMetrics) {
-        if n == 0 {
-            return;
-        }
-        self.metrics.rejected.add(n);
-        global.rejected.add(n);
+        self.settle_receipt(IngestReceipt { accepted: 0, rejected: n }, global);
         global.parked_discarded.add(n);
-        if let Some(rec) = global.trace.as_deref() {
-            rec.record_anomaly(
-                session_id(self.epc),
-                Stage::IngestReject,
-                n as f64,
-                self.queue_depth() as f64,
-            );
-        }
     }
 
     /// Takes up to `n` queued reads if `admit` approves the queue as it
@@ -458,9 +397,7 @@ impl SessionShared {
         let Ok(engine) = self.engine.try_lock() else {
             return (0, true);
         };
-        let batch = self.take_batch(usize::MAX, |q| {
-            engine.tracker.is_quiet(q.iter().map(|qr| &qr.read))
-        });
+        let batch = self.take_batch(usize::MAX, |q| engine.is_quiet(q.iter().map(|qr| &qr.read)));
         if !batch.is_empty() {
             self.process(&batch, global, move || engine);
         }
@@ -484,7 +421,7 @@ impl SessionShared {
         &'a self,
         batch: &[QueuedRead],
         global: &GlobalMetrics,
-        engine: impl FnOnce() -> MutexGuard<'a, Engine>,
+        engine: impl FnOnce() -> MutexGuard<'a, OnlineTracker>,
     ) {
         let processed = batch.len();
         let sid = session_id(self.epc);
@@ -501,9 +438,9 @@ impl SessionShared {
         let mut out_events: Vec<SessionEvent> = Vec::new();
         let compute_start = Instant::now();
         {
-            let mut engine = engine();
+            let mut tracker = engine();
             for qr in batch {
-                let events = match engine.tracker.push(qr.read) {
+                let events = match tracker.push(qr.read) {
                     Ok(events) => events,
                     Err(err) => {
                         // A hostile or inconsistent read (NaN, out-of-order,
@@ -543,14 +480,6 @@ impl SessionShared {
                                 t: *t,
                                 pos: *pos,
                             });
-                            if let Some(cursor) = engine.cursor.as_mut() {
-                                for ce in cursor.update(*t, *pos) {
-                                    out_events.push(SessionEvent::Cursor {
-                                        epc: self.epc,
-                                        event: ce,
-                                    });
-                                }
-                            }
                         }
                         OnlineEvent::Pruned { .. } => {}
                         OnlineEvent::Degraded { missing_pairs } => {
@@ -632,28 +561,24 @@ impl SessionShared {
 
     /// The session's trajectory so far (the tracker's best candidate).
     pub fn trajectory(&self) -> Vec<Point2> {
-        self.engine.lock().expect("engine lock").tracker.trajectory().to_vec()
+        self.engine.lock().expect("engine lock").trajectory().to_vec()
     }
 
     /// Live tracker state for views/telemetry.
     pub fn tracker_state(&self) -> (bool, usize, Option<Point2>) {
-        let engine = self.engine.lock().expect("engine lock");
-        (
-            engine.tracker.is_tracking(),
-            engine.tracker.alive_candidates(),
-            engine.tracker.current_estimate(),
-        )
+        let tracker = self.engine.lock().expect("engine lock");
+        (tracker.is_tracking(), tracker.alive_candidates(), tracker.current_estimate())
     }
 
     /// Whether the session's tracker currently runs on a reduced pair set.
     pub fn is_degraded(&self) -> bool {
-        self.engine.lock().expect("engine lock").tracker.is_degraded()
+        self.engine.lock().expect("engine lock").is_degraded()
     }
 
     pub fn telemetry(&self) -> SessionTelemetry {
         let (tracking, degraded) = {
-            let engine = self.engine.lock().expect("engine lock");
-            (engine.tracker.is_tracking(), engine.tracker.is_degraded())
+            let tracker = self.engine.lock().expect("engine lock");
+            (tracker.is_tracking(), tracker.is_degraded())
         };
         SessionTelemetry {
             epc: self.epc,
@@ -690,7 +615,7 @@ mod tests {
     /// A session over the paper-default tracker.
     fn session() -> SessionShared {
         let region = Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7));
-        SessionShared::new(Epc::from_index(1), TrackerTemplate::paper_default(region).build(), None)
+        SessionShared::new(Epc::from_index(1), TrackerTemplate::paper_default(region).build())
     }
 
     fn read(t: f64, antenna: u8) -> PhaseRead {
@@ -700,7 +625,7 @@ mod tests {
     /// Queues `reads` and takes the `scheduled` flag, as the thread that
     /// calls `drain_quiet` holds it.
     fn stage(session: &SessionShared, reads: &[PhaseRead], global: &GlobalMetrics) {
-        let outcome = session.try_enqueue(reads, BackpressurePolicy::Block, 8, global);
+        let outcome = session.try_enqueue(reads, 8, global);
         assert!(matches!(outcome, EnqueueOutcome::Done(r) if r.accepted == reads.len() as u64));
         assert!(!session.scheduled.swap(true, Ordering::AcqRel));
     }

@@ -26,7 +26,7 @@
 //! once in the conservation sums, and `invalid` explains *why* some of
 //! them produced nothing.
 //!
-//! The reactor front end's `Block` parking adds one more attribution
+//! The reactor front end's connection parking adds one more attribution
 //! layer. A read a parked connection stashed is counted in `parked_reads`
 //! when the stash forms, and leaves the stash exactly one way:
 //!
@@ -55,11 +55,10 @@ use std::sync::Arc;
 pub(crate) struct SessionMetrics {
     /// Reads accepted into the queue.
     pub ingested: Counter,
-    /// Reads evicted from the queue by `DropOldest` (or discarded at
-    /// session close).
+    /// Queued reads discarded when the session closed.
     pub dropped: Counter,
-    /// Reads refused at the ingest boundary (`Reject` on a full queue, or
-    /// a closed session).
+    /// Reads refused at the ingest boundary (a closed session, a failed
+    /// wire validation, or a parked stash abandoned by its connection).
     pub rejected: Counter,
     /// Reads fed through the tracker.
     pub processed: Counter,
@@ -155,7 +154,7 @@ pub struct SessionTelemetry {
     pub epc: Epc,
     /// Reads accepted into this session's queue.
     pub reads_ingested: u64,
-    /// Reads evicted from the queue (`DropOldest` / close).
+    /// Queued reads discarded when the session closed.
     pub reads_dropped: u64,
     /// Reads refused at the ingest boundary.
     pub reads_rejected: u64,
@@ -236,8 +235,8 @@ pub struct NetTelemetry {
     pub bytes_in: u64,
     /// Payload bytes sent.
     pub bytes_out: u64,
-    /// Connections currently parked (read interest dropped under `Block`
-    /// backpressure, waiting for their session to drain). A gauge: returns
+    /// Connections currently parked (read interest dropped on a full
+    /// session queue, waiting for it to drain). A gauge: returns
     /// to 0 whenever no queue is full.
     pub connections_parked: u64,
     /// Reactor wakeup-pipe firings (pushed updates, drain signals,
@@ -284,7 +283,7 @@ pub struct TelemetryReport {
     pub sessions_rejected: u64,
     /// Reads accepted into queues, service-wide.
     pub reads_ingested: u64,
-    /// Reads evicted from queues, service-wide.
+    /// Queued reads discarded by session closes, service-wide.
     pub reads_dropped: u64,
     /// Reads refused at the ingest boundary, service-wide.
     pub reads_rejected: u64,
@@ -303,7 +302,7 @@ pub struct TelemetryReport {
     pub reads_invalid: u64,
     /// Missing-pair-set changes, service-wide.
     pub degraded_events: u64,
-    /// Reads stashed by parked reactor connections (`Block` backpressure).
+    /// Reads stashed by parked reactor connections.
     /// Conservation: `parked_reads = readmissions + parked_rejected +
     /// parked_discarded + currently stashed` (see the module docs).
     pub parked_reads: u64,
@@ -438,7 +437,7 @@ impl TelemetryReport {
         p.counter("rfidraw_sessions_closed_total", "Sessions closed explicitly or at shutdown.", &[], self.sessions_closed);
         p.counter("rfidraw_sessions_rejected_total", "Ingests refused at the session cap.", &[], self.sessions_rejected);
         p.counter("rfidraw_reads_ingested_total", "Reads accepted into queues.", &[], self.reads_ingested);
-        p.counter("rfidraw_reads_dropped_total", "Reads evicted from queues.", &[], self.reads_dropped);
+        p.counter("rfidraw_reads_dropped_total", "Queued reads discarded by session closes.", &[], self.reads_dropped);
         p.counter("rfidraw_reads_rejected_total", "Reads refused at the ingest boundary.", &[], self.reads_rejected);
         p.counter("rfidraw_reads_processed_total", "Reads fed through trackers.", &[], self.reads_processed);
         p.counter("rfidraw_reads_inline_total", "Processed reads the scheduling thread applied without a worker hand-off.", &[], self.reads_inline);
@@ -465,7 +464,7 @@ impl TelemetryReport {
         p.counter("rfidraw_net_midframe_disconnects_total", "Connections lost mid-frame.", &[], self.net.midframe_disconnects);
         p.counter("rfidraw_net_bytes_in_total", "Payload bytes received.", &[], self.net.bytes_in);
         p.counter("rfidraw_net_bytes_out_total", "Payload bytes sent.", &[], self.net.bytes_out);
-        p.gauge("rfidraw_net_parked_connections", "Connections currently parked under Block backpressure.", &[], self.net.connections_parked as f64);
+        p.gauge("rfidraw_net_parked_connections", "Connections currently parked on a full session queue.", &[], self.net.connections_parked as f64);
         p.counter("rfidraw_net_wakeups_total", "Reactor wakeup-pipe firings.", &[], self.net.wakeups);
         p.counter("rfidraw_net_reregister_failures_total", "Poller reregister failures (each closed its connection).", &[], self.net.reregister_failures);
         for sh in &self.shards {

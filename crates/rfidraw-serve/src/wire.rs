@@ -86,16 +86,17 @@ pub struct IngestAck {
     pub epc: Epc,
     /// Reads accepted into the queue.
     pub accepted: u64,
-    /// Older reads evicted to make room.
+    /// Always 0: admission is lossless and never evicts a queued read.
+    /// Kept so the ack's layout (wire v3 encodes it) stays fixed.
     pub dropped: u64,
-    /// Reads refused outright.
+    /// Reads refused because the session had closed.
     pub rejected: u64,
 }
 
 impl IngestAck {
     /// Builds the ack from a service receipt.
     pub fn from_receipt(epc: Epc, r: IngestReceipt) -> Self {
-        Self { epc, accepted: r.accepted, dropped: r.dropped, rejected: r.rejected }
+        Self { epc, accepted: r.accepted, dropped: 0, rejected: r.rejected }
     }
 }
 

@@ -1,7 +1,7 @@
-//! `Block` backpressure on the reactor front end: park, don't sleep.
+//! Backpressure on the reactor front end: park, don't sleep.
 //!
 //! The regression this suite pins down: the reactor thread used to *be*
-//! the producer on the ingest path, so a full `Block` queue put the one
+//! the producer on the ingest path, so a full session queue put the one
 //! thread that owns every connection to sleep on a session condvar —
 //! head-of-line blocking the whole front end behind one slow session.
 //! The fix parks only the offending connection (stash + drop read
@@ -26,9 +26,7 @@ use rfidraw_core::stream::PhaseRead;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::{IngestBatch, Message};
-use rfidraw_serve::{
-    BackpressurePolicy, ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
-};
+use rfidraw_serve::{ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -36,12 +34,11 @@ fn template() -> TrackerTemplate {
     TrackerTemplate::paper_default(Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7)))
 }
 
-/// A tiny-queue `Block` config: capacity 4 makes every multi-read batch
+/// A tiny-queue config: capacity 4 makes every multi-read batch
 /// overrun the queue, so parking is exercised constantly.
 fn tiny_queue_config(workers: Option<Parallelism>) -> ServeConfig {
     let mut cfg = ServeConfig::new(template());
     cfg.queue_capacity = 4;
-    cfg.backpressure = BackpressurePolicy::Block;
     cfg.workers = workers;
     cfg
 }
@@ -97,7 +94,7 @@ fn tracked_stream(seed: u64) -> (Vec<PhaseRead>, Vec<(u64, u64, u64)>) {
 
 /// The stall regression (fails on the pre-fix reactor): one session with
 /// a wedged queue must not take the whole front end down with it. A
-/// 12-read batch against a 4-slot `Block` queue with no worker draining
+/// 12-read batch against a 4-slot queue with no worker draining
 /// parks connection A; connection B's ingest must still round-trip well
 /// inside its 5 s deadline. Then a pump loop drains the stash and A's
 /// held ack arrives complete and lossless.

@@ -20,9 +20,7 @@ use rfidraw_core::TablePrecision;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::{self, Envelope, Message};
-use rfidraw_serve::{
-    BackpressurePolicy, ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
-};
+use rfidraw_serve::{ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient};
 use std::collections::BTreeMap;
 use std::io::Write;
 
@@ -177,7 +175,6 @@ fn run_all_fault_classes(precision: TablePrecision) {
 
     let mut cfg = ServeConfig::new(template_with(precision));
     cfg.workers = Some(Parallelism::Threads(4));
-    cfg.backpressure = BackpressurePolicy::Block;
     cfg.queue_capacity = 256;
     cfg.drain_batch = 16;
     let service = TrackingService::start(cfg);

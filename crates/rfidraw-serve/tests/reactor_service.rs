@@ -17,8 +17,7 @@ use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventoryS
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::Message;
 use rfidraw_serve::{
-    BackpressurePolicy, ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
-    WireProtocol,
+    ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient, WireProtocol,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -84,7 +83,6 @@ fn service_config() -> ServeConfig {
 fn service_config_with(tpl: TrackerTemplate) -> ServeConfig {
     let mut cfg = ServeConfig::new(tpl);
     cfg.workers = Some(Parallelism::Threads(4));
-    cfg.backpressure = BackpressurePolicy::Block;
     cfg
 }
 

@@ -1,6 +1,7 @@
 //! In-process service tests: determinism against standalone trackers,
-//! backpressure accounting per policy, session lifecycle (idle eviction,
-//! explicit close, the session cap), and the ready queue under contention.
+//! lossless admission into full queues (with and without workers), session
+//! lifecycle (idle eviction, explicit close, the session cap), and the
+//! ready queue under contention.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,8 +14,7 @@ use rfidraw_core::stream::PhaseRead;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::{
-    BackpressurePolicy, ServeConfig, ServeError, SessionEvent, TelemetryReport, TrackerTemplate,
-    TrackingService,
+    ServeConfig, ServeError, SessionEvent, TelemetryReport, TrackerTemplate, TrackingService,
 };
 use std::collections::BTreeMap;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -94,7 +94,6 @@ fn eight_concurrent_sessions_match_standalone_trackers_bit_for_bit() {
 
     let mut cfg = ServeConfig::new(template());
     cfg.workers = Some(Parallelism::Threads(4));
-    cfg.backpressure = BackpressurePolicy::Block;
     cfg.queue_capacity = 64; // small on purpose: force Block to engage
     cfg.drain_batch = 16;
     let service = TrackingService::start(cfg);
@@ -112,7 +111,6 @@ fn eight_concurrent_sessions_match_standalone_trackers_bit_for_bit() {
                 for chunk in reads.chunks(32) {
                     let receipt = client.ingest(epc, chunk).expect("ingest");
                     assert_eq!(receipt.accepted as usize, chunk.len(), "Block is lossless");
-                    assert_eq!(receipt.dropped, 0);
                     assert_eq!(receipt.rejected, 0);
                 }
                 (epc, events)
@@ -175,78 +173,17 @@ fn synth_reads(n: usize, t0: f64) -> Vec<PhaseRead> {
         .collect()
 }
 
-fn manual_cfg(policy: BackpressurePolicy, capacity: usize) -> ServeConfig {
+fn manual_cfg(capacity: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new(template());
     cfg.workers = None;
-    cfg.backpressure = policy;
     cfg.queue_capacity = capacity;
     cfg
-}
-
-#[test]
-fn reject_policy_refuses_overflow_with_exact_accounting() {
-    let service = TrackingService::start(manual_cfg(BackpressurePolicy::Reject, 8));
-    let client = service.client();
-    let epc = Epc::from_index(1);
-
-    let receipt = client.ingest(epc, &synth_reads(20, 0.0)).unwrap();
-    assert_eq!(receipt.accepted, 8);
-    assert_eq!(receipt.rejected, 12);
-    assert_eq!(receipt.dropped, 0);
-
-    let before = service.telemetry();
-    assert_eq!(before.reads_ingested, 8);
-    assert_eq!(before.reads_rejected, 12);
-    assert_eq!(before.reads_dropped, 0);
-    assert_eq!(before.reads_processed, 0);
-    assert_eq!(before.sessions[0].queue_depth, 8);
-
-    while service.pump() > 0 {}
-    let after = service.telemetry();
-    assert_eq!(after.reads_processed, 8);
-    assert_eq!(after.sessions[0].queue_depth, 0);
-    // ingested = processed + dropped + queued
-    assert_eq!(
-        after.reads_ingested,
-        after.reads_processed + after.reads_dropped + after.sessions[0].queue_depth
-    );
-}
-
-#[test]
-fn drop_oldest_policy_keeps_the_freshest_reads() {
-    let service = TrackingService::start(manual_cfg(BackpressurePolicy::DropOldest, 8));
-    let client = service.client();
-    let epc = Epc::from_index(1);
-
-    let receipt = client.ingest(epc, &synth_reads(20, 0.0)).unwrap();
-    // Every read is accepted; the 12 oldest were evicted to make room.
-    assert_eq!(receipt.accepted, 20);
-    assert_eq!(receipt.dropped, 12);
-    assert_eq!(receipt.rejected, 0);
-
-    let report = service.telemetry();
-    assert_eq!(report.reads_ingested, 20);
-    assert_eq!(report.reads_dropped, 12);
-    assert_eq!(report.sessions[0].queue_depth, 8);
-    assert_eq!(
-        report.reads_ingested,
-        report.reads_processed + report.reads_dropped + report.sessions[0].queue_depth
-    );
-
-    while service.pump() > 0 {}
-    let after = service.telemetry();
-    assert_eq!(after.reads_processed, 8);
-    assert_eq!(
-        after.reads_ingested,
-        after.reads_processed + after.reads_dropped + after.sessions[0].queue_depth
-    );
 }
 
 #[test]
 fn block_policy_is_lossless_under_a_slow_drainer() {
     let mut cfg = ServeConfig::new(template());
     cfg.workers = Some(Parallelism::Threads(1));
-    cfg.backpressure = BackpressurePolicy::Block;
     cfg.queue_capacity = 4; // tiny: the producer must block repeatedly
     cfg.drain_batch = 4;
     let service = TrackingService::start(cfg);
@@ -256,7 +193,6 @@ fn block_policy_is_lossless_under_a_slow_drainer() {
     let reads = synth_reads(300, 0.0);
     let receipt = client.ingest(epc, &reads).unwrap();
     assert_eq!(receipt.accepted, 300);
-    assert_eq!(receipt.dropped, 0);
     assert_eq!(receipt.rejected, 0);
 
     service.quiesce();
@@ -267,9 +203,76 @@ fn block_policy_is_lossless_under_a_slow_drainer() {
     assert_eq!(report.reads_rejected, 0);
 }
 
+/// With no worker threads, a producer that overflows its queue runs the
+/// ready queue itself before it waits, since no other thread would drain
+/// the queue for it. A tracked stream goes in as 20-read batches against
+/// an 8-read queue, each batch behind a watchdog: every batch is accepted
+/// whole, the producer's own drains leave at most one queue's worth for
+/// the owner, the books balance, and the positions delivered are
+/// bit-identical to a standalone tracker's.
+#[test]
+fn manual_mode_producer_drains_its_own_overflow() {
+    let epc = Epc::from_index(1);
+    let streams = BTreeMap::from([(epc, one_tag_stream(7, 3.0))]);
+    let want = standalone_positions(&streams).remove(&epc).expect("reference").0;
+    assert!(!want.is_empty(), "the stream must track");
+    let reads = streams[&epc].clone();
+    let total = reads.len() as u64;
+
+    let service = TrackingService::start(manual_cfg(8));
+    let client = service.client();
+    let events = client.subscribe(epc).unwrap();
+    let (tx, rx) = mpsc::channel();
+    let producer = std::thread::spawn(move || {
+        for chunk in reads.chunks(20) {
+            let receipt = client.ingest(epc, chunk).expect("ingest");
+            if tx.send((chunk.len() as u64, receipt)).is_err() {
+                return;
+            }
+        }
+    });
+    // The watchdog turns a producer that never returns into a failure.
+    for batch in 0..streams[&epc].chunks(20).len() {
+        let (sent, receipt) = match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(got) => got,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("batch {batch}: an ingest into a full queue never returned")
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(producer.join().expect_err("the producer panicked"))
+            }
+        };
+        assert_eq!(receipt.accepted, sent, "batch {batch}: accepted whole");
+        assert_eq!(receipt.rejected, 0, "batch {batch}: rejected");
+    }
+    producer.join().expect("producer");
+    let before = service.telemetry();
+    assert!(before.reads_processed + 8 >= total, "the producer drained its own overflow");
+
+    service.quiesce();
+    let r = service.telemetry();
+    assert_eq!(r.reads_ingested, total);
+    assert_eq!(r.reads_processed, total);
+    assert_eq!(r.reads_dropped + r.reads_rejected + r.reads_invalid, 0);
+    assert_eq!(r.reads_inline, 0, "manual mode applies nothing inline");
+    assert_eq!(r.sessions[0].queue_depth, 0);
+    assert_eq!(r.shards.iter().map(|s| s.reads_drained).sum::<u64>(), r.reads_processed);
+    let got: Vec<(f64, Point2)> = std::iter::from_fn(|| events.try_recv().ok())
+        .filter_map(|e| match e {
+            SessionEvent::Position { t, pos, .. } => Some((t, pos)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(got.len(), want.len(), "position count");
+    for ((gt, gp), (wt, wp)) in got.iter().zip(&want) {
+        assert_eq!(gt.to_bits(), wt.to_bits(), "tick time");
+        assert_eq!(bits(*gp), bits(*wp), "position bits");
+    }
+}
+
 #[test]
 fn idle_sessions_are_evicted_and_subscribers_notified() {
-    let mut cfg = manual_cfg(BackpressurePolicy::Block, 64);
+    let mut cfg = manual_cfg(64);
     cfg.idle_timeout = Duration::from_millis(30);
     let service = TrackingService::start(cfg);
     let client = service.client();
@@ -305,7 +308,7 @@ fn idle_sessions_are_evicted_and_subscribers_notified() {
 
 #[test]
 fn session_cap_refuses_new_tags_and_counts_them() {
-    let mut cfg = manual_cfg(BackpressurePolicy::Block, 64);
+    let mut cfg = manual_cfg(64);
     cfg.max_sessions = 2;
     let service = TrackingService::start(cfg);
     let client = service.client();
@@ -324,7 +327,7 @@ fn session_cap_refuses_new_tags_and_counts_them() {
 
 #[test]
 fn explicit_close_discards_the_queue_and_counts_it() {
-    let service = TrackingService::start(manual_cfg(BackpressurePolicy::Block, 64));
+    let service = TrackingService::start(manual_cfg(64));
     let client = service.client();
     let epc = Epc::from_index(1);
 
@@ -349,7 +352,7 @@ fn explicit_close_discards_the_queue_and_counts_it() {
 fn hot_tag_cannot_starve_other_sessions() {
     // One hot tag with a huge backlog, one trickle tag: after a single
     // pump round, the trickle tag must have been served too.
-    let mut cfg = manual_cfg(BackpressurePolicy::Block, 10_000);
+    let mut cfg = manual_cfg(10_000);
     cfg.drain_batch = 8;
     let service = TrackingService::start(cfg);
     let client = service.client();
@@ -392,7 +395,6 @@ fn closed_stays_last_when_the_close_lands_mid_drain() {
     let half = reads.len() / 2 + 1;
     let mut cfg = ServeConfig::new(template());
     cfg.workers = Some(Parallelism::Threads(1));
-    cfg.backpressure = BackpressurePolicy::Block;
     cfg.queue_capacity = half;
     cfg.drain_batch = half;
     let service = TrackingService::start(cfg);
@@ -428,7 +430,6 @@ struct StressOutcome {
     report: TelemetryReport,
     offered: u64,
     accepted: u64,
-    dropped: u64,
     positions: BTreeMap<Epc, Vec<(f64, Point2)>>,
 }
 
@@ -441,18 +442,12 @@ const STRESS_SESSIONS_PER_PRODUCER: usize = 16;
 /// own EPC. Each producer thread owns 16 sessions and feeds them batches
 /// of 1–5 reads, picking the session and the batch size from its own
 /// seeded generator. The 2-read queue means every batch of 3 or more
-/// overflows: under `Block` the producer sleeps in `LocalClient::ingest`
-/// until a worker drains, under `DropOldest` the oldest reads go.
-fn stress_run(
-    workers: usize,
-    policy: BackpressurePolicy,
-    streams: &[Vec<PhaseRead>],
-    seed: u64,
-) -> StressOutcome {
+/// overflows, and the producer sleeps in `LocalClient::ingest` until a
+/// worker drains.
+fn stress_run(workers: usize, streams: &[Vec<PhaseRead>], seed: u64) -> StressOutcome {
     let sessions = STRESS_PRODUCERS * STRESS_SESSIONS_PER_PRODUCER;
     let mut cfg = ServeConfig::new(template());
     cfg.workers = Some(Parallelism::Threads(workers));
-    cfg.backpressure = policy;
     cfg.queue_capacity = 2;
     cfg.drain_batch = 1;
     cfg.max_sessions = sessions;
@@ -477,12 +472,12 @@ fn stress_run(
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed * 16 + p as u64);
                 let mut next = vec![0usize; owned.len()];
-                let (mut offered, mut accepted, mut dropped) = (0u64, 0u64, 0u64);
+                let (mut offered, mut accepted) = (0u64, 0u64);
                 loop {
                     let open: Vec<usize> =
                         (0..owned.len()).filter(|&k| next[k] < owned[k].1.len()).collect();
                     if open.is_empty() {
-                        return (offered, accepted, dropped);
+                        return (offered, accepted);
                     }
                     let k = open[rng.gen_range(0..open.len())];
                     let (epc, reads) = &owned[k];
@@ -490,18 +485,16 @@ fn stress_run(
                     let receipt = client.ingest(*epc, &reads[next[k]..end]).expect("ingest");
                     offered += (end - next[k]) as u64;
                     accepted += receipt.accepted;
-                    dropped += receipt.dropped;
                     next[k] = end;
                 }
             })
         })
         .collect();
-    let (mut offered, mut accepted, mut dropped) = (0u64, 0u64, 0u64);
+    let (mut offered, mut accepted) = (0u64, 0u64);
     for producer in producers {
-        let (o, a, d) = producer.join().expect("producer");
+        let (o, a) = producer.join().expect("producer");
         offered += o;
         accepted += a;
-        dropped += d;
     }
     service.quiesce();
     let report = service.telemetry();
@@ -517,20 +510,20 @@ fn stress_run(
             (epc, got)
         })
         .collect();
-    StressOutcome { report, offered, accepted, dropped, positions }
+    StressOutcome { report, offered, accepted, positions }
 }
 
 /// The ready queue under contention: 4 producer threads × 16 sessions, a
 /// 2-read queue and 1-read drains, so sessions are re-queued, released
-/// and re-scheduled all the time. With 2 and with 4 workers, under
-/// `Block` and `DropOldest`:
+/// and re-scheduled all the time, and producers wait on full queues. With
+/// 2 and with 4 workers:
 /// - every run finishes before a deadline, so a lost wakeup fails the
 ///   test instead of hanging it;
-/// - the books balance exactly;
+/// - the books balance exactly and nothing is dropped or refused;
 /// - no tracker refuses a read, so no session was ever drained by two
 ///   workers at once (that would hand it reads out of order);
-/// - under `Block`, every session's positions are bit-identical to a
-///   standalone tracker's.
+/// - every session's positions are bit-identical to a standalone
+///   tracker's.
 #[test]
 fn ready_queue_stress_keeps_results_and_books_exact() {
     let base = eight_tag_streams(23, 2.0);
@@ -540,52 +533,44 @@ fn ready_queue_stress_keeps_results_and_books_exact() {
     assert!(expected.iter().filter(|p| !p.is_empty()).count() >= 6, "the streams must track");
 
     for workers in [2, 4] {
-        for policy in [BackpressurePolicy::Block, BackpressurePolicy::DropOldest] {
-            let label = format!("{workers} workers, {policy:?}");
-            let (tx, rx) = mpsc::channel();
-            let run_streams = streams.clone();
-            let run = std::thread::spawn(move || {
-                let _ = tx.send(stress_run(workers, policy, &run_streams, 41));
-            });
-            let out = match rx.recv_timeout(Duration::from_secs(300)) {
-                Ok(out) => out,
-                Err(RecvTimeoutError::Timeout) => {
-                    panic!("{label}: the run did not finish in 300 s; a wakeup was lost")
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    std::panic::resume_unwind(run.join().expect_err("the run panicked"))
-                }
-            };
-            run.join().expect("stress run");
-            let r = &out.report;
-            assert_eq!(r.reads_ingested, out.accepted, "{label}: ingested");
-            assert_eq!(r.reads_dropped, out.dropped, "{label}: dropped");
-            assert_eq!(r.reads_rejected, 0, "{label}: rejected");
-            assert_eq!(out.offered, out.accepted, "{label}: offered = accepted");
-            assert_eq!(r.reads_ingested, r.reads_processed + r.reads_dropped, "{label}");
-            assert_eq!(
-                r.shards.iter().map(|s| s.reads_drained).sum::<u64>(),
-                r.reads_processed,
-                "{label}: shard conservation"
-            );
-            for s in &r.sessions {
-                assert_eq!(s.queue_depth, 0, "{label}: {} drained", s.epc);
-                assert_eq!(s.reads_ingested, s.reads_processed + s.reads_dropped, "{label}");
+        let label = format!("{workers} workers");
+        let (tx, rx) = mpsc::channel();
+        let run_streams = streams.clone();
+        let run = std::thread::spawn(move || {
+            let _ = tx.send(stress_run(workers, &run_streams, 41));
+        });
+        let out = match rx.recv_timeout(Duration::from_secs(300)) {
+            Ok(out) => out,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("{label}: the run did not finish in 300 s; a wakeup was lost")
             }
-            assert_eq!(r.reads_invalid, 0, "{label}: a session's reads were reordered");
-            match policy {
-                BackpressurePolicy::Block => {
-                    assert_eq!(r.reads_dropped, 0, "{label}: Block is lossless");
-                    for (i, (epc, got)) in out.positions.iter().enumerate() {
-                        let want = expected[i % expected.len()];
-                        assert_eq!(got.len(), want.len(), "{label}: {epc}: position count");
-                        for ((gt, gp), (wt, wp)) in got.iter().zip(want.iter()) {
-                            assert_eq!(gt.to_bits(), wt.to_bits(), "{label}: {epc}: tick time");
-                            assert_eq!(bits(*gp), bits(*wp), "{label}: {epc}: position bits");
-                        }
-                    }
-                }
-                _ => assert!(r.reads_dropped > 0, "{label}: overflowing batches must drop"),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(run.join().expect_err("the run panicked"))
+            }
+        };
+        run.join().expect("stress run");
+        let r = &out.report;
+        assert_eq!(r.reads_ingested, out.accepted, "{label}: ingested");
+        assert_eq!(r.reads_dropped, 0, "{label}: dropped");
+        assert_eq!(r.reads_rejected, 0, "{label}: rejected");
+        assert_eq!(out.offered, out.accepted, "{label}: offered = accepted");
+        assert_eq!(r.reads_ingested, r.reads_processed + r.reads_dropped, "{label}");
+        assert_eq!(
+            r.shards.iter().map(|s| s.reads_drained).sum::<u64>(),
+            r.reads_processed,
+            "{label}: shard conservation"
+        );
+        for s in &r.sessions {
+            assert_eq!(s.queue_depth, 0, "{label}: {} drained", s.epc);
+            assert_eq!(s.reads_ingested, s.reads_processed + s.reads_dropped, "{label}");
+        }
+        assert_eq!(r.reads_invalid, 0, "{label}: a session's reads were reordered");
+        for (i, (epc, got)) in out.positions.iter().enumerate() {
+            let want = expected[i % expected.len()];
+            assert_eq!(got.len(), want.len(), "{label}: {epc}: position count");
+            for ((gt, gp), (wt, wp)) in got.iter().zip(want.iter()) {
+                assert_eq!(gt.to_bits(), wt.to_bits(), "{label}: {epc}: tick time");
+                assert_eq!(bits(*gp), bits(*wp), "{label}: {epc}: position bits");
             }
         }
     }

@@ -11,9 +11,7 @@ use rfidraw_core::stream::PhaseRead;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::{self, Envelope, Message};
-use rfidraw_serve::{
-    BackpressurePolicy, ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
-};
+use rfidraw_serve::{ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient};
 use std::collections::BTreeMap;
 use std::io::Write;
 
@@ -78,7 +76,6 @@ fn eight_sessions_over_tcp_match_standalone_trackers_bit_for_bit() {
 
     let mut cfg = ServeConfig::new(template());
     cfg.workers = Some(Parallelism::Threads(4));
-    cfg.backpressure = BackpressurePolicy::Block;
     let service = TrackingService::start(cfg);
     let server = serve(&service);
     let addr = server.local_addr();

@@ -3,8 +3,8 @@
 //! worker counts — each session tracker's core events must reach the
 //! service recorder under the session's id, with every stale reset and
 //! degradation the telemetry counts recorded as exactly one anomaly, and
-//! the flight recorder must capture backpressure anomalies and ship them
-//! (plus the Prometheus exposition) over loopback TCP.
+//! the flight recorder must capture ingest refusals and ship them (plus
+//! the Prometheus exposition) over loopback TCP.
 
 use rfidraw_channel::{Channel, Scenario};
 use rfidraw_core::array::{AntennaId, Deployment};
@@ -14,10 +14,11 @@ use rfidraw_core::stream::PhaseRead;
 use rfidraw_metrics::TraceSettings;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
-use rfidraw_serve::{
-    BackpressurePolicy, ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient,
-};
+use rfidraw_serve::wire::{IngestAck, IngestBatch, Message};
+use rfidraw_serve::{ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient};
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 fn template() -> TrackerTemplate {
     TrackerTemplate::paper_default(Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7)))
@@ -58,7 +59,6 @@ fn service_trajectories(
 ) -> BTreeMap<Epc, Vec<(u64, u64)>> {
     let mut cfg = ServeConfig::new(template());
     cfg.workers = workers;
-    cfg.backpressure = BackpressurePolicy::Block;
     cfg.queue_capacity = 100_000; // Block never engages in manual mode
     cfg.observability = observability;
     let service = TrackingService::start(cfg);
@@ -226,28 +226,55 @@ fn synth_reads(n: usize, t0: f64) -> Vec<PhaseRead> {
         .collect()
 }
 
-/// A backpressure rejection is an anomaly: it must leave a retained
-/// flight-recorder dump whose trigger names the stage and loss count.
-#[test]
-fn backpressure_rejection_triggers_a_flight_recorder_dump() {
+/// A manual-pump service with an 8-read queue and a recorder, behind the
+/// reactor: a 20-read wire ingest admits 8 reads and parks its connection
+/// with 12 stashed, then the session closes mid-park, so the retry
+/// rejects the stash and the held ack arrives. Returns the service, the
+/// server, the producer's connection and that ack.
+fn reject_a_parked_stash(epc: Epc) -> (TrackingService, ReactorServer, WireClient, IngestAck) {
     let mut cfg = ServeConfig::new(template());
     cfg.workers = None;
-    cfg.backpressure = BackpressurePolicy::Reject;
     cfg.queue_capacity = 8;
     cfg.observability = Some(TraceSettings::default());
     let service = TrackingService::start(cfg);
+    let server =
+        ReactorServer::bind("127.0.0.1:0", service.client(), rfidraw_net::ReactorConfig::default())
+            .expect("bind loopback");
+    let mut conn = WireClient::connect(server.local_addr()).expect("connect");
+    conn.send(&Message::Ingest(IngestBatch { epc, reads: synth_reads(20, 0.0) }))
+        .expect("send the batch");
+    let stats = server.stats();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while stats.parked.load(Ordering::Relaxed) == 0 {
+        assert!(Instant::now() < deadline, "the connection must park first");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(service.client().close_session(epc));
+    conn.stream_mut().set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let ack = match conn.recv().expect("held ack") {
+        Some(Message::IngestAck(ack)) => ack,
+        other => panic!("expected the held IngestAck, got {other:?}"),
+    };
+    (service, server, conn, ack)
+}
+
+/// A refusal at the ingest boundary is an anomaly: the stash rejected
+/// against a closed session must leave one retained flight-recorder dump
+/// whose trigger names the stage and the refused count.
+#[test]
+fn backpressure_rejection_triggers_a_flight_recorder_dump() {
+    let (service, _server, _conn, ack) = reject_a_parked_stash(Epc::from_index(1));
+    assert_eq!(ack.accepted, 8, "the admitted prefix was acked");
+    assert_eq!(ack.rejected, 12, "the stash was rejected against the closed session");
+    assert_eq!(service.telemetry().parked_rejected, 12);
+
     let client = service.client();
-    let epc = Epc::from_index(1);
-
-    let receipt = client.ingest(epc, &synth_reads(20, 0.0)).unwrap();
-    assert_eq!(receipt.rejected, 12);
-
     let dumps = client.trace_dumps();
-    assert_eq!(dumps.len(), 1, "one ingest call with losses → one dump");
+    assert_eq!(dumps.len(), 1, "one refusal → one dump");
     let trigger = dumps[0].trigger.as_ref().expect("anomaly-triggered dump");
     assert_eq!(trigger.stage, "ingest_reject");
     assert_eq!(trigger.kind, "anomaly");
-    assert_eq!(trigger.a, 12.0, "trigger carries the loss count");
+    assert_eq!(trigger.a, 12.0, "trigger carries the refused count");
     // The dump's event window contains its own trigger.
     assert!(
         dumps[0].events.iter().any(|e| e.seq == trigger.seq),
@@ -256,40 +283,18 @@ fn backpressure_rejection_triggers_a_flight_recorder_dump() {
 
     let rec = client.trace_recorder().unwrap();
     assert_eq!(rec.anomaly_count(), 1);
-
-    // DropOldest losses dump too, under their own stage.
-    let mut cfg = ServeConfig::new(template());
-    cfg.workers = None;
-    cfg.backpressure = BackpressurePolicy::DropOldest;
-    cfg.queue_capacity = 8;
-    cfg.observability = Some(TraceSettings::default());
-    let service = TrackingService::start(cfg);
-    let client = service.client();
-    client.ingest(epc, &synth_reads(20, 0.0)).unwrap();
-    let dumps = client.trace_dumps();
-    assert_eq!(dumps.len(), 1);
-    assert_eq!(dumps[0].trigger.as_ref().unwrap().stage, "ingest_drop");
 }
 
-/// Satellite 3: the TraceDump round-trips over loopback TCP, alongside
-/// the Prometheus exposition, and clearing works.
+/// The TraceDump round-trips over loopback TCP, alongside the Prometheus
+/// exposition, and clearing works.
 #[test]
 fn trace_dumps_and_metrics_round_trip_over_tcp() {
-    let mut cfg = ServeConfig::new(template());
-    cfg.workers = None;
-    cfg.backpressure = BackpressurePolicy::Reject;
-    cfg.queue_capacity = 8;
-    cfg.observability = Some(TraceSettings::default());
-    let service = TrackingService::start(cfg);
-    let server =
-        ReactorServer::bind("127.0.0.1:0", service.client(), rfidraw_net::ReactorConfig::default())
-            .expect("bind loopback");
-    let mut client = WireClient::connect(server.local_addr()).expect("connect");
-
     let epc = Epc::from_index(42);
-    let ack = client.ingest(epc, &synth_reads(20, 0.0)).expect("wire ingest");
+    let (service, _server, mut client, ack) = reject_a_parked_stash(epc);
     assert_eq!(ack.rejected, 12);
-    // Drain the accepted reads so queue-wait/compute spans exist.
+    assert_eq!(client.telemetry().expect("telemetry over tcp").parked_rejected, 12);
+    // Drain a fresh session's reads so queue-wait/compute spans exist.
+    assert_eq!(client.ingest(epc, &synth_reads(4, 1.0)).expect("wire ingest").accepted, 4);
     while service.pump() > 0 {}
 
     // Prometheus exposition over the wire sees the rejection counters.

@@ -16,7 +16,7 @@
 //! from the pipeline trace recorder — then injects a stale-gap anomaly
 //! (a tag that goes silent mid-word for longer than the tracker's
 //! `max_read_gap`) and shows the flight-recorder dump it leaves behind.
-//! It **exits nonzero if the lossless (`Block`) happy path dropped or
+//! It **exits nonzero if the lossless ingest path dropped or
 //! rejected a single read, or if the injected anomaly fails to produce a
 //! dump** — CI runs it as a regression gate.
 
@@ -30,7 +30,7 @@ use rfidraw::channel::{Channel, Scenario};
 use rfidraw::core::array::Deployment;
 use rfidraw::protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw::protocol::Epc;
-use rfidraw::serve::{BackpressurePolicy, ServeConfig, SessionEvent, TrackerTemplate, TrackingService};
+use rfidraw::serve::{ServeConfig, SessionEvent, TrackerTemplate, TrackingService};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -92,10 +92,9 @@ fn main() {
         streams.len()
     );
 
-    // The service: lossless backpressure, auto worker pool, and the
+    // The service: lossless admission, auto worker pool, and the
     // pipeline trace recorder (queue-wait/compute spans, flight recorder).
     let mut cfg = ServeConfig::new(TrackerTemplate::paper_default(region));
-    cfg.backpressure = BackpressurePolicy::Block;
     cfg.workers = Some(Parallelism::Auto);
     cfg.observability = Some(rfidraw::metrics::TraceSettings::default());
     let service = TrackingService::start(cfg);

@@ -197,11 +197,13 @@ cargo test --release --offline -q -p rfidraw-serve --test backpressure_parking \
 echo "== tier 2: event-driven serving =="
 # The ready queue and pushed updates (DESIGN.md §7, §13), by name: the
 # seeded ready-queue stress run (64 sessions, 2-read queues, 1-read
-# drains, 2 and 4 workers, Block and DropOldest) must finish before its
-# watchdog deadline with exact books and bit-identical Block results;
-# `Closed` must stay a subscriber's last event when the close lands
-# mid-drain; and a finished update must reach a reactor subscriber with
-# no further traffic, on a reactor wakeup. Quiet reads applied inline by
+# drains, 2 and 4 workers, lossless `Block` admission only) must finish
+# before its watchdog deadline with exact books and bit-identical
+# results; with no workers, a producer that overflows its queue must
+# drain it itself and return, with exact books and bit-identical
+# positions; `Closed` must stay a subscriber's last event when the close
+# lands mid-drain; and a finished update must reach a reactor subscriber
+# with no further traffic, on a reactor wakeup. Quiet reads applied inline by
 # the thread that schedules their session: one-read ingests over 8
 # sessions must stay bit-identical with exact shard books and mostly
 # inline under workers, and never inline under manual pumping; a quiet
@@ -209,6 +211,8 @@ echo "== tier 2: event-driven serving =="
 # session runnable.
 cargo test --release --offline -q -p rfidraw-serve --test service_local \
     ready_queue_stress_keeps_results_and_books_exact
+cargo test --release --offline -q -p rfidraw-serve --test service_local \
+    manual_mode_producer_drains_its_own_overflow
 cargo test --release --offline -q -p rfidraw-serve --test service_local \
     closed_stays_last_when_the_close_lands_mid_drain
 cargo test --release --offline -q -p rfidraw-serve --test reactor_service \
