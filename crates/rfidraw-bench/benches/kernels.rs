@@ -396,8 +396,7 @@ fn bench_serve_block_one_slow_session(c: &mut Criterion) {
 }
 
 /// The cost of a live trace recorder on the serial 1 cm vote-engine
-/// evaluation: `engine_1cm_trace_recorder` keeps every event and
-/// `engine_1cm_trace_sampled_64` keeps 1 in 64. Compare them with
+/// evaluation: compare `engine_1cm_trace_recorder` with
 /// `engine_1cm_serial`, the same evaluation with no sink installed, where
 /// each emit site costs one branch.
 fn bench_trace_recorder(c: &mut Criterion) {
@@ -409,23 +408,15 @@ fn bench_trace_recorder(c: &mut Criterion) {
     let plane = Plane::at_depth(2.0);
     let tag = plane.lift(Point2::new(1.2, 0.9));
     let ms = ideal_measurements(&dep, dep.all_pairs(), tag);
-    let grid = Grid2::new(region(), 0.01);
-    for (name, sample_every) in
-        [("engine_1cm_trace_recorder", 1u32), ("engine_1cm_trace_sampled_64", 64)]
-    {
-        let rec = Arc::new(TraceRecorder::new(TraceSettings {
-            sample_every,
-            ..TraceSettings::default()
-        }));
-        let sink: SharedSink = Arc::clone(&rec) as _;
-        let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone());
-        engine.set_trace_sink(Some(sink), 1);
-        engine.build_table();
-        c.bench_function(name, |b| {
-            b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
-        });
-        black_box(rec.events_seen());
-    }
+    let rec = Arc::new(TraceRecorder::new(TraceSettings::default()));
+    let sink: SharedSink = Arc::clone(&rec) as _;
+    let mut engine = VoteEngine::for_deployment(&dep, plane, Grid2::new(region(), 0.01));
+    engine.set_trace_sink(Some(sink), 1);
+    engine.build_table();
+    c.bench_function("engine_1cm_trace_recorder", |b| {
+        b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
+    });
+    black_box(rec.events_recorded());
 }
 
 fn bench_recognizer(c: &mut Criterion) {

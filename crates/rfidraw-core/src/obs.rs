@@ -32,9 +32,10 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Pipeline stage an event belongs to. Stored as a dense `u16` so a
-/// lock-free ring buffer can hold it in an atomic word; use
-/// [`Stage::as_str`] for the human/exposition name.
+/// Pipeline stage an event belongs to. The discriminants run densely from
+/// 0 in declaration order (see [`ALL_STAGES`]), so a consumer can index
+/// per-stage state by `stage as usize`; use [`Stage::as_str`] for the
+/// human/exposition name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u16)]
 pub enum Stage {
@@ -137,11 +138,6 @@ impl Stage {
             Stage::Degraded => "degraded",
         }
     }
-
-    /// Inverse of `self as u16`, for decoding ring-buffer slots.
-    pub fn from_u16(v: u16) -> Option<Stage> {
-        ALL_STAGES.iter().copied().find(|&s| s as u16 == v)
-    }
 }
 
 /// What kind of observation an event is.
@@ -153,7 +149,6 @@ pub enum TraceKind {
     /// A point observation with stage-specific payload in `a`/`b`.
     Instant,
     /// Something went wrong enough to be worth a flight-recorder dump.
-    /// Anomalies bypass sampling in the recorder.
     Anomaly,
 }
 
@@ -166,17 +161,10 @@ impl TraceKind {
             TraceKind::Anomaly => "anomaly",
         }
     }
-
-    /// Inverse of `self as u16`.
-    pub fn from_u16(v: u16) -> Option<TraceKind> {
-        [TraceKind::Span, TraceKind::Instant, TraceKind::Anomaly]
-            .into_iter()
-            .find(|&k| k as u16 == v)
-    }
 }
 
-/// One observation. Fixed-size and `Copy` so a lock-free ring can store it
-/// as a handful of atomic words.
+/// One observation. Fixed-size and `Copy`, so recording one allocates
+/// nothing and a recorder's ring stores it by value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Monotonic timestamp (µs since [`now_us`]'s process epoch).
@@ -194,12 +182,14 @@ pub struct TraceEvent {
     pub b: f64,
 }
 
-/// Consumer of trace events. Implementations must be cheap and wait-free on
-/// the caller's path — the hot loops call [`TraceSink::record`] inline.
+/// Consumer of trace events. Implementations must be cheap on the caller's
+/// path — the hot loops call [`TraceSink::record`] inline — so they hold
+/// any lock only to store the event, never across I/O.
 /// (`Debug` is required so instrumented pipeline structs can keep deriving
 /// `Debug` while holding a sink.)
 pub trait TraceSink: Send + Sync + std::fmt::Debug {
-    /// Accept one event. May drop it (sampling, ring overwrite).
+    /// Accept one event. A bounded recorder may drop its oldest event to
+    /// make room.
     fn record(&self, event: TraceEvent);
 }
 
@@ -276,13 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn stage_u16_round_trips() {
-        for &s in &ALL_STAGES {
-            assert_eq!(Stage::from_u16(s as u16), Some(s), "{}", s.as_str());
-        }
-        assert_eq!(Stage::from_u16(u16::MAX), None);
-        for k in [TraceKind::Span, TraceKind::Instant, TraceKind::Anomaly] {
-            assert_eq!(TraceKind::from_u16(k as u16), Some(k));
+    fn all_stages_are_in_discriminant_order() {
+        // Per-stage histograms are indexed by `stage as usize`.
+        for (i, &s) in ALL_STAGES.iter().enumerate() {
+            assert_eq!(s as usize, i, "{}", s.as_str());
         }
     }
 

@@ -13,10 +13,10 @@
 //! * [`runtime`] — service telemetry: lock-free counters and fixed-bucket
 //!   latency histograms with serializable snapshots (used by
 //!   `rfidraw-serve`).
-//! * [`trace`] — the pipeline trace recorder: a lock-free ring buffer of
-//!   `rfidraw-core` trace events, per-stage latency histograms, and an
-//!   anomaly-triggered flight recorder producing serializable
-//!   [`TraceDump`]s.
+//! * [`trace`] — the pipeline trace recorder: a bounded ring of
+//!   `rfidraw-core` trace events behind one lock, per-stage latency
+//!   histograms, and an anomaly-triggered flight recorder producing
+//!   serializable [`TraceDump`]s.
 //! * [`exposition`] — Prometheus text-format rendering of counters and
 //!   histograms.
 

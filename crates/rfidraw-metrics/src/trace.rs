@@ -1,49 +1,35 @@
-//! Lock-free trace recorder and flight recorder.
+//! Trace recorder and flight recorder.
 //!
-//! Implements `rfidraw-core`'s [`TraceSink`] over a bounded, lock-free ring
-//! buffer: the pipeline's instrumented hot paths publish [`TraceEvent`]s
-//! (spans, instants, anomalies) and this module keeps the most recent ones,
-//! cheaply, from any number of threads.
+//! Implements `rfidraw-core`'s [`TraceSink`] over a bounded ring of the
+//! most recent [`TraceEvent`]s behind one lock: the pipeline's
+//! instrumented paths publish events (spans, instants, anomalies) from any
+//! number of threads, and the ring keeps the newest `capacity` of them,
+//! each numbered by its global write order (`seq`).
 //!
 //! Three consumers sit on top of the ring:
 //!
 //! * **Flight recorder** — whenever an *anomaly* event arrives (stale
-//!   reset, dropped/rejected reads, a vote-mass flip between candidate
-//!   trajectories), the recorder snapshots the last `dump_len` events into
-//!   a serializable [`TraceDump`], so the events *leading up to* a failure
-//!   are diagnosable after the fact. Anomalies bypass sampling.
-//! * **Per-stage latency histograms** — span durations are folded into one
-//!   [`LatencyHistogram`] per [`Stage`], feeding `TelemetryReport` and the
-//!   Prometheus exposition.
-//! * **Live snapshots** — [`TraceRecorder::snapshot`] reads the ring at any
-//!   time without stopping writers.
+//!   reset, refused or invalid reads, a vote-mass flip between candidate
+//!   trajectories), the recorder copies the last `dump_len` events into a
+//!   serializable [`TraceDump`], so the events *leading up to* a failure
+//!   are diagnosable after the fact. The trigger is appended and its
+//!   window copied under the same lock, so a dump holds exactly the
+//!   `dump_len` events that end at its trigger, with consecutive `seq`,
+//!   whatever other writers do meanwhile.
+//! * **Per-stage latency histograms** — every span's duration is folded
+//!   into one [`LatencyHistogram`] per [`Stage`], feeding
+//!   `TelemetryReport` and the Prometheus exposition.
+//! * **Live snapshots** — [`TraceRecorder::snapshot`] and
+//!   [`TraceRecorder::recent`] copy the ring's newest events at any time.
 //!
-//! ## Ring design (no `unsafe`)
-//!
-//! The crate forbids `unsafe`, so the ring cannot be the textbook
-//! `UnsafeCell` seqlock. Instead every slot is a handful of relaxed atomic
-//! words plus a per-slot *ticket* (`2·n+1` while slot `n mod capacity` is
-//! being written, `2·n+2` once complete). Writers claim write numbers with
-//! one `fetch_add` on the head counter, then wait (briefly, and only when
-//! lapped by the entire ring mid-write — never in the common case) for the
-//! slot's previous write to finish before publishing, so two writers never
-//! interleave field stores in one slot. Readers never wait: they discard
-//! slots whose ticket changed mid-read or is odd (torn). The ticket
-//! re-check rejects exactly the overwrite-during-read case. `f64` payloads
-//! travel as
-//! `to_bits`/`from_bits`, and [`Stage`]/`TraceKind` as their `u16`
-//! discriminants, so each field fits an `AtomicU64`.
-//!
-//! Sampling keeps 1-in-`sample_every` non-anomaly events (a runtime knob,
-//! adjustable while running). Sampling and tracing never affect computed
-//! positions — the recorder only observes.
+//! The recorder only observes: it never affects computed positions.
 
 use crate::runtime::{HistogramSnapshot, LatencyHistogram};
 use rfidraw_core::obs::{Stage, TraceEvent, TraceKind, TraceSink, ALL_STAGES};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Recorder configuration. Serializable so a service config can carry it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,45 +38,13 @@ pub struct TraceSettings {
     pub capacity: usize,
     /// Events captured per flight-recorder dump (the "last N").
     pub dump_len: usize,
-    /// Keep 1 in this many non-anomaly events (1 = keep everything,
-    /// 0 = drop everything except anomalies). Runtime-adjustable via
-    /// [`TraceRecorder::set_sample_every`].
-    pub sample_every: u32,
     /// Retained flight-recorder dumps; older dumps are discarded.
     pub max_dumps: usize,
 }
 
 impl Default for TraceSettings {
     fn default() -> Self {
-        Self { capacity: 4096, dump_len: 256, sample_every: 1, max_dumps: 8 }
-    }
-}
-
-/// One ring slot: a ticket plus the event fields, all independently atomic.
-/// See the module docs for the torn-read protocol.
-#[derive(Debug)]
-struct Slot {
-    /// `0` = never written; odd = write in progress; even = ticket of the
-    /// completed write (`2·n+2` for global write number `n`).
-    ticket: AtomicU64,
-    t_us: AtomicU64,
-    session: AtomicU64,
-    /// `stage as u16` in the high half-word, `kind as u16` in the low.
-    stage_kind: AtomicU64,
-    a_bits: AtomicU64,
-    b_bits: AtomicU64,
-}
-
-impl Slot {
-    fn empty() -> Self {
-        Self {
-            ticket: AtomicU64::new(0),
-            t_us: AtomicU64::new(0),
-            session: AtomicU64::new(0),
-            stage_kind: AtomicU64::new(0),
-            a_bits: AtomicU64::new(0),
-            b_bits: AtomicU64::new(0),
-        }
+        Self { capacity: 4096, dump_len: 256, max_dumps: 8 }
     }
 }
 
@@ -153,24 +107,33 @@ pub struct StageLatency {
     pub histogram: HistogramSnapshot,
 }
 
-/// The lock-free trace/flight recorder. Install it on the pipeline as a
+/// Ring events with their `seq`, oldest first.
+type Ring = VecDeque<(u64, TraceEvent)>;
+
+/// A copy of the newest `limit` events of `ring`, oldest first. Callers
+/// hold the ring's lock only for this copy, not for [`records`].
+fn tail(ring: &Ring, limit: usize) -> Vec<(u64, TraceEvent)> {
+    ring.range(ring.len().saturating_sub(limit)..).copied().collect()
+}
+
+/// Ring events in serializable form.
+fn records(events: Vec<(u64, TraceEvent)>) -> Vec<TraceEventRecord> {
+    events.into_iter().map(|(seq, ev)| TraceEventRecord::from_event(seq, ev)).collect()
+}
+
+/// The trace/flight recorder. Install it on the pipeline as a
 /// [`TraceSink`] (it is `Send + Sync`; share it with `Arc`).
 #[derive(Debug)]
 pub struct TraceRecorder {
-    slots: Vec<Slot>,
-    /// Total accepted writes (ticket source).
-    head: AtomicU64,
-    /// Events offered, before sampling.
-    seen: AtomicU64,
-    /// Non-anomaly events discarded by sampling.
-    sampled_out: AtomicU64,
+    /// The newest `capacity` events. Its newest `seq` plus one is the
+    /// number of events written.
+    ring: Mutex<Ring>,
+    capacity: usize,
     /// Anomaly events observed (each produced a dump, subject to capacity).
     anomalies: AtomicU64,
-    sample_every: AtomicU32,
-    /// Span-duration histograms, indexed by `Stage as u16`.
+    /// Span-duration histograms, indexed by `Stage as usize`.
     stage_hist: Vec<LatencyHistogram>,
-    /// Flight-recorder dumps, newest last. Locked only on the anomaly path
-    /// and on reads — never on the per-event hot path.
+    /// Flight-recorder dumps, oldest first.
     dumps: Mutex<VecDeque<TraceDump>>,
     dump_len: usize,
     max_dumps: usize,
@@ -180,15 +143,10 @@ impl TraceRecorder {
     /// Creates a recorder with the given settings.
     pub fn new(settings: TraceSettings) -> Self {
         let capacity = settings.capacity.max(settings.dump_len).max(16);
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, Slot::empty);
         Self {
-            slots,
-            head: AtomicU64::new(0),
-            seen: AtomicU64::new(0),
-            sampled_out: AtomicU64::new(0),
+            ring: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
             anomalies: AtomicU64::new(0),
-            sample_every: AtomicU32::new(settings.sample_every),
             stage_hist: ALL_STAGES
                 .iter()
                 .map(|_| LatencyHistogram::default_bounds())
@@ -199,35 +157,22 @@ impl TraceRecorder {
         }
     }
 
+    fn lock_ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().expect("trace ring poisoned")
+    }
+
+    fn lock_dumps(&self) -> MutexGuard<'_, VecDeque<TraceDump>> {
+        self.dumps.lock().expect("dump store poisoned")
+    }
+
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Current sampling divisor (see [`TraceSettings::sample_every`]).
-    pub fn sample_every(&self) -> u32 {
-        self.sample_every.load(Ordering::Relaxed)
-    }
-
-    /// Changes the sampling divisor at runtime. `1` keeps everything; `0`
-    /// keeps only anomalies. Takes effect for subsequent events.
-    pub fn set_sample_every(&self, n: u32) {
-        self.sample_every.store(n, Ordering::Relaxed);
-    }
-
-    /// Events offered to the recorder (before sampling).
-    pub fn events_seen(&self) -> u64 {
-        self.seen.load(Ordering::Relaxed)
+        self.capacity
     }
 
     /// Events written into the ring.
     pub fn events_recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Non-anomaly events discarded by sampling.
-    pub fn events_sampled_out(&self) -> u64 {
-        self.sampled_out.load(Ordering::Relaxed)
+        self.lock_ring().back().map_or(0, |&(seq, _)| seq + 1)
     }
 
     /// Anomaly events observed so far.
@@ -238,102 +183,37 @@ impl TraceRecorder {
     /// Accepts one event: the `TraceSink` entry point, exposed for
     /// components that hold the concrete recorder.
     pub fn offer(&self, event: TraceEvent) {
-        let nth = self.seen.fetch_add(1, Ordering::Relaxed);
-        if event.kind != TraceKind::Anomaly {
-            let every = self.sample_every.load(Ordering::Relaxed);
-            if every == 0 || (every > 1 && nth % u64::from(every) != 0) {
-                self.sampled_out.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
         if event.kind == TraceKind::Span {
-            let idx = event.stage as usize;
-            if let Some(h) = self.stage_hist.get(idx) {
-                h.observe_us(event.a.max(0.0) as u64);
-            }
+            self.stage_hist[event.stage as usize].observe_us(event.a.max(0.0) as u64);
         }
-        let n = self.head.fetch_add(1, Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let slot = &self.slots[(n % cap) as usize];
-        // Wait for the slot's previous occupant (write n − capacity) to
-        // finish, so field stores from two writers never interleave. Only
-        // contended when a writer stalls long enough for the whole ring to
-        // lap it.
-        let expected = if n >= cap { 2 * (n - cap) + 2 } else { 0 };
-        while slot.ticket.load(Ordering::Acquire) != expected {
-            std::hint::spin_loop();
+        let mut ring = self.lock_ring();
+        let seq = ring.back().map_or(0, |&(seq, _)| seq + 1);
+        if ring.len() == self.capacity {
+            ring.pop_front();
         }
-        // Odd ticket: write in progress. Readers started before this point
-        // re-check the ticket and discard the slot.
-        slot.ticket.store(2 * n + 1, Ordering::Release);
-        slot.t_us.store(event.t_us, Ordering::Relaxed);
-        slot.session.store(event.session, Ordering::Relaxed);
-        slot.stage_kind.store(
-            (u64::from(event.stage as u16) << 16) | u64::from(event.kind as u16),
-            Ordering::Relaxed,
-        );
-        slot.a_bits.store(event.a.to_bits(), Ordering::Relaxed);
-        slot.b_bits.store(event.b.to_bits(), Ordering::Relaxed);
-        slot.ticket.store(2 * n + 2, Ordering::Release);
-
-        if event.kind == TraceKind::Anomaly {
-            self.anomalies.fetch_add(1, Ordering::Relaxed);
-            let dump = TraceDump {
-                trigger: Some(TraceEventRecord::from_event(n, event)),
-                events: self.recent(self.dump_len),
-            };
-            let mut dumps = self.dumps.lock().expect("dump store poisoned");
-            if dumps.len() == self.max_dumps {
-                dumps.pop_front();
-            }
-            dumps.push_back(dump);
+        ring.push_back((seq, event));
+        if event.kind != TraceKind::Anomaly {
+            return;
         }
+        self.anomalies.fetch_add(1, Ordering::Relaxed);
+        let window = tail(&ring, self.dump_len);
+        // Take the dump store before letting the next writer in, so dumps
+        // are stored in the order of their triggers.
+        let mut dumps = self.lock_dumps();
+        drop(ring);
+        if dumps.len() == self.max_dumps {
+            dumps.pop_front();
+        }
+        dumps.push_back(TraceDump {
+            trigger: Some(TraceEventRecord::from_event(seq, event)),
+            events: records(window),
+        });
     }
 
-    /// The most recent `limit` consistently-read ring events, oldest first.
-    ///
-    /// Never blocks writers; slots being overwritten while the read is in
-    /// flight are simply skipped (their events are either newer — caught on
-    /// a re-read — or already gone).
+    /// The most recent `limit` ring events, oldest first.
     pub fn recent(&self, limit: usize) -> Vec<TraceEventRecord> {
-        let mut out: Vec<TraceEventRecord> = Vec::with_capacity(self.slots.len().min(limit));
-        for slot in &self.slots {
-            let before = slot.ticket.load(Ordering::Acquire);
-            if before == 0 || before % 2 == 1 {
-                continue; // never written, or write in flight
-            }
-            let t_us = slot.t_us.load(Ordering::Relaxed);
-            let session = slot.session.load(Ordering::Relaxed);
-            let stage_kind = slot.stage_kind.load(Ordering::Relaxed);
-            let a_bits = slot.a_bits.load(Ordering::Relaxed);
-            let b_bits = slot.b_bits.load(Ordering::Relaxed);
-            if slot.ticket.load(Ordering::Acquire) != before {
-                continue; // torn: overwritten while reading
-            }
-            let (stage, kind) = match (
-                Stage::from_u16((stage_kind >> 16) as u16),
-                TraceKind::from_u16((stage_kind & 0xFFFF) as u16),
-            ) {
-                (Some(s), Some(k)) => (s, k),
-                _ => continue, // torn beyond recognition
-            };
-            out.push(TraceEventRecord::from_event(
-                before / 2 - 1,
-                TraceEvent {
-                    t_us,
-                    session,
-                    stage,
-                    kind,
-                    a: f64::from_bits(a_bits),
-                    b: f64::from_bits(b_bits),
-                },
-            ));
-        }
-        out.sort_by_key(|e| e.seq);
-        if out.len() > limit {
-            out.drain(..out.len() - limit);
-        }
-        out
+        let events = tail(&self.lock_ring(), limit);
+        records(events)
     }
 
     /// An on-demand dump of the last `dump_len` events (no trigger).
@@ -343,17 +223,19 @@ impl TraceRecorder {
 
     /// All retained flight-recorder dumps, oldest first.
     pub fn dumps(&self) -> Vec<TraceDump> {
-        self.dumps.lock().expect("dump store poisoned").iter().cloned().collect()
+        self.lock_dumps().iter().cloned().collect()
     }
 
     /// The most recent flight-recorder dump, if any anomaly has fired.
     pub fn last_dump(&self) -> Option<TraceDump> {
-        self.dumps.lock().expect("dump store poisoned").back().cloned()
+        self.lock_dumps().back().cloned()
     }
 
-    /// Discards all retained dumps (e.g. after shipping them).
-    pub fn clear_dumps(&self) {
-        self.dumps.lock().expect("dump store poisoned").clear();
+    /// Takes all retained dumps, oldest first, and leaves the store empty
+    /// (e.g. to ship them). One lock covers both, so a dump stored
+    /// meanwhile is either taken or retained, never lost.
+    pub fn take_dumps(&self) -> Vec<TraceDump> {
+        std::mem::take(&mut *self.lock_dumps()).into()
     }
 
     /// Per-stage span-latency histograms, for stages that observed at least
@@ -447,32 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_keeps_one_in_n_but_all_anomalies() {
-        let rec = TraceRecorder::new(TraceSettings { sample_every: 4, ..Default::default() });
-        for _ in 0..100 {
-            rec.offer(ev(Stage::QueueWait, TraceKind::Span, 10.0));
-        }
-        for _ in 0..5 {
-            rec.offer(ev(Stage::StaleReset, TraceKind::Anomaly, 1.0));
-        }
-        assert_eq!(rec.events_seen(), 105);
-        assert_eq!(rec.events_sampled_out(), 75);
-        assert_eq!(rec.anomaly_count(), 5);
-        // 25 sampled spans + 5 anomalies made it into the ring.
-        assert_eq!(rec.events_recorded(), 30);
-    }
-
-    #[test]
-    fn sample_every_zero_keeps_only_anomalies() {
-        let rec = TraceRecorder::new(TraceSettings::default());
-        rec.set_sample_every(0);
-        rec.offer(ev(Stage::Compute, TraceKind::Span, 1.0));
-        rec.offer(ev(Stage::InvalidRead, TraceKind::Anomaly, 1.0));
-        assert_eq!(rec.events_recorded(), 1);
-        assert_eq!(rec.recent(10)[0].stage, "invalid_read");
-    }
-
-    #[test]
     fn anomaly_dump_contains_the_trigger_and_preceding_events() {
         let rec = TraceRecorder::new(TraceSettings::default());
         for i in 0..20 {
@@ -498,7 +354,7 @@ mod tests {
         let dumps = rec.dumps();
         assert_eq!(dumps.len(), 3);
         assert_eq!(dumps.last().unwrap().trigger.as_ref().unwrap().a, 9.0);
-        rec.clear_dumps();
+        assert_eq!(rec.take_dumps(), dumps);
         assert!(rec.dumps().is_empty());
         assert_eq!(rec.anomaly_count(), 10);
     }
@@ -582,5 +438,88 @@ mod tests {
         seqs.dedup();
         assert_eq!(seqs.len(), 64);
         assert!(seqs.iter().all(|&s| s >= min_seq));
+    }
+
+    #[test]
+    fn concurrent_dumps_end_at_their_trigger_with_consecutive_seq() {
+        // Writers interleave instants with anomalies on a ring that wraps
+        // many times. Every dump must be the `dump_len` events that end at
+        // its own trigger: no event newer than the trigger, none skipped.
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 2_000;
+        const DUMP_LEN: usize = 32;
+        let rec = TraceRecorder::new(TraceSettings {
+            capacity: 64,
+            dump_len: DUMP_LEN,
+            max_dumps: 1_000,
+        });
+        let start = std::sync::Barrier::new(WRITERS as usize);
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (rec, start) = (&rec, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_WRITER {
+                        let kind =
+                            if i % 20 == 19 { TraceKind::Anomaly } else { TraceKind::Instant };
+                        rec.offer(TraceEvent {
+                            t_us: i,
+                            session: w,
+                            stage: Stage::Compute,
+                            kind,
+                            a: w as f64,
+                            b: i as f64,
+                        });
+                    }
+                });
+            }
+        });
+        let dumps = rec.dumps();
+        assert_eq!(dumps.len() as u64, WRITERS * PER_WRITER / 20);
+        assert_eq!(rec.anomaly_count(), dumps.len() as u64);
+        for dump in &dumps {
+            let trigger = dump.trigger.as_ref().expect("anomaly-triggered dump");
+            assert_eq!(dump.events.len() as u64, (trigger.seq + 1).min(DUMP_LEN as u64));
+            assert_eq!(dump.events.last(), Some(trigger), "the dump ends at its trigger");
+            for pair in dump.events.windows(2) {
+                assert_eq!(pair[1].seq, pair[0].seq + 1, "consecutive seq");
+            }
+        }
+        let triggers: Vec<u64> = dumps.iter().map(|d| d.trigger.as_ref().unwrap().seq).collect();
+        assert!(triggers.windows(2).all(|p| p[0] < p[1]), "dumps in trigger order");
+    }
+
+    #[test]
+    fn take_dumps_under_concurrent_anomalies_loses_none() {
+        // Anomaly writers race a reader that repeatedly takes the dump
+        // store. The store holds more dumps than the writers make, so
+        // every anomaly's dump is either taken or still retained.
+        const WRITERS: u64 = 3;
+        const PER_WRITER: u64 = 300;
+        let rec =
+            TraceRecorder::new(TraceSettings { capacity: 64, dump_len: 8, max_dumps: 10_000 });
+        let start = std::sync::Barrier::new(WRITERS as usize + 1);
+        let done = AtomicU64::new(0);
+        let shipped = std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (rec, start, done) = (&rec, &start, &done);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_WRITER {
+                        rec.offer(ev(Stage::Compute, TraceKind::Instant, i as f64));
+                        rec.record_anomaly(w, Stage::StaleReset, i as f64, 0.0);
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            start.wait();
+            let mut shipped = 0;
+            while done.load(Ordering::SeqCst) < WRITERS {
+                shipped += rec.take_dumps().len() as u64;
+            }
+            shipped
+        });
+        assert_eq!(rec.anomaly_count(), WRITERS * PER_WRITER);
+        assert_eq!(shipped + rec.dumps().len() as u64, rec.anomaly_count());
     }
 }

@@ -120,12 +120,12 @@ pub struct ServeConfig {
     pub drain_batch: usize,
     /// Reactor tuning for the TCP front end.
     pub net: NetConfig,
-    /// Optional pipeline trace recorder (ring capacity, sampling, flight
-    /// recorder). `Some` enables the serve-layer spans (queue wait,
-    /// compute, ingest anomalies) and installs the recorder as every
-    /// session tracker's sink, so the core events (lobe locks, vote-map
-    /// spans, stale resets, degradation, vote flips) reach it too. `None`
-    /// leaves every sink empty.
+    /// Optional pipeline trace recorder (ring capacity, flight-recorder
+    /// dump length and retention). `Some` enables the serve-layer spans
+    /// (queue wait, compute, ingest anomalies) and installs the recorder
+    /// as every session tracker's sink, so the core events (lobe locks,
+    /// vote-map spans, stale resets, degradation, vote flips) reach it
+    /// too. `None` leaves every sink empty.
     pub observability: Option<TraceSettings>,
 }
 

@@ -26,8 +26,8 @@
 //! [`TelemetryReport`], a Prometheus text exposition
 //! ([`TelemetryReport::to_prometheus`], wire `MetricsRequest`), and raw
 //! dumps over the wire (`TraceQuery`/`TraceDump`). Instrumentation only
-//! observes: positions stay bit-identical with tracing on, off, or
-//! sampled, which the integration tests enforce.
+//! observes: positions stay bit-identical with tracing on or off, which
+//! the integration tests enforce.
 //!
 //! # Architecture
 //!

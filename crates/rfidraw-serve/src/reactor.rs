@@ -329,12 +329,12 @@ impl rfidraw_net::Handler for ServeHandler {
             }
             Ok(Message::TraceQuery(q)) => match self.client.trace_recorder() {
                 Some(rec) => {
-                    let mut dumps = rec.dumps();
+                    // Take-and-clear is one step, so a dump recorded
+                    // meanwhile is shipped now or retained for the next
+                    // query, never cleared unseen.
+                    let mut dumps = if q.clear { rec.take_dumps() } else { rec.dumps() };
                     if q.max_dumps > 0 && dumps.len() > q.max_dumps as usize {
                         dumps.drain(..dumps.len() - q.max_dumps as usize);
-                    }
-                    if q.clear {
-                        rec.clear_dumps();
                     }
                     Message::TraceDump(TraceDumpReply { dumps })
                 }

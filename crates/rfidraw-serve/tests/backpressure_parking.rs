@@ -20,19 +20,19 @@
 use rfidraw_channel::{Channel, Scenario};
 use rfidraw_core::array::{AntennaId, Deployment};
 use rfidraw_core::exec::Parallelism;
-use rfidraw_core::geom::{Plane, Point2, Point3, Rect};
+use rfidraw_core::geom::{Plane, Point2, Point3};
 use rfidraw_core::online::OnlineEvent;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::{IngestBatch, Message};
-use rfidraw_serve::{ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient};
+use rfidraw_serve::{ReactorServer, ServeConfig, TrackingService, WireClient};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-fn template() -> TrackerTemplate {
-    TrackerTemplate::paper_default(Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7)))
-}
+mod common;
+
+use common::template;
 
 /// A tiny-queue config: capacity 4 makes every multi-read batch
 /// overrun the queue, so parking is exercised constantly.
@@ -158,7 +158,7 @@ fn blocked_session_does_not_stall_other_connections() {
             other => panic!("expected the held IngestAck, got {other:?}"),
         };
         assert_eq!(ack.epc, epc_a);
-        assert_eq!(ack.accepted, 12, "Block is lossless across park/re-admit");
+        assert_eq!(ack.accepted, 12, "lossless admission across park/re-admit");
         assert_eq!(ack.dropped + ack.rejected, 0);
         done.store(true, Ordering::Release);
     });
@@ -228,7 +228,7 @@ fn park_and_readmit_preserves_read_order_bit_for_bit() {
         for _ in pair {
             match producer.recv().expect("ack").expect("ack frame") {
                 Message::IngestAck(ack) => {
-                    assert_eq!(ack.dropped + ack.rejected, 0, "Block is lossless");
+                    assert_eq!(ack.dropped + ack.rejected, 0, "lossless admission");
                     accepted += ack.accepted;
                 }
                 other => panic!("expected IngestAck, got {other:?}"),

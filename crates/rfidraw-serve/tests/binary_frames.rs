@@ -7,17 +7,14 @@
 
 use rfidraw_net::{FrameDecoder, RawFrame, DEFAULT_MAX_PAYLOAD};
 use rfidraw_serve::wire::Message;
-use rfidraw_serve::{wire3, ReactorServer, ServeConfig, TrackerTemplate, TrackingService};
+use rfidraw_serve::{wire3, ReactorServer, ServeConfig, TrackingService};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-fn template() -> TrackerTemplate {
-    TrackerTemplate::paper_default(rfidraw_core::geom::Rect::new(
-        rfidraw_core::geom::Point2::new(0.5, 0.3),
-        rfidraw_core::geom::Point2::new(2.3, 1.7),
-    ))
-}
+mod common;
+
+use common::template;
 
 fn start_reactor() -> (TrackingService, ReactorServer) {
     let mut cfg = ServeConfig::new(template());

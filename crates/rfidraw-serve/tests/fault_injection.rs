@@ -9,20 +9,23 @@
 //! connection or fabricate a session.
 
 use rfidraw_channel::{
-    Blackout, Channel, ClockSkew, FaultSchedule, Scenario, ScheduledFaults,
+    Blackout, ClockSkew, FaultSchedule, ScheduledFaults,
 };
-use rfidraw_core::array::{AntennaId, Deployment};
+use rfidraw_core::array::AntennaId;
 use rfidraw_core::exec::Parallelism;
-use rfidraw_core::geom::{Plane, Point2, Point3, Rect};
+use rfidraw_core::geom::{Point2, Rect};
 use rfidraw_core::grid::Grid2;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_core::TablePrecision;
-use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::{self, Envelope, Message};
 use rfidraw_serve::{ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient};
 use std::collections::BTreeMap;
 use std::io::Write;
+
+mod common;
+
+use common::{bits, eight_tag_streams};
 
 fn template() -> TrackerTemplate {
     template_with(TablePrecision::F64)
@@ -40,28 +43,6 @@ fn template_with(precision: TablePrecision) -> TrackerTemplate {
     tpl.online.readmit_after = 0.3;
     tpl.position.precision = precision;
     tpl
-}
-
-fn eight_tag_streams(seed: u64, duration: f64) -> BTreeMap<Epc, Vec<PhaseRead>> {
-    let plane = Plane::at_depth(2.0);
-    let positions: Vec<Point2> = (0..8)
-        .map(|i| Point2::new(0.7 + 0.4 * f64::from(i % 4), 0.6 + 0.7 * f64::from(i / 4)))
-        .collect();
-    let trajectories: Vec<Box<dyn Fn(f64) -> Point3>> = positions
-        .iter()
-        .map(|&p| {
-            let f: Box<dyn Fn(f64) -> Point3> = Box::new(move |_t| plane.lift(p));
-            f
-        })
-        .collect();
-    let tags: Vec<SimTag<'_>> = trajectories
-        .iter()
-        .enumerate()
-        .map(|(i, f)| SimTag { epc: Epc::from_index(i as u32 + 1), trajectory: f.as_ref() })
-        .collect();
-    let channel = Channel::new(Deployment::paper_default(), Scenario::Los.config(), seed);
-    let mut sim = InventorySim::new(channel, InventoryConfig::paper_default(0.030, seed));
-    demux_phase_reads(&sim.run(&tags, duration))
 }
 
 /// Every fault class, spread across the four faulted tags (odd stream
@@ -91,10 +72,6 @@ fn fault_schedule_for(index: usize) -> Option<FaultSchedule> {
         }),
         _ => None,
     }
-}
-
-fn bits(p: Point2) -> (u64, u64) {
-    (p.x.to_bits(), p.z.to_bits())
 }
 
 /// The tentpole guarantee: with every fault class live across eight
@@ -188,7 +165,7 @@ fn run_all_fault_classes(precision: TablePrecision) {
             std::thread::spawn(move || {
                 for chunk in reads.chunks(32) {
                     let receipt = client.ingest(epc, chunk).expect("ingest");
-                    assert_eq!(receipt.accepted as usize, chunk.len(), "Block is lossless");
+                    assert_eq!(receipt.accepted as usize, chunk.len(), "lossless admission");
                 }
             })
         })
@@ -214,8 +191,8 @@ fn run_all_fault_classes(precision: TablePrecision) {
     }
 
     // Exact conservation: every read sent was ingested; every ingested
-    // read was processed (Block + quiesce); refusals are attribution
-    // within `processed`, not leakage.
+    // read was processed (lossless admission + quiesce); refusals are
+    // attribution within `processed`, not leakage.
     let total: u64 = streams.values().map(|r| r.len() as u64).sum();
     let report = service.telemetry();
     assert_eq!(report.active_sessions, 8);

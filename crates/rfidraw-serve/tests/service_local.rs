@@ -8,49 +8,19 @@ use rand::{Rng, SeedableRng};
 use rfidraw_channel::{Channel, Scenario};
 use rfidraw_core::array::{AntennaId, Deployment};
 use rfidraw_core::exec::Parallelism;
-use rfidraw_core::geom::{Plane, Point2, Point3, Rect};
+use rfidraw_core::geom::{Plane, Point2, Point3};
 use rfidraw_core::online::OnlineEvent;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
-use rfidraw_serve::{
-    ServeConfig, ServeError, SessionEvent, TelemetryReport, TrackerTemplate, TrackingService,
-};
+use rfidraw_serve::{ServeConfig, ServeError, SessionEvent, TelemetryReport, TrackingService};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
-fn region() -> Rect {
-    Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7))
-}
+mod common;
 
-fn template() -> TrackerTemplate {
-    TrackerTemplate::paper_default(region())
-}
-
-/// 8 static tags spread across the tracking region, inventoried together
-/// (they contend for ALOHA slots), demuxed into per-tag read streams.
-fn eight_tag_streams(seed: u64, duration: f64) -> BTreeMap<Epc, Vec<PhaseRead>> {
-    let plane = Plane::at_depth(2.0);
-    let positions: Vec<Point2> = (0..8)
-        .map(|i| Point2::new(0.7 + 0.4 * f64::from(i % 4), 0.6 + 0.7 * f64::from(i / 4)))
-        .collect();
-    let trajectories: Vec<Box<dyn Fn(f64) -> Point3>> = positions
-        .iter()
-        .map(|&p| {
-            let f: Box<dyn Fn(f64) -> Point3> = Box::new(move |_t| plane.lift(p));
-            f
-        })
-        .collect();
-    let tags: Vec<SimTag<'_>> = trajectories
-        .iter()
-        .enumerate()
-        .map(|(i, f)| SimTag { epc: Epc::from_index(i as u32 + 1), trajectory: f.as_ref() })
-        .collect();
-    let channel = Channel::new(Deployment::paper_default(), Scenario::Los.config(), seed);
-    let mut sim = InventorySim::new(channel, InventoryConfig::paper_default(0.030, seed));
-    demux_phase_reads(&sim.run(&tags, duration))
-}
+use common::{bits, eight_tag_streams, template};
 
 /// The reference: one standalone tracker per tag, fed in order.
 fn standalone_positions(
@@ -74,10 +44,6 @@ fn standalone_positions(
         .collect()
 }
 
-fn bits(p: Point2) -> (u64, u64) {
-    (p.x.to_bits(), p.z.to_bits())
-}
-
 #[test]
 fn eight_concurrent_sessions_match_standalone_trackers_bit_for_bit() {
     let streams = eight_tag_streams(11, 3.0);
@@ -94,7 +60,7 @@ fn eight_concurrent_sessions_match_standalone_trackers_bit_for_bit() {
 
     let mut cfg = ServeConfig::new(template());
     cfg.workers = Some(Parallelism::Threads(4));
-    cfg.queue_capacity = 64; // small on purpose: force Block to engage
+    cfg.queue_capacity = 64; // small on purpose: make lossless admission stall the producer
     cfg.drain_batch = 16;
     let service = TrackingService::start(cfg);
     let client = service.client();
@@ -110,7 +76,7 @@ fn eight_concurrent_sessions_match_standalone_trackers_bit_for_bit() {
                 let events = client.subscribe(epc).expect("subscribe");
                 for chunk in reads.chunks(32) {
                     let receipt = client.ingest(epc, chunk).expect("ingest");
-                    assert_eq!(receipt.accepted as usize, chunk.len(), "Block is lossless");
+                    assert_eq!(receipt.accepted as usize, chunk.len(), "lossless admission");
                     assert_eq!(receipt.rejected, 0);
                 }
                 (epc, events)
@@ -386,7 +352,7 @@ fn one_tag_stream(seed: u64, duration: f64) -> Vec<PhaseRead> {
 /// `Closed` stays a subscriber's last event when the close lands while a
 /// worker is still tracking a batch it took before the close: that
 /// drain's positions must not follow the `Closed`. A 30 s stream goes
-/// into a `Block` queue that holds just over half of it, so `ingest`
+/// into a lossless queue that holds just over half of it, so `ingest`
 /// returns only after the one worker has taken the first half as one
 /// batch; the close follows at once, long before that half is tracked.
 #[test]
@@ -645,7 +611,7 @@ fn one_read_run(
                     let (epc, reads, upto) = &owned[k];
                     let i = next[k];
                     let receipt = client.ingest(*epc, &reads[i..i + 1]).expect("ingest");
-                    assert_eq!(receipt.accepted, 1, "{epc}: Block is lossless");
+                    assert_eq!(receipt.accepted, 1, "{epc}: lossless admission");
                     next[k] += 1;
                     // The deadline turns a lost wakeup into a failure.
                     while got[k].len() < upto[i] {

@@ -2,49 +2,23 @@
 //! trajectories bit-identical to standalone trackers, plus the protocol's
 //! error paths.
 
-use rfidraw_channel::{Channel, Scenario};
-use rfidraw_core::array::Deployment;
 use rfidraw_core::exec::Parallelism;
-use rfidraw_core::geom::{Plane, Point2, Point3, Rect};
 use rfidraw_core::online::OnlineEvent;
 use rfidraw_core::stream::PhaseRead;
-use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::{self, Envelope, Message};
-use rfidraw_serve::{ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient};
+use rfidraw_serve::{ReactorServer, ServeConfig, TrackingService, WireClient};
 use std::collections::BTreeMap;
 use std::io::Write;
 
-fn template() -> TrackerTemplate {
-    TrackerTemplate::paper_default(Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7)))
-}
+mod common;
+
+use common::{eight_tag_streams, template};
 
 /// Binds the TCP front end in front of `service`.
 fn serve(service: &TrackingService) -> ReactorServer {
     ReactorServer::bind("127.0.0.1:0", service.client(), rfidraw_net::ReactorConfig::default())
         .expect("bind loopback")
-}
-
-fn eight_tag_streams(seed: u64, duration: f64) -> BTreeMap<Epc, Vec<PhaseRead>> {
-    let plane = Plane::at_depth(2.0);
-    let positions: Vec<Point2> = (0..8)
-        .map(|i| Point2::new(0.7 + 0.4 * f64::from(i % 4), 0.6 + 0.7 * f64::from(i / 4)))
-        .collect();
-    let trajectories: Vec<Box<dyn Fn(f64) -> Point3>> = positions
-        .iter()
-        .map(|&p| {
-            let f: Box<dyn Fn(f64) -> Point3> = Box::new(move |_t| plane.lift(p));
-            f
-        })
-        .collect();
-    let tags: Vec<SimTag<'_>> = trajectories
-        .iter()
-        .enumerate()
-        .map(|(i, f)| SimTag { epc: Epc::from_index(i as u32 + 1), trajectory: f.as_ref() })
-        .collect();
-    let channel = Channel::new(Deployment::paper_default(), Scenario::Los.config(), seed);
-    let mut sim = InventorySim::new(channel, InventoryConfig::paper_default(0.030, seed));
-    demux_phase_reads(&sim.run(&tags, duration))
 }
 
 #[test]
@@ -122,7 +96,7 @@ fn eight_sessions_over_tcp_match_standalone_trackers_bit_for_bit() {
                 for chunk in reads.chunks(32) {
                     let ack = client.ingest(epc, chunk).expect("ingest over tcp");
                     assert_eq!(ack.epc, epc);
-                    assert_eq!(ack.dropped + ack.rejected, 0, "Block is lossless");
+                    assert_eq!(ack.dropped + ack.rejected, 0, "lossless admission");
                     accepted += ack.accepted;
                 }
                 assert_eq!(accepted as usize, reads.len());

@@ -3,41 +3,14 @@
 //! them, produce positions bit-identical to standalone trackers, and
 //! surface the sharing through the service telemetry.
 
-use rfidraw_channel::{Channel, Scenario};
-use rfidraw_core::array::Deployment;
-use rfidraw_core::geom::{Plane, Point2, Point3, Rect};
-use rfidraw_core::stream::PhaseRead;
-use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
+use rfidraw_core::geom::Point2;
 use rfidraw_protocol::Epc;
-use rfidraw_serve::{ServeConfig, TrackerTemplate, TrackingService};
+use rfidraw_serve::{ServeConfig, TrackingService};
 use std::collections::BTreeMap;
 
-fn region() -> Rect {
-    Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7))
-}
+mod common;
 
-/// 8 static tags inventoried together, demuxed into per-tag streams.
-fn eight_tag_streams(seed: u64, duration: f64) -> BTreeMap<Epc, Vec<PhaseRead>> {
-    let plane = Plane::at_depth(2.0);
-    let positions: Vec<Point2> = (0..8)
-        .map(|i| Point2::new(0.7 + 0.4 * f64::from(i % 4), 0.6 + 0.7 * f64::from(i / 4)))
-        .collect();
-    let trajectories: Vec<Box<dyn Fn(f64) -> Point3>> = positions
-        .iter()
-        .map(|&p| {
-            let f: Box<dyn Fn(f64) -> Point3> = Box::new(move |_t| plane.lift(p));
-            f
-        })
-        .collect();
-    let tags: Vec<SimTag<'_>> = trajectories
-        .iter()
-        .enumerate()
-        .map(|(i, f)| SimTag { epc: Epc::from_index(i as u32 + 1), trajectory: f.as_ref() })
-        .collect();
-    let channel = Channel::new(Deployment::paper_default(), Scenario::Los.config(), seed);
-    let mut sim = InventorySim::new(channel, InventoryConfig::paper_default(0.030, seed));
-    demux_phase_reads(&sim.run(&tags, duration))
-}
+use common::eight_tag_streams;
 
 fn bits(trajectory: &[Point2]) -> Vec<(u64, u64)> {
     trajectory.iter().map(|p| (p.x.to_bits(), p.z.to_bits())).collect()
@@ -48,7 +21,7 @@ fn eight_sessions_share_exactly_two_tables_bit_identically() {
     let streams = eight_tag_streams(11, 3.0);
     assert_eq!(streams.len(), 8, "every tag should be read");
 
-    let template = TrackerTemplate::paper_default(region());
+    let template = common::template();
     let mut cfg = ServeConfig::new(template.clone());
     cfg.workers = None; // deterministic manual pumping
     cfg.queue_capacity = 1 << 14;

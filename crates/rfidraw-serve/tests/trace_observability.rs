@@ -1,54 +1,25 @@
 //! Observability tests: tracing must only *observe* — positions stay
-//! bit-identical with the recorder off, on, sampled, or disabled, across
-//! worker counts — each session tracker's core events must reach the
-//! service recorder under the session's id, with every stale reset and
-//! degradation the telemetry counts recorded as exactly one anomaly, and
-//! the flight recorder must capture ingest refusals and ship them (plus
-//! the Prometheus exposition) over loopback TCP.
+//! bit-identical with the recorder off or on, across worker counts — each
+//! session tracker's core events must reach the service recorder under the
+//! session's id, with every stale reset and degradation the telemetry
+//! counts recorded as exactly one anomaly, and the flight recorder must
+//! capture ingest refusals and ship them (plus the Prometheus exposition)
+//! over loopback TCP.
 
-use rfidraw_channel::{Channel, Scenario};
-use rfidraw_core::array::{AntennaId, Deployment};
+use rfidraw_core::array::AntennaId;
 use rfidraw_core::exec::Parallelism;
-use rfidraw_core::geom::{Plane, Point2, Point3, Rect};
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_metrics::TraceSettings;
-use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::{IngestAck, IngestBatch, Message};
-use rfidraw_serve::{ReactorServer, ServeConfig, TrackerTemplate, TrackingService, WireClient};
+use rfidraw_serve::{ReactorServer, ServeConfig, TrackingService, WireClient};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-fn template() -> TrackerTemplate {
-    TrackerTemplate::paper_default(Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7)))
-}
+mod common;
 
-fn eight_tag_streams(seed: u64, duration: f64) -> BTreeMap<Epc, Vec<PhaseRead>> {
-    let plane = Plane::at_depth(2.0);
-    let positions: Vec<Point2> = (0..8)
-        .map(|i| Point2::new(0.7 + 0.4 * f64::from(i % 4), 0.6 + 0.7 * f64::from(i / 4)))
-        .collect();
-    let trajectories: Vec<Box<dyn Fn(f64) -> Point3>> = positions
-        .iter()
-        .map(|&p| {
-            let f: Box<dyn Fn(f64) -> Point3> = Box::new(move |_t| plane.lift(p));
-            f
-        })
-        .collect();
-    let tags: Vec<SimTag<'_>> = trajectories
-        .iter()
-        .enumerate()
-        .map(|(i, f)| SimTag { epc: Epc::from_index(i as u32 + 1), trajectory: f.as_ref() })
-        .collect();
-    let channel = Channel::new(Deployment::paper_default(), Scenario::Los.config(), seed);
-    let mut sim = InventorySim::new(channel, InventoryConfig::paper_default(0.030, seed));
-    demux_phase_reads(&sim.run(&tags, duration))
-}
-
-fn bits(p: Point2) -> (u64, u64) {
-    (p.x.to_bits(), p.z.to_bits())
-}
+use common::{bits, eight_tag_streams, template};
 
 /// Runs the full stream set through one service configuration and returns
 /// every session's trajectory as raw bits.
@@ -59,7 +30,7 @@ fn service_trajectories(
 ) -> BTreeMap<Epc, Vec<(u64, u64)>> {
     let mut cfg = ServeConfig::new(template());
     cfg.workers = workers;
-    cfg.queue_capacity = 100_000; // Block never engages in manual mode
+    cfg.queue_capacity = 100_000; // lossless admission never stalls in manual mode
     cfg.observability = observability;
     let service = TrackingService::start(cfg);
     let client = service.client();
@@ -77,12 +48,11 @@ fn service_trajectories(
 }
 
 /// The tentpole guarantee: instrumentation never changes results. The
-/// same streams produce bit-identical trajectories with no recorder, a
-/// keep-everything recorder, a sampled recorder, and an anomalies-only
-/// recorder, single-threaded and multi-threaded alike — all equal to
-/// standalone trackers.
+/// same streams produce bit-identical trajectories with no recorder and
+/// with a recorder that keeps every event, single-threaded and
+/// multi-threaded alike — all equal to standalone trackers.
 #[test]
-fn positions_are_bit_identical_with_tracing_off_on_and_sampled() {
+fn positions_are_bit_identical_with_tracing_off_and_on() {
     let streams = eight_tag_streams(11, 2.0);
     assert_eq!(streams.len(), 8);
 
@@ -106,13 +76,8 @@ fn positions_are_bit_identical_with_tracing_off_on_and_sampled() {
         ("no recorder, manual", None, None),
         ("recorder keep-all, manual", Some(TraceSettings::default()), None),
         (
-            "recorder sampled 1-in-7, two workers",
-            Some(TraceSettings { sample_every: 7, ..TraceSettings::default() }),
-            Some(Parallelism::Threads(2)),
-        ),
-        (
-            "recorder anomalies-only, two workers",
-            Some(TraceSettings { sample_every: 0, ..TraceSettings::default() }),
+            "recorder keep-all, two workers",
+            Some(TraceSettings::default()),
             Some(Parallelism::Threads(2)),
         ),
     ];
@@ -134,7 +99,7 @@ fn positions_are_bit_identical_with_tracing_off_on_and_sampled() {
     }
     service.quiesce();
     let rec = client.trace_recorder().expect("recorder configured");
-    assert!(rec.events_seen() > 0, "serve-layer spans must flow into the recorder");
+    assert!(rec.events_recorded() > 0, "serve-layer spans must flow into the recorder");
     let report = service.telemetry();
     assert!(report.queue_wait.count > 0, "queue-wait histogram sampled");
     assert!(report.compute.count > 0, "compute histogram sampled");
@@ -159,16 +124,15 @@ fn gap_and_blackout_stream() -> (Epc, Vec<PhaseRead>) {
 }
 
 /// A manual-pump service whose sessions detect antenna dropout, fed
-/// `stream` through a recorder with the given sampling.
-fn run_recorded(stream: &(Epc, Vec<PhaseRead>), sample_every: u32) -> TrackingService {
+/// `stream` through a recorder that holds the whole run.
+fn run_recorded(stream: &(Epc, Vec<PhaseRead>)) -> TrackingService {
     let mut tpl = template();
     tpl.online.dropout_after = Some(1.0);
     tpl.online.readmit_after = 0.3;
     let mut cfg = ServeConfig::new(tpl);
     cfg.workers = None;
     cfg.queue_capacity = 100_000;
-    cfg.observability =
-        Some(TraceSettings { capacity: 1 << 16, sample_every, ..TraceSettings::default() });
+    cfg.observability = Some(TraceSettings { capacity: 1 << 16, ..TraceSettings::default() });
     let service = TrackingService::start(cfg);
     service.client().ingest(stream.0, &stream.1).expect("ingest");
     service.quiesce();
@@ -183,7 +147,7 @@ fn run_recorded(stream: &(Epc, Vec<PhaseRead>), sample_every: u32) -> TrackingSe
 fn core_events_share_the_session_recorder_and_anomalies_count_once() {
     let stream = gap_and_blackout_stream();
 
-    let service = run_recorded(&stream, 1);
+    let service = run_recorded(&stream);
     let rec = service.client().trace_recorder().expect("recorder configured");
     let events = rec.recent(rec.capacity());
     assert!(events.len() < rec.capacity(), "the ring must hold the whole run");
@@ -204,11 +168,9 @@ fn core_events_share_the_session_recorder_and_anomalies_count_once() {
         "acquisition is timed as a span"
     );
 
-    let service = run_recorded(&stream, 0);
-    let rec = service.client().trace_recorder().expect("recorder configured");
-    let anomalies = rec.recent(rec.capacity());
-    assert!(anomalies.iter().all(|e| e.kind == "anomaly"), "sample_every 0 keeps anomalies only");
-    let count = |stage: &str| anomalies.iter().filter(|e| e.stage == stage).count() as u64;
+    let count = |stage: &str| {
+        events.iter().filter(|e| e.kind == "anomaly" && e.stage == stage).count() as u64
+    };
     let report = service.telemetry();
     assert_eq!(report.stale_resets, 1, "the 1.2 s silence resets the session once");
     assert!(report.degraded_events >= 2, "dropout, then the reset's close-out");

@@ -3,10 +3,11 @@
 # with the output file's name: median ns/iter per kernel plus derived
 # throughput numbers (reads/sec through the serving layer up to 10k
 # sessions, binary vs JSON wire framing, healthy throughput alongside a
-# parked Block connection, engine vs reference, and quantized i16 vs f64
-# engine speedup). Records nproc, since the engine numbers here are serial
-# but serving-layer numbers depend on core count, and the CPU model, since
-# two snapshots compare only when they come from the same kind of host.
+# connection parked by lossless admission, engine vs reference, and
+# quantized i16 vs f64 engine speedup). Records nproc, since the engine
+# numbers here are serial but serving-layer numbers depend on core count,
+# and the CPU model, since two snapshots compare only when they come from
+# the same kind of host.
 #
 # Usage: scripts/bench_snapshot.sh <output.json>
 #
@@ -101,7 +102,7 @@ awk -f scripts/median_ns.awk "$RAW" \
             printf "%s    \"wire_binary_reads_per_sec_64_sessions\": %.0f", sep, \
                 4096 * 1e9 / medians["serve_wire_binary_4096_reads_64_sessions"]
         }
-        # Healthy-session throughput while one Block connection sits
+        # Healthy-session throughput while one connection sits
         # parked with a stash (the reactor-stall regression as a number:
         # before parking this bench deadlocked).
         if ("serve_block_one_slow_session_256_reads" in medians) {

@@ -11,6 +11,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs `cargo test "$@"` for a step that selects its tests by name, and
+# fails unless at least one test ran: cargo exits 0 when a name filter
+# matches nothing, so a renamed or deleted test would pass unseen.
+cargo_test_by_name() {
+    local out
+    out=$(cargo test "$@") || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out"
+    if ! awk '/^test result:/ { n += $4 } END { exit n > 0 ? 0 : 1 }' <<< "$out"; then
+        echo "ci: no test ran for: cargo test $*" >&2
+        return 1
+    fi
+}
+
 echo "== build (release) =="
 cargo build --release --offline
 
@@ -41,28 +54,28 @@ echo "== core suite in release (vectorized kernels) =="
 # most its pinned share of the tiles, so a bound that stops pruning fails.
 cargo test --release --offline -q -p rfidraw-simd
 cargo test --release --offline -q -p rfidraw-core
-cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
+cargo_test_by_name --release --offline -q -p rfidraw-core --test kernel_equivalence \
     frac_dist_to_integer_matches_round_form
-cargo test --release --offline -q -p rfidraw-core --test kernel_equivalence \
+cargo_test_by_name --release --offline -q -p rfidraw-core --test kernel_equivalence \
     trace_step_
-cargo test --release --offline -q -p rfidraw-core --lib \
+cargo_test_by_name --release --offline -q -p rfidraw-core --lib \
     trace::tests::tile_bounds_hold_every_lane_vote
-cargo test --release --offline -q -p rfidraw-core --lib \
+cargo_test_by_name --release --offline -q -p rfidraw-core --lib \
     trace::tests::noisy_ticks_score_a_bounded_share_of_tiles
 # Sparse acquisition, by name: stage 2 scores only the stage-1 filter's
 # kept fine cells (through the gathers' vectorized AVX2 copies when the
 # fine table is built) and picks peaks in k passes, and every kept cell,
 # vote and candidate must equal the dense reference (full masked map plus
 # the sort-based peak pick) bit for bit.
-cargo test --release --offline -q -p rfidraw-core --test sparse_acquisition \
+cargo_test_by_name --release --offline -q -p rfidraw-core --test sparse_acquisition \
     sparse_acquisition_matches_dense_reference
 # The quiet-read predicate the serving layer applies reads inline by: a
 # batch it calls quiet must never emit or move the estimate (random
 # hostile streams and batch splits), and it must keep calling most reads
 # of a clean stream quiet.
-cargo test --release --offline -q -p rfidraw-core --test quiet_reads \
+cargo_test_by_name --release --offline -q -p rfidraw-core --test quiet_reads \
     quiet_batches_never_emit_or_move_the_estimate
-cargo test --release --offline -q -p rfidraw-core --test quiet_reads \
+cargo_test_by_name --release --offline -q -p rfidraw-core --test quiet_reads \
     clean_stream_is_mostly_quiet
 
 echo "== paper-metric regression gate (fig11/fig12, f64 vs i16) =="
@@ -145,13 +158,13 @@ echo "== tier 2: serving layer =="
 cargo test --release --offline -q -p rfidraw-serve
 # The shared-table guarantee, by name: 8 concurrent sessions over one
 # deployment build exactly one coarse and one fine vote table between them.
-cargo test --release --offline -q -p rfidraw-serve --test table_cache
+cargo_test_by_name --release --offline -q -p rfidraw-serve --test table_cache
 # The suite that runs the core emit sites with a sink installed, by name:
-# positions stay bit-identical with tracing off, on and sampled across
-# worker counts; core events reach the service recorder under their
-# session's id; and each stale reset and degradation the telemetry
-# counts is recorded as exactly one anomaly.
-cargo test --release --offline -q -p rfidraw-serve --test trace_observability
+# positions stay bit-identical with tracing off and on across worker
+# counts; core events reach the service recorder under their session's
+# id; and each stale reset and degradation the telemetry counts is
+# recorded as exactly one anomaly.
+cargo_test_by_name --release --offline -q -p rfidraw-serve --test trace_observability
 cargo run --release --offline -p rfidraw --example live_service > /dev/null
 
 echo "== tier 2: fault injection =="
@@ -167,7 +180,7 @@ if [ "$corpus_lines" -lt 20 ]; then
     exit 1
 fi
 cargo test --release --offline -q -p rfidraw-serve --test fault_injection
-cargo test --release --offline -q -p rfidraw-channel faults
+cargo_test_by_name --release --offline -q -p rfidraw-channel faults
 # The binary-framing corpus (wire v3): truncated/oversized/bad-magic
 # frames and mid-frame disconnects against the reactor front end.
 test -s crates/rfidraw-serve/tests/corpus/malformed_binary_frames.txt
@@ -180,24 +193,24 @@ echo "== tier 2: reactor front end =="
 # sessions must produce bit-identical position streams and conserving
 # telemetry.
 cargo test --release --offline -q -p rfidraw-serve --test reactor_service
-cargo test --release --offline -q -p rfidraw-serve --test reactor_service \
+cargo_test_by_name --release --offline -q -p rfidraw-serve --test reactor_service \
     mixed_protocol_sessions_are_equivalent_and_conserve
 
 echo "== tier 2: backpressure parking =="
 # The reactor-stall regression and the parking lifecycle (DESIGN.md §13):
-# a parked Block connection must not stall other connections, re-admission
+# a parked connection must not stall other connections, re-admission
 # must preserve order bit-for-bit, and mid-park teardown (peer or session)
 # must leave the parked_reads = readmissions + parked_rejected +
 # parked_discarded books exact. The stall test is also run by name so a
 # filter change can never silently drop the headline regression.
 cargo test --release --offline -q -p rfidraw-serve --test backpressure_parking
-cargo test --release --offline -q -p rfidraw-serve --test backpressure_parking \
+cargo_test_by_name --release --offline -q -p rfidraw-serve --test backpressure_parking \
     blocked_session_does_not_stall_other_connections
 
 echo "== tier 2: event-driven serving =="
 # The ready queue and pushed updates (DESIGN.md §7, §13), by name: the
 # seeded ready-queue stress run (64 sessions, 2-read queues, 1-read
-# drains, 2 and 4 workers, lossless `Block` admission only) must finish
+# drains, 2 and 4 workers, lossless admission) must finish
 # before its watchdog deadline with exact books and bit-identical
 # results; with no workers, a producer that overflows its queue must
 # drain it itself and return, with exact books and bit-identical
@@ -209,16 +222,16 @@ echo "== tier 2: event-driven serving =="
 # inline under workers, and never inline under manual pumping; a quiet
 # drain facing a busy engine must leave the reads queued and the
 # session runnable.
-cargo test --release --offline -q -p rfidraw-serve --test service_local \
+cargo_test_by_name --release --offline -q -p rfidraw-serve --test service_local \
     ready_queue_stress_keeps_results_and_books_exact
-cargo test --release --offline -q -p rfidraw-serve --test service_local \
+cargo_test_by_name --release --offline -q -p rfidraw-serve --test service_local \
     manual_mode_producer_drains_its_own_overflow
-cargo test --release --offline -q -p rfidraw-serve --test service_local \
+cargo_test_by_name --release --offline -q -p rfidraw-serve --test service_local \
     closed_stays_last_when_the_close_lands_mid_drain
-cargo test --release --offline -q -p rfidraw-serve --test reactor_service \
+cargo_test_by_name --release --offline -q -p rfidraw-serve --test reactor_service \
     updates_are_pushed_without_further_traffic
-cargo test --release --offline -q -p rfidraw-serve --test service_local \
+cargo_test_by_name --release --offline -q -p rfidraw-serve --test service_local \
     one_read_ingests_apply_quiet_reads_inline
-cargo test --release --offline -q -p rfidraw-serve --lib session::tests::drain_quiet_
+cargo_test_by_name --release --offline -q -p rfidraw-serve --lib session::tests::drain_quiet_
 
 echo "CI OK"
